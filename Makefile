@@ -2,7 +2,8 @@
 
 .PHONY: all build test chaos soak bench bench-full bench-json bench-conflict \
         bench-simplex bench-warmstart bench-serve docs check-docs \
-        check-failwith check-float-sort check-cold-lp check-obs-labels \
+        check-failwith check-float-sort check-cold-lp check-lp-oracle \
+        check-obs-labels \
         check-snapshot-version check-rel-engines serve-smoke bench-gate \
         check examples clean
 
@@ -63,6 +64,13 @@ check-float-sort:
 check-cold-lp:
 	ocaml scripts/check_cold_lp_sweeps.ml lib/core
 
+# The dense-tableau LP oracle (test/lp_oracle) is for tests and benches
+# only: no dune file under lib/ or bin/ may name qp_lp_oracle.
+check-lp-oracle:
+	@if grep -rn --include=dune qp_lp_oracle lib bin; then \
+	  echo "lp-oracle lint: qp_lp_oracle is test/bench-only"; exit 1; \
+	else echo "lp-oracle lint: lib/ and bin/ do not link qp_lp_oracle"; fi
+
 # Every Qp_obs label must be a lowercase dotted name under a prefix
 # registered in scripts/check_obs_labels.ml (and documented in
 # docs/OBSERVABILITY.md) — keeps the trace/metrics taxonomy closed.
@@ -104,7 +112,7 @@ endif
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:
@@ -115,7 +123,7 @@ bench-full:
 	QP_BENCH_PROFILE=full dune exec bench/main.exe
 
 # Time the parallel layer (jobs=1 vs jobs=N, BENCH_parallel.json), the
-# simplex engines (dense vs revised, BENCH_simplex.json), the
+# simplex (dense oracle vs revised, BENCH_simplex.json), the
 # warm-started sweeps (cold vs warm, BENCH_warmstart.json) and the
 # serving layer under load (BENCH_serve.json).
 bench-json:
@@ -126,7 +134,7 @@ bench-json:
 bench-conflict:
 	dune exec bench/main.exe -- conflict
 
-# Time the dense tableau vs the revised simplex across growing LP sizes
+# Time the dense tableau oracle vs the revised simplex across growing LP sizes
 # and write BENCH_simplex.json (records the crossover size).
 bench-simplex:
 	dune exec bench/main.exe -- simplex

@@ -2,7 +2,7 @@
    (via Qp_experiments.Registry) and finishes with bechamel
    micro-benchmarks of the core primitives.
 
-   Usage: main.exe [--jobs N] [--trace FILE] [--lp-engine E] [micro]
+   Usage: main.exe [--jobs N] [--trace FILE] [micro]
           [parallel] [conflict] [simplex] [warmstart] [EXPERIMENT-IDS...]
    With no arguments every experiment runs, in the paper's order,
    followed by the micro-benchmarks. "micro", "parallel", "conflict",
@@ -11,17 +11,15 @@
    "parallel" times the worker pool at jobs=1 vs jobs=N and writes
    BENCH_parallel.json, "conflict" times the parallel conflict-set
    construction per workload and writes BENCH_conflict.json, "simplex"
-   times the dense tableau against the revised simplex engine across
+   times the dense tableau oracle against the revised simplex across
    growing LP sizes and writes BENCH_simplex.json, "warmstart" times
    the CIP/LPIP sweeps cold vs warm-started and writes
    BENCH_warmstart.json. Unknown ids abort
    upfront (exit 2) with the list of valid experiment and pseudo ids.
-   --jobs N sets QP_JOBS for the whole process; --lp-engine selects the
-   simplex engine (dense, revised or check) for everything that runs;
-   --trace FILE records the whole run as Chrome
-   trace-event JSONL (aggregate with 'qpricing report'). Every
-   BENCH_*.json carries a "meta" block (git commit, QP_JOBS, profile,
-   UTC timestamp) identifying the run. QP_BENCH_PROFILE=full switches
+   --jobs N sets QP_JOBS for the whole process; --trace FILE records
+   the whole run as Chrome trace-event JSONL (aggregate with 'qpricing
+   report'). Every BENCH_*.json carries a "meta" block (git commit,
+   QP_JOBS, profile, UTC timestamp) identifying the run. QP_BENCH_PROFILE=full switches
    to the slower, closer-to-paper settings (5 runs, finer LP grids). *)
 
 module Registry = Qp_experiments.Registry
@@ -396,17 +394,17 @@ let simplex_bench ~meta () =
         (* Small instances solve in microseconds; repeat until the
            timed block is long enough to trust, and report per-solve. *)
         let reps = max 1 (20_000_000 / (n * n * n)) in
-        let run engine =
-          ignore (Sys.opaque_identity (Simplex.solve ~engine ~c ~rows ()));
+        let run solve =
+          ignore (Sys.opaque_identity (solve ()));
           let t0 = Unix.gettimeofday () in
           let outcome = ref Simplex.Unbounded in
           for _ = 1 to reps do
-            outcome := Simplex.solve ~engine ~c ~rows ()
+            outcome := solve ()
           done;
           ((Unix.gettimeofday () -. t0) /. Float.of_int reps, !outcome)
         in
-        let td, dense = run Simplex.Dense in
-        let tr, revised = run Simplex.Revised in
+        let td, dense = run (Qp_lp_oracle.Dense.solve ~c ~rows) in
+        let tr, revised = run (Simplex.solve ~c ~rows) in
         let od = objective dense and orv = objective revised in
         if Float.abs (od -. orv) > 1e-6 *. Float.max 1.0 (Float.abs od)
         then begin
@@ -459,9 +457,10 @@ let simplex_bench ~meta () =
    optimal basis carried from member to member), and writes
    BENCH_warmstart.json. Pivot counts come from the "simplex.pivots"
    counter, so the comparison is meaningful even on a single-CPU box
-   where wall time is noisy; a final warm-started CIP run under the
-   Check engine re-solves every member on the dense oracle and records
-   the mismatch count (must be 0: warm starting never changes answers). *)
+   where wall time is noisy; a final warm-started CIP run under
+   Qp_lp_oracle.with_check re-solves every member on the dense oracle
+   and records the mismatch count (must be 0: warm starting never
+   changes answers). *)
 let warmstart_bench ~meta ctx =
   let module Simplex = Qp_lp.Simplex in
   let inst = Context.instance ctx "skewed" in
@@ -531,11 +530,9 @@ let warmstart_bench ~meta ctx =
           (name, tc, pc, tw, pw, hits, misses, saved)
         in
         let results = List.map measure [ ("cip", cip); ("lpip", lpip) ] in
-        (* correctness sentinel: warm-started CIP under the Check engine *)
+        (* correctness sentinel: warm-started CIP under the dense oracle *)
         Simplex.set_warm_starts true;
-        Simplex.reset_cross_check_mismatches ();
-        Simplex.with_engine Simplex.Check cip;
-        let mismatches = Simplex.cross_check_mismatches () in
+        let (), mismatches = Qp_lp_oracle.with_check cip in
         Printf.printf "  check: %d warm/cold mismatches over a CIP sweep\n%!"
           mismatches;
         (results, mismatches))
@@ -842,30 +839,20 @@ let pseudo_ids =
   [ "micro"; "parallel"; "conflict"; "simplex"; "warmstart"; "serve" ]
 
 let () =
-  let rec parse jobs trace lp_engine ids = function
-    | [] -> (jobs, trace, lp_engine, List.rev ids)
-    | "--jobs" :: n :: rest -> parse (Some n) trace lp_engine ids rest
+  let rec parse jobs trace ids = function
+    | [] -> (jobs, trace, List.rev ids)
+    | "--jobs" :: n :: rest -> parse (Some n) trace ids rest
     | arg :: rest
       when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        parse
-          (Some (String.sub arg 7 (String.length arg - 7)))
-          trace lp_engine ids rest
-    | "--trace" :: file :: rest -> parse jobs (Some file) lp_engine ids rest
+        parse (Some (String.sub arg 7 (String.length arg - 7))) trace ids rest
+    | "--trace" :: file :: rest -> parse jobs (Some file) ids rest
     | arg :: rest
       when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        parse jobs
-          (Some (String.sub arg 8 (String.length arg - 8)))
-          lp_engine ids rest
-    | "--lp-engine" :: name :: rest -> parse jobs trace (Some name) ids rest
-    | arg :: rest
-      when String.length arg > 12 && String.sub arg 0 12 = "--lp-engine=" ->
-        parse jobs trace
-          (Some (String.sub arg 12 (String.length arg - 12)))
-          ids rest
-    | arg :: rest -> parse jobs trace lp_engine (arg :: ids) rest
+        parse jobs (Some (String.sub arg 8 (String.length arg - 8))) ids rest
+    | arg :: rest -> parse jobs trace (arg :: ids) rest
   in
-  let jobs, trace, lp_engine, ids =
-    parse None None None [] (List.tl (Array.to_list Sys.argv))
+  let jobs, trace, ids =
+    parse None None [] (List.tl (Array.to_list Sys.argv))
   in
   (match jobs with
   | None -> ()
@@ -874,15 +861,6 @@ let () =
       | Some j when j >= 1 -> Unix.putenv "QP_JOBS" (string_of_int j)
       | Some _ | None ->
           Printf.eprintf "bad --jobs value %S (want a positive integer)\n" n;
-          exit 2));
-  (match lp_engine with
-  | None -> ()
-  | Some name -> (
-      match Qp_lp.Simplex.engine_of_string name with
-      | Some e -> Qp_lp.Simplex.set_default_engine e
-      | None ->
-          Printf.eprintf
-            "bad --lp-engine value %S (want dense, revised or check)\n" name;
           exit 2));
   (* "micro", "parallel" and "conflict" are pseudo-ids, usable alongside
      real ones. Every id is validated before anything runs, so a typo

@@ -90,25 +90,6 @@ let set_injections specs =
           exit 2)
     specs
 
-let lp_engine_arg =
-  let doc =
-    "Simplex engine: revised (sparse, the default), dense (the reference \
-     tableau) or check (solve every LP with both and count disagreements). \
-     Overrides QP_LP_ENGINE."
-  in
-  let parse s =
-    match Qp_lp.Simplex.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected dense, revised or check")
-  in
-  let print fmt e = Format.pp_print_string fmt (Qp_lp.Simplex.engine_name e) in
-  Arg.(value & opt (some (conv (parse, print))) None
-       & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
-
-let set_lp_engine = function
-  | Some e -> Qp_lp.Simplex.set_default_engine e
-  | None -> ()
-
 let rel_engine_arg =
   let doc =
     "Relational engine: columnar (vectorized, the default), row (the \
@@ -133,10 +114,6 @@ let set_rel_engine = function
 (* When check mode found disagreements, say so on exit: the whole point
    of the mode is to make them impossible to miss. *)
 let report_cross_check () =
-  let n = Qp_lp.Simplex.cross_check_mismatches () in
-  if n > 0 then
-    Printf.eprintf "[lp-engine check: %d engine disagreement%s]\n" n
-      (if n = 1 then "" else "s");
   let n = Qp_relational.Delta_eval.check_mismatches () in
   if n > 0 then
     Printf.eprintf "[rel-engine check: %d engine disagreement%s]\n" n
@@ -243,10 +220,9 @@ let price_cmd =
          & info [ "algorithm"; "a" ] ~doc:"Algorithm key, or 'all'.")
   in
   let run workload scale support seed model algorithm profile jobs inject
-      lp_engine rel_engine trace =
+      rel_engine trace =
     set_jobs jobs;
     set_injections inject;
-    set_lp_engine lp_engine;
     set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
@@ -282,16 +258,15 @@ let price_cmd =
        ~doc:"Run pricing algorithms on a workload under a valuation model.")
     Term.(const run $ workload_arg $ scale_arg $ support_arg $ seed_arg
           $ model_arg $ algorithm_arg $ profile_arg $ jobs_arg $ inject_arg
-          $ lp_engine_arg $ rel_engine_arg $ trace_arg)
+          $ rel_engine_arg $ trace_arg)
 
 (* --- run: one full benchmark cell ------------------------------------ *)
 
 let run_cmd =
-  let run workload scale support seed model profile jobs inject lp_engine
-      rel_engine trace =
+  let run workload scale support seed model profile jobs inject rel_engine
+      trace =
     set_jobs jobs;
     set_injections inject;
-    set_lp_engine lp_engine;
     set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
@@ -336,8 +311,8 @@ let run_cmd =
           --trace, the cell's full execution (conflict-set build, every \
           algorithm, every simplex solve) is recorded.")
     Term.(const run $ workload_arg $ scale_arg $ support_arg $ seed_arg
-          $ model_arg $ profile_arg $ jobs_arg $ inject_arg $ lp_engine_arg
-          $ rel_engine_arg $ trace_arg)
+          $ model_arg $ profile_arg $ jobs_arg $ inject_arg $ rel_engine_arg
+          $ trace_arg)
 
 (* --- report: aggregate a trace file ----------------------------------- *)
 
@@ -397,8 +372,7 @@ let quote_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SQL" ~doc:"Query to price (the workload dialect).")
   in
-  let run workload seed lp_engine rel_engine sql =
-    set_lp_engine lp_engine;
+  let run workload seed rel_engine sql =
     set_rel_engine rel_engine;
     let rng = Rng.create seed in
     let db =
@@ -449,8 +423,7 @@ let quote_cmd =
     (Cmd.info "quote"
        ~doc:
          "Parse a SQL query, build a broker over the named workload's tiny           dataset, and quote the query's arbitrage-free price.")
-    Term.(const run $ workload_arg $ seed_arg $ lp_engine_arg $ rel_engine_arg
-          $ sql_arg)
+    Term.(const run $ workload_arg $ seed_arg $ rel_engine_arg $ sql_arg)
 
 (* --- serve: the persistent pricing broker ---------------------------- *)
 
@@ -856,10 +829,9 @@ let experiment_cmd =
   let ids_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in
-  let run ids profile seed jobs inject lp_engine rel_engine trace =
+  let run ids profile seed jobs inject rel_engine trace =
     set_jobs jobs;
     set_injections inject;
-    set_lp_engine lp_engine;
     set_rel_engine rel_engine;
     Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
@@ -887,7 +859,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures (all, or by id).")
     Term.(const run $ ids_arg $ profile_arg $ seed_arg $ jobs_arg $ inject_arg
-          $ lp_engine_arg $ rel_engine_arg $ trace_arg)
+          $ rel_engine_arg $ trace_arg)
 
 (* --- demo ------------------------------------------------------------- *)
 

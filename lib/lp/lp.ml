@@ -108,13 +108,13 @@ let solution_of_optimal ~sign ~origin ~nuser
     origin;
   { objective = sign *. objective; primal; row_dual }
 
-let solve ?engine ?max_pivots ?stall_threshold p =
+let solve ?max_pivots ?stall_threshold p =
   Qp_obs.with_span "lp.solve"
     ~args:(fun () ->
       [ ("vars", Qp_obs.Int p.nvars); ("constraints", Qp_obs.Int p.nrows) ])
   @@ fun () ->
   let sign, c, rows, origin, nuser = expand p in
-  match Simplex.solve ?engine ?max_pivots ?stall_threshold ~c ~rows () with
+  match Simplex.solve ?max_pivots ?stall_threshold ~c ~rows () with
   | Simplex.Infeasible -> Error Infeasible
   | Simplex.Unbounded -> Error Unbounded
   | Simplex.Budget_exhausted d -> Error (Budget_exhausted d)
@@ -142,7 +142,7 @@ module Batch = struct
       fam = Simplex.prepare ?max_pivots ?stall_threshold ~c ~rows ();
     }
 
-  let resolve ?engine ?obj ?bounds bt =
+  let resolve ?obj ?bounds bt =
     Qp_obs.with_span "lp.resolve"
       ~args:(fun () ->
         [ ("vars", Qp_obs.Int bt.nvars); ("constraints", Qp_obs.Int bt.nuser) ])
@@ -161,7 +161,7 @@ module Batch = struct
           Array.map (fun (i, sgn) -> sgn *. bounds.(i)) bt.origin)
         bounds
     in
-    match Simplex.resolve ?engine ?c ?rhs bt.fam with
+    match Simplex.resolve ?c ?rhs bt.fam with
     | Simplex.Infeasible -> Error Infeasible
     | Simplex.Unbounded -> Error Unbounded
     | Simplex.Budget_exhausted d -> Error (Budget_exhausted d)

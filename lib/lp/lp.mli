@@ -56,12 +56,8 @@ val add_ge : t -> (float * var) list -> float -> constr
 val add_eq : t -> (float * var) list -> float -> constr
 
 val solve :
-  ?engine:Simplex.engine ->
-  ?max_pivots:int ->
-  ?stall_threshold:int ->
-  t ->
-  (solution, error) result
-(** Solve the problem as built so far. [engine], [max_pivots] and
+  ?max_pivots:int -> ?stall_threshold:int -> t -> (solution, error) result
+(** Solve the problem as built so far. [max_pivots] and
     [stall_threshold] are passed through to {!Simplex.solve}. Solver
     give-ups surface as [Error (Budget_exhausted _ | Numerical_error _)]
     — never as an exception — so callers must not conflate them with
@@ -85,11 +81,7 @@ module Batch : sig
       on the source problem are not reflected). No solve happens yet. *)
 
   val resolve :
-    ?engine:Simplex.engine ->
-    ?obj:float array ->
-    ?bounds:float array ->
-    t ->
-    (solution, error) result
+    ?obj:float array -> ?bounds:float array -> t -> (solution, error) result
   (** [resolve ?obj ?bounds bt] solves the family member with objective
       [obj] (one coefficient per variable, in [add_var] order; defaults
       to the previous member's) and constraint bounds [bounds] (one per
@@ -98,7 +90,7 @@ module Batch : sig
       cold; subsequent calls warm-start from the previous optimal basis
       and silently fall back to a cold solve on any warm-path failure —
       outcomes are identical to rebuilding and calling {!solve}, only
-      faster. [engine] is per-call, as in {!solve}. *)
+      faster. *)
 end
 
 val objective_value : solution -> float

@@ -1,21 +1,15 @@
-(* Two-phase primal simplex with two interchangeable engines.
+(* Two-phase primal simplex: a *revised* simplex engine.
 
-   The default engine is a *revised* simplex: the constraint matrix is
-   held as sparse columns (Sparse), the basis inverse as an eta-file
-   factorization (Basis), and each iteration prices the non-basic
-   columns against freshly BTRAN'd duals. Per-pivot cost is the fill
-   of the eta file plus the nonzeros of the matrix, instead of the
-   dense tableau's O(rows * cols) elimination — which is what lifts
-   the LP scale wall for LPIP/CIP on larger supports.
+   The constraint matrix is held as sparse columns (Sparse), the basis
+   inverse as an eta-file factorization (Basis), and each iteration
+   prices the non-basic columns against freshly BTRAN'd duals. Per-pivot
+   cost is the fill of the eta file plus the nonzeros of the matrix,
+   instead of a dense tableau's O(rows * cols) elimination — which is
+   what lifts the LP scale wall for LPIP/CIP on larger supports.
 
-   The previous dense tableau survives as a reference oracle: select
-   it with QP_LP_ENGINE=dense (or ?engine / set_default_engine), and
-   QP_LP_ENGINE=check runs both engines on every solve and counts
-   disagreements (see cross_check_mismatches). Both engines share the
-   same pivot rules (Dantzig pricing, Bland's-rule stall fallback,
-   identical ratio-test tie-breaking) and the same scale-relative
-   Tolerance thresholds, so on well-conditioned instances they agree
-   to rounding. *)
+   The dense tableau this engine replaced lives on as a test-only
+   reference oracle (the qp_lp_oracle library), attached through the one
+   seam below, [with_oracle]. *)
 
 type diagnostics = {
   pivots : int;
@@ -38,68 +32,27 @@ and solution = {
   dual : float array;
 }
 
-(* --- engine selection ------------------------------------------------- *)
+(* --- oracle seam ------------------------------------------------------ *)
 
-type engine = Dense | Revised | Check
+(* A global read from worker domains, like the warm-start switch below:
+   tests install it around a whole pipeline run, before any worker
+   starts. *)
+let oracle_ref :
+    (c:float array -> rows:(float array * float) array -> outcome -> unit)
+    option
+    ref =
+  ref None
 
-let engine_name = function
-  | Dense -> "dense"
-  | Revised -> "revised"
-  | Check -> "check"
+let with_oracle f body =
+  let saved = !oracle_ref in
+  oracle_ref := Some f;
+  Fun.protect ~finally:(fun () -> oracle_ref := saved) body
 
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dense" -> Some Dense
-  | "revised" | "sparse" -> Some Revised
-  | "check" | "cross-check" -> Some Check
-  | _ -> None
-
-(* Like QP_FAULTS: a malformed engine name aborts at load time, because
-   silently benchmarking the wrong engine is worse than exiting. *)
-let initial_engine =
-  match Sys.getenv_opt "QP_LP_ENGINE" with
-  | None | Some "" -> Revised
-  | Some s -> (
-      match engine_of_string s with
-      | Some e -> e
-      | None ->
-          Printf.eprintf
-            "QP_LP_ENGINE: unknown engine %S (known: dense, revised, check)\n%!"
-            s;
-          exit 2)
-
-let engine_ref = ref initial_engine
-let default_engine () = !engine_ref
-let set_default_engine e = engine_ref := e
-
-let with_engine e f =
-  let saved = !engine_ref in
-  engine_ref := e;
-  Fun.protect ~finally:(fun () -> engine_ref := saved) f
-
-(* Cross-check disagreements survive independently of tracing, so tests
-   can assert zero without enabling Qp_obs. *)
-let mismatches = ref 0
-let cross_check_mismatches () = !mismatches
-let reset_cross_check_mismatches () = mismatches := 0
-
-(* Warm starts can be disabled globally (QP_LP_WARMSTART=off or
-   set_warm_starts false): every resolve then runs the cold path, which
-   is how `bench warmstart` measures its baseline and how a suspected
-   warm-path bug can be ruled out in the field. *)
-let warm_ref =
-  ref
-    (match Sys.getenv_opt "QP_LP_WARMSTART" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "off" | "0" | "false" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
+(* Warm starts can be disabled globally: every resolve then runs the
+   cold path, which is how `bench warmstart` measures its baseline. *)
+let warm_ref = ref true
 let warm_starts () = !warm_ref
 let set_warm_starts b = warm_ref := b
-
-(* --- shared pieces ---------------------------------------------------- *)
 
 type phase_result =
   | Phase_optimal
@@ -107,7 +60,7 @@ type phase_result =
   | Phase_budget of string
   | Phase_numerical of string
 
-(* What an engine run reports back to the dispatcher for tracing. *)
+(* What an engine run reports back to [solve]/[resolve] for tracing. *)
 type run_stats = {
   s_pivots : int;
   s_phase1 : int;
@@ -118,19 +71,6 @@ type run_stats = {
   s_fill : int;
 }
 
-let mk_diagnostics ~pivots ~phase1_pivots ~degenerate ~bland ~detail =
-  {
-    pivots;
-    phase1_pivots;
-    degenerate_pivots = degenerate;
-    bland_engaged = bland;
-    detail;
-  }
-
-let bland_cutoff ~stall_threshold ~nrows ~nvars =
-  if stall_threshold = max_int then max_int
-  else max 2000 (20 * (nrows + nvars))
-
 let note_bland_engaged ~pivots ~stall =
   Qp_obs.counter "simplex.bland_engaged" 1;
   Qp_obs.event "simplex.bland_engaged"
@@ -140,344 +80,10 @@ let note_bland_engaged ~pivots ~stall =
         ("consecutive_degenerate", Qp_obs.Int stall);
       ])
 
-(* --- dense tableau engine (reference oracle) --------------------------- *)
-
-module Dense_engine = struct
-  (* Tableau layout: columns [0, nvars) are structural variables, columns
-     [nvars, nvars + nrows) are slacks, then one artificial column per
-     row whose rhs was negative. Each row is stored with its rhs in the
-     last cell. [obj] holds the reduced costs of the current basis;
-     [obj_val] the current objective value. *)
-  type tableau = {
-    nvars : int;
-    nrows : int;
-    ncols : int;
-    rows : float array array;
-    obj : float array;
-    mutable obj_val : float;
-    basis : int array;
-    art_first : int; (* index of the first artificial column *)
-    mutable pivots : int;
-    mutable degenerate : int; (* pivots whose leaving row had rhs ~ 0 *)
-    max_pivots : int;
-    stall_threshold : int;
-    mutable stall : int; (* consecutive degenerate pivots *)
-    mutable bland : bool; (* anti-cycling rule active in this phase *)
-    mutable bland_ever : bool;
-    tol : Tolerance.t;
-  }
-
-  let pivot t r col =
-    let row = t.rows.(r) in
-    let p = row.(col) in
-    if Float.abs row.(t.ncols) <= t.tol.Tolerance.feasibility then begin
-      t.degenerate <- t.degenerate + 1;
-      t.stall <- t.stall + 1
-    end
-    else t.stall <- 0;
-    for j = 0 to t.ncols do
-      row.(j) <- row.(j) /. p
-    done;
-    let eliminate target =
-      let f = target.(col) in
-      if Float.abs f > 0.0 then
-        for j = 0 to t.ncols do
-          target.(j) <- target.(j) -. (f *. row.(j))
-        done
-    in
-    for i = 0 to t.nrows - 1 do
-      if i <> r then eliminate t.rows.(i)
-    done;
-    let f = t.obj.(col) in
-    if Float.abs f > 0.0 then begin
-      for j = 0 to t.ncols do
-        t.obj.(j) <- t.obj.(j) -. (f *. row.(j))
-      done;
-      t.obj_val <- t.obj_val +. (f *. row.(t.ncols))
-    end;
-    t.basis.(r) <- col;
-    t.pivots <- t.pivots + 1
-
-  (* Entering-column choice: Dantzig's rule until the anti-cycling
-     fallback engages, then Bland's rule (smallest eligible index), which
-     guarantees termination under degeneracy. [allowed] filters out banned
-     columns (artificials during phase 2). *)
-  let entering t ~allowed ~etol =
-    if t.bland then begin
-      let found = ref (-1) in
-      (try
-         for j = 0 to t.ncols - 1 do
-           if allowed j && t.obj.(j) > etol then begin
-             found := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !found
-    end
-    else begin
-      let best = ref (-1) and best_val = ref etol in
-      for j = 0 to t.ncols - 1 do
-        if allowed j && t.obj.(j) > !best_val then begin
-          best := j;
-          best_val := t.obj.(j)
-        end
-      done;
-      !best
-    end
-
-  (* Ratio test with lexicographic-ish tie-breaking on the basis index,
-     which in combination with Bland's entering rule prevents cycling. *)
-  let leaving t col =
-    let best = ref (-1) and best_ratio = ref infinity in
-    for i = 0 to t.nrows - 1 do
-      let a = t.rows.(i).(col) in
-      if a > t.tol.Tolerance.pivot then begin
-        let ratio = t.rows.(i).(t.ncols) /. a in
-        if
-          Tolerance.ratio_lt ratio !best_ratio
-          || (Tolerance.ratio_tied ratio !best_ratio
-             && !best >= 0
-             && t.basis.(i) < t.basis.(!best))
-        then begin
-          best := i;
-          best_ratio := ratio
-        end
-      end
-    done;
-    !best
-
-  (* Anti-cycling: Bland's rule engages when the phase stalls — too many
-     consecutive degenerate pivots (a cycle is all-degenerate, so any
-     cycle trips this quickly) — or, as a legacy backstop, after an
-     absolute pivot count. [stall_threshold = max_int] disables both,
-     exposing the raw Dantzig rule for the cycling tests. *)
-  let run_phase t ~allowed ~etol =
-    let start = t.pivots in
-    let bland_after =
-      bland_cutoff ~stall_threshold:t.stall_threshold ~nrows:t.nrows
-        ~nvars:t.nvars
-    in
-    t.bland <- false;
-    t.stall <- 0;
-    let rec loop () =
-      if Qp_fault.enabled () then
-        match Qp_fault.check ~key:t.pivots "simplex.pivot" with
-        | Some Qp_fault.Fail -> raise (Qp_fault.Injected "simplex.pivot")
-        | Some Qp_fault.Nan -> Phase_numerical "injected nan"
-        | Some Qp_fault.Stall -> Phase_budget "injected stall"
-        | None -> step ()
-      else step ()
-    and step () =
-      if t.pivots >= t.max_pivots then
-        Phase_budget (Printf.sprintf "pivot budget %d exceeded" t.max_pivots)
-      else begin
-        if
-          (not t.bland)
-          && (t.stall > t.stall_threshold || t.pivots - start > bland_after)
-        then begin
-          t.bland <- true;
-          t.bland_ever <- true;
-          note_bland_engaged ~pivots:t.pivots ~stall:t.stall
-        end;
-        let col = entering t ~allowed ~etol in
-        if col < 0 then Phase_optimal
-        else
-          let r = leaving t col in
-          if r < 0 then Phase_unbounded
-          else begin
-            pivot t r col;
-            if Float.is_finite t.obj_val then loop ()
-            else Phase_numerical "non-finite objective after pivot"
-          end
-      end
-    in
-    loop ()
-
-  let diagnostics t ~phase1_pivots ~detail =
-    mk_diagnostics ~pivots:t.pivots ~phase1_pivots ~degenerate:t.degenerate
-      ~bland:t.bland_ever ~detail
-
-  let solve ~tol ~max_pivots ~stall_threshold ~c ~rows =
-    let nvars = Array.length c in
-    let nrows = Array.length rows in
-    let negated = Array.map (fun (_, b) -> b < 0.0) rows in
-    let n_art =
-      Array.fold_left (fun acc n -> if n then acc + 1 else acc) 0 negated
-    in
-    let art_first = nvars + nrows in
-    let ncols = nvars + nrows + n_art in
-    let t =
-      {
-        nvars;
-        nrows;
-        ncols;
-        rows = Array.init nrows (fun _ -> Array.make (ncols + 1) 0.0);
-        obj = Array.make (ncols + 1) 0.0;
-        obj_val = 0.0;
-        basis = Array.make nrows 0;
-        art_first;
-        pivots = 0;
-        degenerate = 0;
-        max_pivots;
-        stall_threshold;
-        stall = 0;
-        bland = false;
-        bland_ever = false;
-        tol;
-      }
-    in
-    let next_art = ref art_first in
-    Array.iteri
-      (fun i (a, b) ->
-        let row = t.rows.(i) in
-        let sign = if negated.(i) then -1.0 else 1.0 in
-        Array.iteri (fun j v -> row.(j) <- sign *. v) a;
-        row.(nvars + i) <- sign;
-        row.(ncols) <- sign *. b;
-        if negated.(i) then begin
-          row.(!next_art) <- 1.0;
-          t.basis.(i) <- !next_art;
-          incr next_art
-        end
-        else t.basis.(i) <- nvars + i)
-      rows;
-    let all_allowed _ = true in
-    let no_artificials j = j < t.art_first in
-    let phase1 =
-      if n_art = 0 then `Feasible
-      else begin
-        (* Phase 1: minimize the sum of artificials, expressed as
-           maximizing reduced costs built from the artificial rows. *)
-        for i = 0 to nrows - 1 do
-          if t.basis.(i) >= art_first then begin
-            let row = t.rows.(i) in
-            for j = 0 to ncols do
-              t.obj.(j) <- t.obj.(j) +. row.(j)
-            done
-          end
-        done;
-        for j = art_first to ncols - 1 do
-          t.obj.(j) <- 0.0
-        done;
-        match
-          run_phase t ~allowed:all_allowed ~etol:tol.Tolerance.entering_phase1
-        with
-        | Phase_unbounded ->
-            (* The phase-1 objective is bounded by 0; reaching this means
-               the arithmetic went bad, not the instance. *)
-            `Abort
-              (Numerical_error
-                 (diagnostics t ~phase1_pivots:t.pivots
-                    ~detail:"phase 1 reported unbounded"))
-        | Phase_budget detail ->
-            `Abort
-              (Budget_exhausted (diagnostics t ~phase1_pivots:t.pivots ~detail))
-        | Phase_numerical detail ->
-            `Abort
-              (Numerical_error (diagnostics t ~phase1_pivots:t.pivots ~detail))
-        | Phase_optimal ->
-            let residual = ref 0.0 in
-            for i = 0 to nrows - 1 do
-              if t.basis.(i) >= art_first then
-                residual := !residual +. t.rows.(i).(ncols)
-            done;
-            if !residual > tol.Tolerance.residual then `Infeasible
-            else begin
-              (* Drive any degenerate artificial out of the basis when a
-                 non-artificial pivot exists; a fully zero row is redundant
-                 and can safely keep its zero-valued artificial as long as
-                 artificial columns are banned from re-entering. *)
-              for i = 0 to nrows - 1 do
-                if t.basis.(i) >= art_first then begin
-                  let found = ref (-1) in
-                  (try
-                     for j = 0 to art_first - 1 do
-                       if Float.abs t.rows.(i).(j) > tol.Tolerance.pivot
-                       then begin
-                         found := j;
-                         raise Exit
-                       end
-                     done
-                   with Exit -> ());
-                  if !found >= 0 then pivot t i !found
-                end
-              done;
-              `Feasible
-            end
-      end
-    in
-    let phase1_pivots = t.pivots in
-    let outcome =
-      match phase1 with
-      | `Abort outcome -> outcome
-      | `Infeasible -> Infeasible
-      | `Feasible -> begin
-          (* Phase 2: rebuild reduced costs for the real objective under
-             the current basis. *)
-          Array.fill t.obj 0 (ncols + 1) 0.0;
-          t.obj_val <- 0.0;
-          Array.blit c 0 t.obj 0 nvars;
-          for i = 0 to nrows - 1 do
-            let b = t.basis.(i) in
-            if b < nvars && Float.abs c.(b) > 0.0 then begin
-              let cb = c.(b) in
-              let row = t.rows.(i) in
-              for j = 0 to ncols do
-                t.obj.(j) <- t.obj.(j) -. (cb *. row.(j))
-              done;
-              t.obj_val <- t.obj_val +. (cb *. row.(ncols))
-            end
-          done;
-          match
-            run_phase t ~allowed:no_artificials
-              ~etol:tol.Tolerance.entering_phase2
-          with
-          | Phase_unbounded -> Unbounded
-          | Phase_budget detail ->
-              Budget_exhausted (diagnostics t ~phase1_pivots ~detail)
-          | Phase_numerical detail ->
-              Numerical_error (diagnostics t ~phase1_pivots ~detail)
-          | Phase_optimal ->
-              let primal = Array.make nvars 0.0 in
-              for i = 0 to nrows - 1 do
-                if t.basis.(i) < nvars then
-                  primal.(t.basis.(i)) <- t.rows.(i).(ncols)
-              done;
-              let dual = Array.init nrows (fun i -> -.t.obj.(nvars + i)) in
-              (* Final guard: NaN coefficients fail every comparison in
-                 the entering rule, so a poisoned tableau can "converge";
-                 refuse to report such a solution as optimal. *)
-              let finite =
-                Float.is_finite t.obj_val
-                && Array.for_all Float.is_finite primal
-                && Array.for_all Float.is_finite dual
-              in
-              if finite then Optimal { objective = t.obj_val; primal; dual }
-              else
-                Numerical_error
-                  (diagnostics t ~phase1_pivots
-                     ~detail:"non-finite value in reported solution")
-        end
-    in
-    let stats =
-      {
-        s_pivots = t.pivots;
-        s_phase1 = phase1_pivots;
-        s_degenerate = t.degenerate;
-        s_bland = t.bland_ever;
-        s_etas = 0;
-        s_refactors = 0;
-        s_fill = 0;
-      }
-    in
-    (outcome, stats)
-end
-
 (* --- revised engine (sparse columns, eta-file basis) ------------------- *)
 
 module Revised_engine = struct
-  (* Column layout matches the dense tableau: [0, nvars) structural,
+  (* Column layout (the dense oracle's too): [0, nvars) structural,
      [nvars, nvars + nrows) slacks (coefficient = row sign), then one
      +1 artificial per negated row. The basis invariant is
      ftran(cols.(basis.(i))) = e_i and xb = ftran(b'), maintained by
@@ -531,7 +137,7 @@ module Revised_engine = struct
     phase_cost st ~phase1 j -. Sparse.dot st.cols.(j) st.y
 
   (* Entering column under the current rule; returns (column, reduced
-     cost) or (-1, _). Mirrors the dense engine: Dantzig picks the most
+     cost) or (-1, _). Mirrors the dense oracle: Dantzig picks the most
      positive reduced cost (first index on ties), Bland the smallest
      eligible index. Basic columns price to exactly zero and are
      skipped. *)
@@ -671,8 +277,8 @@ module Revised_engine = struct
   let run_phase st ~phase1 ~allowed ~etol =
     let start = st.pivots in
     let bland_after =
-      bland_cutoff ~stall_threshold:st.stall_threshold ~nrows:st.nrows
-        ~nvars:st.nvars
+      if st.stall_threshold = max_int then max_int
+      else max 2000 (20 * (st.nrows + st.nvars))
     in
     st.bland <- false;
     st.stall <- 0;
@@ -719,11 +325,16 @@ module Revised_engine = struct
     loop ()
 
   let diagnostics st ~phase1_pivots ~detail =
-    mk_diagnostics ~pivots:st.pivots ~phase1_pivots ~degenerate:st.degenerate
-      ~bland:st.bland_ever ~detail
+    {
+      pivots = st.pivots;
+      phase1_pivots;
+      degenerate_pivots = st.degenerate;
+      bland_engaged = st.bland_ever;
+      detail;
+    }
 
   (* Drive degenerate artificials out of the basis after phase 1, like
-     the dense engine's row scan: tableau row i is e_i B^-1 A, read off
+     the dense oracle's row scan: tableau row i is e_i B^-1 A, read off
      one column at a time against the BTRAN'd unit vector. *)
   let drive_out st =
     for i = 0 to st.nrows - 1 do
@@ -1160,51 +771,7 @@ module Revised_engine = struct
         end
 end
 
-(* --- cross-check ------------------------------------------------------- *)
-
-(* Engines may legitimately differ on give-ups (pivot budgets bite at
-   different counts), and alternate optima make primal/dual vectors
-   non-unique — so the check compares what is mathematically pinned:
-   the outcome constructor and the optimal objective, plus strong
-   duality of each engine's own certificate. *)
-let cross_check ~rows revised dense =
-  let check_tol o =
-    1e-6 *. Float.max 1.0 (Float.abs o)
-  in
-  let dual_gap { objective; dual; _ } =
-    let by = ref 0.0 in
-    Array.iteri (fun i (_, b) -> by := !by +. (b *. dual.(i))) rows;
-    Float.abs (!by -. objective)
-  in
-  match (revised, dense) with
-  | Budget_exhausted _, _
-  | _, Budget_exhausted _
-  | Numerical_error _, _
-  | _, Numerical_error _ ->
-      None (* give-ups are path-dependent; no verdict *)
-  | Unbounded, Unbounded | Infeasible, Infeasible -> None
-  | Optimal r, Optimal d ->
-      if Float.abs (r.objective -. d.objective) > check_tol r.objective then
-        Some
-          (Printf.sprintf "objectives differ: revised %.12g vs dense %.12g"
-             r.objective d.objective)
-      else if dual_gap r > 10.0 *. check_tol r.objective then
-        Some
-          (Printf.sprintf "revised dual certificate gap %.3g" (dual_gap r))
-      else if dual_gap d > 10.0 *. check_tol d.objective then
-        Some (Printf.sprintf "dense dual certificate gap %.3g" (dual_gap d))
-      else None
-  | r, d ->
-      let tag = function
-        | Optimal _ -> "optimal"
-        | Unbounded -> "unbounded"
-        | Infeasible -> "infeasible"
-        | Budget_exhausted _ -> "budget_exhausted"
-        | Numerical_error _ -> "numerical_error"
-      in
-      Some (Printf.sprintf "outcomes differ: revised %s vs dense %s" (tag r) (tag d))
-
-(* --- dispatcher -------------------------------------------------------- *)
+(* --- one-shot solves ---------------------------------------------------- *)
 
 let outcome_tag = function
   | Optimal _ -> "optimal"
@@ -1213,18 +780,13 @@ let outcome_tag = function
   | Budget_exhausted _ -> "budget_exhausted"
   | Numerical_error _ -> "numerical_error"
 
-let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
-    ?refactor_every ~c ~rows () =
-  let engine = match engine with Some e -> e | None -> !engine_ref in
+let solve ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every ~c
+    ~rows () =
   let nvars = Array.length c in
   let nrows = Array.length rows in
   Qp_obs.with_span "simplex.solve"
     ~args:(fun () ->
-      [
-        ("rows", Qp_obs.Int nrows);
-        ("vars", Qp_obs.Int nvars);
-        ("engine", Qp_obs.Str (engine_name engine));
-      ])
+      [ ("rows", Qp_obs.Int nrows); ("vars", Qp_obs.Int nvars) ])
   @@ fun () ->
   Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
   let tol = Tolerance.make ~c ~rows in
@@ -1239,33 +801,9 @@ let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
     Qp_obs.gauge_max "simplex.max_rows" (Float.of_int nrows);
     Qp_obs.gauge_max "simplex.max_cols" (Float.of_int (nvars + nrows + n_art))
   end;
-  let run_dense () =
-    Dense_engine.solve ~tol ~max_pivots ~stall_threshold ~c ~rows
-  in
-  let run_revised () =
+  let outcome, stats =
     Revised_engine.solve ~tol ~max_pivots ~stall_threshold ~refactor_every ~c
       ~rows
-  in
-  let outcome, stats =
-    match engine with
-    | Dense -> run_dense ()
-    | Revised -> run_revised ()
-    | Check ->
-        let ((revised, _) as result) = run_revised () in
-        (* Under injected faults the two runs draw different fault
-           schedules (key = pivot count, and paths differ), so there is
-           no meaningful verdict. *)
-        if not (Qp_fault.enabled ()) then begin
-          let dense, _ = run_dense () in
-          match cross_check ~rows revised dense with
-          | None -> ()
-          | Some detail ->
-              incr mismatches;
-              Qp_obs.counter "simplex.cross_check_mismatch" 1;
-              Qp_obs.event "simplex.cross_check_mismatch"
-                ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
-        end;
-        result
   in
   (match outcome with
   | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
@@ -1286,6 +824,7 @@ let solve ?engine ?(max_pivots = 50_000) ?(stall_threshold = 1024)
         ("refactorizations", Qp_obs.Int stats.s_refactors);
         ("outcome", Qp_obs.Str (outcome_tag outcome));
       ]);
+  (match !oracle_ref with None -> () | Some f -> f ~c ~rows outcome);
   outcome
 
 (* --- warm-started families --------------------------------------------- *)
@@ -1304,10 +843,10 @@ type family = {
   f_max_pivots : int;
   f_stall : int;
   f_refactor : int option;
-  (* Some iff the previous resolve ended Optimal on the revised engine,
-     i.e. the saved basis is a valid warm-start seed. *)
+  (* Some iff the previous resolve ended Optimal, i.e. the saved basis
+     is a valid warm-start seed. *)
   mutable f_state : Revised_engine.state option;
-  (* pivot count of the family's last cold revised solve — the yardstick
+  (* pivot count of the family's last cold solve — the yardstick
      for the pivots-saved accounting of subsequent warm hits *)
   mutable f_cold_pivots : int;
 }
@@ -1334,8 +873,7 @@ let family_rows fam =
 
 let family_size fam = (fam.f_nrows, fam.f_nvars)
 
-let resolve ?engine ?c ?rhs fam =
-  let engine = match engine with Some e -> e | None -> !engine_ref in
+let resolve ?c ?rhs fam =
   (match c with
   | None -> ()
   | Some c ->
@@ -1346,7 +884,6 @@ let resolve ?engine ?c ?rhs fam =
   | Some r ->
       assert (Array.length r = fam.f_nrows);
       Array.blit r 0 fam.f_rhs 0 fam.f_nrows);
-  let warm_enabled = !warm_ref && engine <> Dense in
   (* Same span label as the one-shot path: report tooling aggregates by
      label, and a resolve is a solve — [warm_seed]/[warm_hit] args and
      the resolve counter tell the two apart. *)
@@ -1355,13 +892,12 @@ let resolve ?engine ?c ?rhs fam =
       [
         ("rows", Qp_obs.Int fam.f_nrows);
         ("vars", Qp_obs.Int fam.f_nvars);
-        ("engine", Qp_obs.Str (engine_name engine));
-        ("warm_seed", Qp_obs.Bool (warm_enabled && fam.f_state <> None));
+        ("warm_seed", Qp_obs.Bool (!warm_ref && fam.f_state <> None));
       ])
   @@ fun () ->
   Qp_obs.counter "simplex.solves" 1;
   Qp_obs.counter "simplex.resolves" 1;
-  let cold_revised () =
+  let cold () =
     let rows = family_rows fam in
     let tol = Tolerance.make ~c:fam.f_c ~rows in
     let refactor_every =
@@ -1380,52 +916,22 @@ let resolve ?engine ?c ?rhs fam =
     (outcome, stats)
   in
   let outcome, stats, warm_hit, dual_pivots =
-    match engine with
-    | Dense ->
-        let rows = family_rows fam in
-        let tol = Tolerance.make ~c:fam.f_c ~rows in
-        let outcome, stats =
-          Dense_engine.solve ~tol ~max_pivots:fam.f_max_pivots
-            ~stall_threshold:fam.f_stall ~c:fam.f_c ~rows
-        in
-        (outcome, stats, false, 0)
-    | Revised | Check -> (
-        match fam.f_state with
-        | Some st when warm_enabled -> (
-            match Revised_engine.warm_solve st ~c:fam.f_c ~rhs:fam.f_rhs with
-            | Revised_engine.Warm (outcome, stats, dp) ->
-                (match outcome with
-                | Optimal _ -> ()
-                | _ -> fam.f_state <- None);
-                (outcome, stats, true, dp)
-            | Revised_engine.Warm_fallback reason ->
-                fam.f_state <- None;
-                Qp_obs.event "simplex.warm_fallback"
-                  ~args:(fun () -> [ ("reason", Qp_obs.Str reason) ]);
-                let outcome, stats = cold_revised () in
-                (outcome, stats, false, 0))
-        | _ ->
-            let outcome, stats = cold_revised () in
+    match fam.f_state with
+    | Some st when !warm_ref -> (
+        match Revised_engine.warm_solve st ~c:fam.f_c ~rhs:fam.f_rhs with
+        | Revised_engine.Warm (outcome, stats, dp) ->
+            (match outcome with Optimal _ -> () | _ -> fam.f_state <- None);
+            (outcome, stats, true, dp)
+        | Revised_engine.Warm_fallback reason ->
+            fam.f_state <- None;
+            Qp_obs.event "simplex.warm_fallback"
+              ~args:(fun () -> [ ("reason", Qp_obs.Str reason) ]);
+            let outcome, stats = cold () in
             (outcome, stats, false, 0))
+    | _ ->
+        let outcome, stats = cold () in
+        (outcome, stats, false, 0)
   in
-  (* check mode keeps the dense oracle over the *warm-started* result:
-     the exact cross-check used for one-shot solves, applied to the
-     family member currently loaded. *)
-  if engine = Check && not (Qp_fault.enabled ()) then begin
-    let rows = family_rows fam in
-    let tol = Tolerance.make ~c:fam.f_c ~rows in
-    let dense, _ =
-      Dense_engine.solve ~tol ~max_pivots:fam.f_max_pivots
-        ~stall_threshold:fam.f_stall ~c:fam.f_c ~rows
-    in
-    match cross_check ~rows outcome dense with
-    | None -> ()
-    | Some detail ->
-        incr mismatches;
-        Qp_obs.counter "simplex.cross_check_mismatch" 1;
-        Qp_obs.event "simplex.cross_check_mismatch"
-          ~args:(fun () -> [ ("detail", Qp_obs.Str detail) ])
-  end;
   (match outcome with
   | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
   | Numerical_error _ -> Qp_obs.counter "simplex.numerical_error" 1
@@ -1446,4 +952,8 @@ let resolve ?engine ?c ?rhs fam =
         ("warm_hit", Qp_obs.Bool warm_hit);
         ("outcome", Qp_obs.Str (outcome_tag outcome));
       ]);
+  (* the oracle sees the member just solved, warm-started or not *)
+  (match !oracle_ref with
+  | None -> ()
+  | Some f -> f ~c:fam.f_c ~rows:(family_rows fam) outcome);
   outcome

@@ -1,20 +1,19 @@
-(** Two-phase primal simplex with two interchangeable engines.
+(** Two-phase primal simplex on a revised engine.
 
     Solves {b maximize} [c . x] subject to [A x <= b], [x >= 0], where
     [b] may have negative entries (phase 1 introduces artificial
     variables for the infeasible slack rows). This is the raw engine;
     {!Lp} offers a friendlier incremental problem builder.
 
-    The default engine is a {e revised} simplex: the constraint matrix
-    is stored as sparse columns ({!Sparse}) and the basis inverse as an
-    eta-file factorization ({!Basis}) with periodic reinversion, so the
-    per-pivot cost tracks the nonzero structure rather than the dense
-    [O(rows * cols)] elimination. The previous dense tableau survives as
-    a reference oracle ({!Dense}), and {!Check} runs both engines on
-    every solve and counts disagreements. Both engines share the same
-    pivot rules — Dantzig pricing with an anti-cycling switch to Bland's
-    rule once the iteration stalls — and the same scale-relative
-    {!Tolerance} thresholds.
+    The engine is a {e revised} simplex: the constraint matrix is stored
+    as sparse columns ({!Sparse}) and the basis inverse as an eta-file
+    factorization ({!Basis}) with periodic reinversion, so the per-pivot
+    cost tracks the nonzero structure rather than a dense
+    [O(rows * cols)] elimination. Pivoting uses Dantzig pricing with an
+    anti-cycling switch to Bland's rule once the iteration stalls, under
+    scale-relative {!Tolerance} thresholds. The dense tableau it
+    replaced lives on as a test-only reference oracle, attached through
+    {!with_oracle}.
 
     The solver never raises on solver-side failure: exceeding the pivot
     budget or detecting non-finite arithmetic is reported as a typed
@@ -49,49 +48,7 @@ and solution = {
           (shadow prices); non-negative for binding [<=] rows *)
 }
 
-type engine =
-  | Dense  (** the original dense tableau — reference oracle *)
-  | Revised  (** sparse columns + eta-file basis (default) *)
-  | Check
-      (** run [Revised], then re-solve with [Dense] and compare: the
-          outcome constructor must match and optimal objectives must
-          agree (primal/dual vectors are {e not} compared — alternate
-          optima make them non-unique; instead each engine's dual
-          certificate is checked against strong duality). Disagreements
-          bump {!cross_check_mismatches} and, under tracing, the
-          ["simplex.cross_check_mismatch"] counter. Solves where either
-          engine gives up ([Budget_exhausted]/[Numerical_error]) and
-          solves under active {!Qp_fault} injection yield no verdict. *)
-
-val default_engine : unit -> engine
-(** The engine used when {!solve} gets no [?engine]. Initialized from
-    the [QP_LP_ENGINE] environment variable ([dense], [revised],
-    [check]; default [revised]); an unknown value aborts the process at
-    load time with exit code 2, mirroring [QP_FAULTS]. *)
-
-val set_default_engine : engine -> unit
-(** Override the default engine for subsequent solves (the [--lp-engine]
-    CLI flag lands here). *)
-
-val with_engine : engine -> (unit -> 'a) -> 'a
-(** [with_engine e f] runs [f] with the default engine set to [e],
-    restoring the previous default afterwards (also on exceptions). *)
-
-val engine_of_string : string -> engine option
-(** Parse an engine name as accepted by [QP_LP_ENGINE]/[--lp-engine]. *)
-
-val engine_name : engine -> string
-(** Canonical lowercase name, inverse of {!engine_of_string}. *)
-
-val cross_check_mismatches : unit -> int
-(** Number of {!Check}-mode disagreements observed since program start
-    (or the last {!reset_cross_check_mismatches}). Independent of
-    {!Qp_obs} tracing, so tests can assert it is zero. *)
-
-val reset_cross_check_mismatches : unit -> unit
-
 val solve :
-  ?engine:engine ->
   ?max_pivots:int ->
   ?stall_threshold:int ->
   ?refactor_every:int ->
@@ -104,8 +61,6 @@ val solve :
     [c]. [max_pivots] (default [50_000]) bounds the total pivot count;
     exceeding it yields [Budget_exhausted] (never an exception).
 
-    [engine] overrides the process default for this solve only.
-
     [stall_threshold] (default [1024]) is the number of {e consecutive}
     degenerate pivots tolerated before Bland's anti-cycling rule takes
     over for the remainder of the phase (a cycle consists solely of
@@ -114,7 +69,7 @@ val solve :
     [max_int] disables the fallback entirely, exposing the raw Dantzig
     rule — useful only for demonstrating cycling in tests.
 
-    [refactor_every] (revised engine only; default [max 64 (rows / 2)])
+    [refactor_every] (default [max 64 (rows / 2)])
     caps how many etas accumulate before the basis is reinverted from
     scratch. Small values stress-test reinversion; the default balances
     eta-file fill against rebuild cost.
@@ -125,7 +80,7 @@ val solve :
     [Infeasible] by an absolute phase-1 residual check.
 
     When {!Qp_obs} tracing is enabled, every solve records a
-    ["simplex.solve"] span carrying the dimensions and engine on open
+    ["simplex.solve"] span carrying the dimensions on open
     and phase-1/phase-2 pivot counts, degenerate pivots, whether Bland's
     rule engaged, eta count, reinversion count and the outcome on close,
     plus the ["simplex.solves"] / ["simplex.pivots"] /
@@ -135,7 +90,7 @@ val solve :
     ["simplex.budget_exhausted"] / ["simplex.numerical_error"]; the
     fallback bumps ["simplex.bland_engaged"].
 
-    Fault injection: each pivot iteration of either engine consults the
+    Fault injection: each pivot iteration consults the
     ["simplex.pivot"] site of {!Qp_fault} (key = current pivot count);
     [fail] raises {!Qp_fault.Injected}, [nan] yields [Numerical_error],
     [stall] yields [Budget_exhausted]. *)
@@ -163,7 +118,7 @@ val solve :
 type family
 (** A mutable handle over one shared-matrix LP family: current
     objective/rhs, the factored columns, and (when the previous resolve
-    ended [Optimal] on the revised engine) the saved basis. Not
+    ended [Optimal]) the saved basis. Not
     thread-safe; use one family per worker. *)
 
 val prepare :
@@ -181,7 +136,7 @@ val prepare :
     coefficient arrays are shared, not copied — callers must not mutate
     them. *)
 
-val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> outcome
+val resolve : ?c:float array -> ?rhs:float array -> family -> outcome
 (** [resolve ?c ?rhs fam] solves the family member obtained by
     replacing the current objective and/or rhs, then remembers the
     optimal basis for the next call. The first resolve (and any resolve
@@ -189,12 +144,6 @@ val resolve : ?engine:engine -> ?c:float array -> ?rhs:float array -> family -> 
     described above. Semantically equivalent to
     [solve ~c ~rows:(current rows) ()] — same typed outcomes, same
     tolerances, same fault-injection site.
-
-    [engine] behaves as in {!solve}: [Dense] solves cold on the dense
-    oracle (no warm state is kept), and [Check] cross-checks the
-    {e warm-started} revised result against a cold dense solve,
-    bumping {!cross_check_mismatches} on disagreement — the oracle for
-    asserting that warm-starting never changes answers.
 
     Under tracing each call records a ["simplex.solve"] span — the same
     label as one-shot solves, so reports aggregate all solver activity
@@ -212,11 +161,25 @@ val family_size : family -> int * int
 (** [(rows, vars)] of the shared matrix. *)
 
 val warm_starts : unit -> bool
-(** Whether {!resolve} may reuse saved bases. Initialized from
-    [QP_LP_WARMSTART] (any of [off]/[0]/[false]/[no] disables; default
-    enabled). *)
+(** Whether {!resolve} may reuse saved bases (default [true]). *)
 
 val set_warm_starts : bool -> unit
-(** Kill switch: [set_warm_starts false] makes every {!resolve} run the
-    cold path — the baseline for [bench warmstart] and a field
-    diagnostic for suspected warm-path bugs. *)
+(** [set_warm_starts false] makes every {!resolve} run the cold path —
+    the baseline [bench warmstart] measures its pivot savings against. *)
+
+(** {1 Oracle seam} *)
+
+val with_oracle :
+  (c:float array -> rows:(float array * float) array -> outcome -> unit) ->
+  (unit -> 'a) ->
+  'a
+(** [with_oracle f body] runs [body] with [f] installed as the solver's
+    oracle: after every {!solve} and every {!resolve}, [f ~c ~rows
+    outcome] is called with the LP that was actually solved (for a
+    resolve, the current family member) and its outcome. The previous
+    oracle is restored when [body] returns or raises. The hook is a
+    process-wide setting read from worker domains, so install it around
+    a whole run, not from inside a worker; [f] itself must be
+    domain-safe and must neither keep nor mutate [c] and [rows]. With
+    no oracle installed a solve costs nothing extra. Tests use it to
+    re-solve every LP on the dense reference tableau. *)

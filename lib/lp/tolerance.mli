@@ -1,7 +1,7 @@
-(** Named, scale-relative numeric tolerances for the simplex engines.
+(** Named, scale-relative numeric tolerances for the simplex.
 
-    Both engines ({!Simplex}'s dense tableau and revised/sparse
-    implementation) build one {!t} per solve from the input data and
+    {!Simplex}'s revised engine and the test-only dense-tableau oracle
+    both build one {!t} per solve from the input data and
     compare against its fields instead of a bare absolute epsilon. Each
     threshold is [base * max(1, scale)] where [scale] is the largest
     input magnitude relevant to the quantity being tested, so a

@@ -88,10 +88,19 @@ let code_of_name used name =
       let n = String.length up in
       up ^ String.make (3 - n) (Char.chr (Char.code '0' + n))
   in
+  let letter k = Char.chr (65 + (k mod 26)) in
   let rec disambiguate i =
     let code =
       if i = 0 then base
-      else String.sub base 0 2 ^ String.make 1 (Char.chr (65 + (i mod 26)))
+      else if i <= 26 then String.sub base 0 2 ^ String.make 1 (letter i)
+      else if i < 27 + 676 then
+        (* the third letter has cycled: step the second one too, so the
+           search ends once every code under the first letter is tried *)
+        String.init 3 (function
+          | 0 -> base.[0]
+          | 1 -> letter ((i - 27) / 26)
+          | _ -> letter (i - 27))
+      else invalid_arg ("World.code_of_name: no free code for " ^ name)
     in
     if Hashtbl.mem used code then disambiguate (i + 1)
     else begin

@@ -35,5 +35,7 @@ val code_of_name : (string, unit) Hashtbl.t -> string -> string
     in) [used]. Longer names take their uppercased 3-letter prefix,
     short names are padded with a digit encoding their length (["A"] →
     ["A11"], ["AX"] → ["AX2"]) so distinct short names never share a
-    base; remaining clashes rotate the final character. Exposed for the
-    regression test. *)
+    base; remaining clashes rotate the final character, then the middle
+    one too. Raises [Invalid_argument] when every code sharing the
+    name's first character is taken. Exposed for the regression
+    tests. *)

@@ -6,12 +6,18 @@
 module Simplex = Qp_lp.Simplex
 module Lp = Qp_lp.Lp
 
-(* Solver-level tests run once per engine (see [suite]); builder tests
-   run on the process default. *)
-let engine = ref Simplex.Revised
+(* Solver-level tests run once per engine (see [suite]): the production
+   revised simplex and the dense-tableau oracle. Builder tests run on
+   the revised engine, the only one [Lp] uses. *)
+let revised ?max_pivots ~c ~rows () = Simplex.solve ?max_pivots ~c ~rows ()
+
+let dense ?max_pivots ~c ~rows () =
+  Qp_lp_oracle.Dense.solve ?max_pivots ~c ~rows ()
+
+let engine = ref revised
 
 let solve_xy c rows =
-  match Simplex.solve ~engine:!engine ~c ~rows () with
+  match !engine ~c ~rows () with
   | Simplex.Optimal s -> s
   | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
   | Simplex.Infeasible -> Alcotest.fail "unexpected infeasible"
@@ -44,8 +50,7 @@ let test_zero_objective () =
 
 let test_unbounded () =
   match
-    Simplex.solve ~engine:!engine ~c:[| 1.; 0. |]
-      ~rows:[| ([| 0.; 1. |], 4.) |] ()
+    !engine ~c:[| 1.; 0. |] ~rows:[| ([| 0.; 1. |], 4.) |] ()
   with
   | Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
@@ -53,7 +58,7 @@ let test_unbounded () =
 let test_infeasible () =
   (* x <= -1 with x >= 0 *)
   match
-    Simplex.solve ~engine:!engine ~c:[| 1. |] ~rows:[| ([| 1. |], -1.) |] ()
+    !engine ~c:[| 1. |] ~rows:[| ([| 1. |], -1.) |] ()
   with
   | Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
@@ -100,7 +105,7 @@ let test_duals_pinned_variable () =
   checkf "strong duality" 3.0 ((3.0 *. s.dual.(0)) -. (3.0 *. s.dual.(1)))
 
 let test_empty_rows_bounded_by_nothing () =
-  match Simplex.solve ~engine:!engine ~c:[| 0.0 |] ~rows:[||] () with
+  match !engine ~c:[| 0.0 |] ~rows:[||] () with
   | Simplex.Optimal s -> checkf "objective" 0.0 s.objective
   | _ -> Alcotest.fail "expected optimal"
 
@@ -168,7 +173,7 @@ let test_duality_property () =
   let rand = Random.State.make [| 2024 |] in
   for _ = 1 to 300 do
     let c, rows = random_instance rand in
-    check_certificates c rows (Simplex.solve ~engine:!engine ~c ~rows ())
+    check_certificates c rows (!engine ~c ~rows ())
   done
 
 (* Mixed-sign generator: rows pass through a known feasible point x0, so
@@ -198,7 +203,7 @@ let test_duality_property_mixed_sign () =
   let rand = Random.State.make [| 77 |] in
   for _ = 1 to 300 do
     let c, rows = random_mixed_instance rand in
-    check_certificates c rows (Simplex.solve ~engine:!engine ~c ~rows ())
+    check_certificates c rows (!engine ~c ~rows ())
   done
 
 (* --- Lp builder --- *)
@@ -275,7 +280,7 @@ let test_pivot_budget () =
   (* max x + y with x <= 1, y <= 1 needs one pivot per variable. *)
   let c = [| 1.0; 1.0 |] in
   let rows = [| ([| 1.0; 0.0 |], 1.0); ([| 0.0; 1.0 |], 1.0) |] in
-  match Simplex.solve ~engine:!engine ~max_pivots:1 ~c ~rows () with
+  match !engine ~max_pivots:1 ~c ~rows () with
   | Simplex.Budget_exhausted d ->
       Alcotest.(check int) "stopped at the budget" 1 d.Simplex.pivots
   | _ -> Alcotest.fail "expected Budget_exhausted"
@@ -286,12 +291,12 @@ let suite =
      set just before the test body so helper functions pick it up. *)
   let per_engine =
     List.concat_map
-      (fun e ->
+      (fun (engine_name, solve) ->
         let te name f =
           t
-            (Printf.sprintf "%s [%s]" name (Simplex.engine_name e))
+            (Printf.sprintf "%s [%s]" name engine_name)
             (fun () ->
-              engine := e;
+              engine := solve;
               f ())
         in
         [
@@ -309,7 +314,7 @@ let suite =
           te "duality property, mixed-sign rhs" test_duality_property_mixed_sign;
           te "pivot budget enforced" test_pivot_budget;
         ])
-      [ Simplex.Revised; Simplex.Dense ]
+      [ ("revised", revised); ("dense", dense) ]
   in
   ( "lp",
     per_engine

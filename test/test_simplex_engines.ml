@@ -1,13 +1,14 @@
-(* Engine-agreement tests for the simplex rewrite: the dense tableau is
-   the reference oracle, the revised (sparse-column, eta-file) engine is
-   the default — this suite pins them to each other. Constructors must
-   match on every instance; on optimal instances the objectives must
-   agree and each engine's own dual certificate must satisfy strong
+(* Engine-agreement tests for the simplex: the dense tableau
+   (Qp_lp_oracle.Dense) is the reference oracle, the revised
+   (sparse-column, eta-file) engine is production — this suite pins
+   them to each other. Constructors must match on every instance; on
+   optimal instances the objectives must agree and each engine's own dual certificate must satisfy strong
    duality (primal/dual vectors are NOT compared entry-wise: alternate
    optima make them non-unique). *)
 
 module Simplex = Qp_lp.Simplex
 module Lp = Qp_lp.Lp
+module Oracle = Qp_lp_oracle
 
 let checkf = Alcotest.check (Alcotest.float 1e-6)
 
@@ -58,8 +59,8 @@ let check_certificates ~label c rows = function
   | _ -> ()
 
 let agree ?(what = "instance") c rows =
-  let revised = Simplex.solve ~engine:Simplex.Revised ~c ~rows () in
-  let dense = Simplex.solve ~engine:Simplex.Dense ~c ~rows () in
+  let revised = Simplex.solve ~c ~rows () in
+  let dense = Oracle.Dense.solve ~c ~rows () in
   Alcotest.(check string)
     (what ^ ": same outcome constructor")
     (outcome_tag dense) (outcome_tag revised);
@@ -278,9 +279,7 @@ let test_frequent_refactorization () =
   let rand = Random.State.make [| 413 |] in
   for k = 1 to 60 do
     let c, rows = (if k mod 2 = 0 then gen_mixed else gen_bounded) rand in
-    let outcome =
-      Simplex.solve ~engine:Simplex.Revised ~refactor_every:4 ~c ~rows ()
-    in
+    let outcome = Simplex.solve ~refactor_every:4 ~c ~rows () in
     (match outcome with
     | Simplex.Optimal _ | Simplex.Unbounded | Simplex.Infeasible -> ()
     | Simplex.Budget_exhausted d | Simplex.Numerical_error d ->
@@ -290,28 +289,25 @@ let test_frequent_refactorization () =
       c rows outcome
   done
 
-(* --- check engine over a real workload --------------------------------- *)
+(* --- dense oracle over a real workload ---------------------------------- *)
 
-(* Run one full experiment cell with QP_LP_ENGINE=check semantics: every
-   LP the pricing pipeline generates is solved by both engines and
-   compared. Any disagreement shows up in the mismatch counter. *)
+(* Run one full experiment cell under [with_check]: every LP the pricing
+   pipeline generates is re-solved on the dense tableau and compared.
+   Any disagreement shows up in the mismatch count. *)
 let test_check_engine_on_experiment_cell () =
   let module WI = Qp_experiments.Workload_instances in
   let module Runner = Qp_experiments.Runner in
   let module V = Qp_workloads.Valuations in
-  Simplex.reset_cross_check_mismatches ();
   let inst = WI.skewed ~scale:WI.Tiny ~support:100 ~seed:9 () in
-  let cell =
-    Simplex.with_engine Simplex.Check (fun () ->
+  let cell, mismatches =
+    Oracle.with_check (fun () ->
         Runner.run_cell ~profile:Runner.Quick ~seed:1 (V.Uniform_val 100.0)
           inst)
   in
   Alcotest.(check bool)
     "cell produced measurements" true
     (List.length cell.Runner.measurements > 0);
-  Alcotest.(check int)
-    "no engine disagreements" 0
-    (Simplex.cross_check_mismatches ())
+  Alcotest.(check int) "no engine disagreements" 0 mismatches
 
 (* --- warm-started families --------------------------------------------- *)
 
@@ -364,12 +360,8 @@ let test_warm_vs_cold_property () =
               fam
           in
           let rows_now = Array.mapi (fun i (a, _) -> (a, cur_b.(i))) rows in
-          let cold =
-            Simplex.solve ~engine:Simplex.Revised ~c:cur_c ~rows:rows_now ()
-          in
-          let dense =
-            Simplex.solve ~engine:Simplex.Dense ~c:cur_c ~rows:rows_now ()
-          in
+          let cold = Simplex.solve ~c:cur_c ~rows:rows_now () in
+          let dense = Oracle.Dense.solve ~c:cur_c ~rows:rows_now () in
           Alcotest.(check string)
             (what ^ ": warm = cold constructor")
             (outcome_tag cold) (outcome_tag warm);
@@ -391,40 +383,83 @@ let test_warm_vs_cold_property () =
       done)
     families
 
+(* Small random CIP instances: a few items, a handful of edges, so the
+   capacity sweep is a real warm-started LP family. *)
+let random_hypergraph rand =
+  let n = 4 + Random.State.int rand 4 in
+  let m = 6 + Random.State.int rand 6 in
+  let specs =
+    Array.init m (fun i ->
+        let size = 1 + Random.State.int rand n in
+        let items = Array.init size (fun _ -> Random.State.int rand n) in
+        (Printf.sprintf "e%d" i, items, Float.of_int (1 + Random.State.int rand 30)))
+  in
+  Qp_core.Hypergraph.create ~n_items:n specs
+
 (* The cross-engine oracle must hold over warm-started sweeps too: a
-   full CIP capacity sweep under [Check] compares every warm resolve
-   against a cold dense solve, so any divergence introduced by basis
-   reuse lands in the mismatch counter. *)
+   full CIP capacity sweep under [with_check] compares every warm
+   resolve against a cold dense solve, so any divergence introduced by
+   basis reuse lands in the mismatch count. *)
 let test_check_mode_warm_cip () =
-  let module H = Qp_core.Hypergraph in
   let module Cip = Qp_core.Cip in
   let rand = Random.State.make [| 4242 |] in
-  Simplex.reset_cross_check_mismatches ();
   let was = Simplex.warm_starts () in
   Simplex.set_warm_starts true;
+  let (), mismatches =
+    Fun.protect
+      ~finally:(fun () -> Simplex.set_warm_starts was)
+      (fun () ->
+        Oracle.with_check (fun () ->
+            for _ = 1 to 3 do
+              let report = Cip.solve_report (random_hypergraph rand) in
+              Alcotest.(check bool)
+                "CIP solved some LPs" true (report.Cip.solved > 0)
+            done))
+  in
+  Alcotest.(check int) "no warm/cold disagreements" 0 mismatches
+
+(* The seam itself: over a warm CIP sweep the oracle fires exactly once
+   per solve — the "simplex.solves" counter covers one-shot solves and
+   family resolves alike — and it is gone once its body has raised. *)
+let test_oracle_seam () =
+  let calls = Atomic.make 0 in
+  let count ~c:_ ~rows:_ _ = Atomic.incr calls in
+  let counter name =
+    Option.value ~default:0 (List.assoc_opt name (Qp_obs.counters ()))
+  in
+  let h = random_hypergraph (Random.State.make [| 4243 |]) in
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
   Fun.protect
-    ~finally:(fun () -> Simplex.set_warm_starts was)
+    ~finally:(fun () ->
+      Qp_obs.set_enabled false;
+      Qp_obs.reset ())
     (fun () ->
-      for _ = 1 to 3 do
-        let n = 4 + Random.State.int rand 4 in
-        let m = 6 + Random.State.int rand 6 in
-        let specs =
-          Array.init m (fun i ->
-              let size = 1 + Random.State.int rand n in
-              let items = Array.init size (fun _ -> Random.State.int rand n) in
-              ( Printf.sprintf "e%d" i,
-                items,
-                Float.of_int (1 + Random.State.int rand 30) ))
-        in
-        let h = H.create ~n_items:n specs in
-        let report =
-          Simplex.with_engine Simplex.Check (fun () -> Cip.solve_report h)
-        in
-        Alcotest.(check bool) "CIP solved some LPs" true (report.Cip.solved > 0)
-      done);
-  Alcotest.(check int)
-    "no warm/cold disagreements" 0
-    (Simplex.cross_check_mismatches ())
+      let report =
+        Simplex.with_oracle count (fun () -> Qp_core.Cip.solve_report h)
+      in
+      Alcotest.(check bool)
+        "CIP solved some LPs" true (report.Qp_core.Cip.solved > 0);
+      Alcotest.(check bool) "the sweep warm-started" true
+        (counter "simplex.warm_hit" > 0);
+      Alcotest.(check int) "one oracle call per solve"
+        (counter "simplex.solves") (Atomic.get calls));
+  let solve () =
+    ignore (Simplex.solve ~c:[| 1.0 |] ~rows:[| ([| 1.0 |], 1.0) |] ())
+  in
+  let seen = Atomic.get calls in
+  (match
+     Simplex.with_oracle count (fun () ->
+         solve ();
+         raise Exit)
+   with
+  | () -> Alcotest.fail "body must raise"
+  | exception Exit -> ());
+  Alcotest.(check int) "the body's solve reached the oracle" (seen + 1)
+    (Atomic.get calls);
+  solve ();
+  Alcotest.(check int) "no oracle once the body raised" (seen + 1)
+    (Atomic.get calls)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -443,4 +478,6 @@ let suite =
       t "warm resolve = cold solve on 300 perturbation chains"
         test_warm_vs_cold_property;
       t "check mode over warm-started CIP sweeps" test_check_mode_warm_cip;
+      t "oracle seam fires once per solve, uninstalls on raise"
+        test_oracle_seam;
     ] )

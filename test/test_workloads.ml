@@ -126,6 +126,33 @@ let test_world_code_padding () =
   Alcotest.(check int) "all distinct" (List.length all)
     (List.length (List.sort_uniq compare all))
 
+(* Regression: disambiguation only cycled the third letter, so a 27th
+   name sharing a two-letter prefix looped forever (the Default-scale
+   world at seed 4 hung in generation). The second letter now steps too;
+   the first 27 codes of a prefix are unchanged. *)
+let test_world_code_prefix_overflow () =
+  let used = Hashtbl.create 64 in
+  let codes =
+    List.init 30 (fun i -> World.code_of_name used (Printf.sprintf "Zq%03d" i))
+  in
+  Alcotest.(check (list string)) "first codes as before"
+    [ "ZQ0"; "ZQB"; "ZQC" ]
+    (List.filteri (fun i _ -> i < 3) codes);
+  Alcotest.(check int) "30 distinct codes" 30
+    (List.length (List.sort_uniq String.compare codes));
+  List.iter
+    (fun c -> Alcotest.(check int) ("3 characters: " ^ c) 3 (String.length c))
+    codes
+
+let test_world_default_seed4_generates () =
+  let db =
+    World.generate
+      ~rng:(Rng.split (Rng.create 4) "world")
+      ~config:World.default_config ()
+  in
+  Alcotest.(check bool) "has a Country table" true
+    (Option.is_some (R.Database.relation_opt db "Country"))
+
 (* --- uniform workload --- *)
 
 let test_uniform_workload () =
@@ -269,4 +296,7 @@ let suite =
       t "uniform valuation range" test_uniform_val_range;
       t "valuations deterministic" test_valuations_deterministic;
       t "apply rewrites valuations" test_apply;
+      t "world codes past a full prefix" test_world_code_prefix_overflow;
+      t "world default scale generates at seed four"
+        test_world_default_seed4_generates;
     ] )
