@@ -85,9 +85,9 @@ check-obs-labels:
 check-snapshot-version:
 	ocaml scripts/check_snapshot_version.ml
 
-# Build every workload's conflict hypergraph at Tiny scale with
-# QP_REL_ENGINE=check semantics — the columnar engine races the row
-# oracle on every (query, delta) pair — and fail on any disagreement.
+# Build every workload's conflict hypergraph at Tiny scale on the row
+# and the columnar engine, and fail on any (query, delta) pair where
+# their conflict sets disagree.
 check-rel-engines:
 	dune exec scripts/check_rel_engines.exe
 

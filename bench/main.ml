@@ -168,11 +168,12 @@ let microbenchmarks ctx =
 (* --- conflict-set construction benchmark ----------------------------- *)
 
 (* Times Conflict.hypergraph per workload across the engine dimension —
-   row jobs=1, columnar jobs=1, columnar jobs=N, check jobs=1 — verifies
-   every build is bit-identical and check mode saw zero disagreements,
-   and writes BENCH_conflict.json. The headline metric is the same-run
-   per-query-mean ratio row/columnar at jobs=1 ("speedup_columnar"),
-   which is robust on a 1-CPU container where absolute times drift. *)
+   row jobs=1, columnar jobs=1, columnar jobs=N — verifies every build
+   is bit-identical and the row and columnar jobs=1 conflict sets have
+   zero disagreements, and writes BENCH_conflict.json. The headline
+   metric is the same-run per-query-mean ratio row/columnar at jobs=1
+   ("speedup_columnar"), which is robust on a 1-CPU container where
+   absolute times drift. *)
 let conflict_bench ~meta ctx =
   let module C = Qp_market.Conflict in
   let module DE = Qp_relational.Delta_eval in
@@ -203,20 +204,18 @@ let conflict_bench ~meta ctx =
         let h_row, s_row = build ~jobs:1 DE.Row in
         let h_col1, s_col1 = build ~jobs:1 DE.Columnar in
         let h_coln, s_coln = build ~jobs:jobs_n DE.Columnar in
-        let h_chk, s_chk = build ~jobs:1 DE.Check in
+        let check_mismatches = List.length (C.disagreements h_row h_col1) in
+        if check_mismatches > 0 then begin
+          Printf.eprintf "BUG: %s row and columnar disagree on %d conflicts\n"
+            key check_mismatches;
+          exit 1
+        end;
         let fp = fingerprint h_row in
         let fingerprints_equal =
-          fp = fingerprint h_col1
-          && fp = fingerprint h_coln
-          && fp = fingerprint h_chk
+          fp = fingerprint h_col1 && fp = fingerprint h_coln
         in
         if not fingerprints_equal then begin
           Printf.eprintf "BUG: %s hypergraph differs across engines/jobs\n" key;
-          exit 1
-        end;
-        if s_chk.C.check_mismatches > 0 then begin
-          Printf.eprintf "BUG: %s check mode found %d engine disagreements\n"
-            key s_chk.C.check_mismatches;
           exit 1
         end;
         let speedup_columnar =
@@ -224,11 +223,11 @@ let conflict_bench ~meta ctx =
         in
         Printf.printf
           "  %-8s row %8.3fs   columnar %8.3fs (%.2fx/query)   jobs=%d \
-           %8.3fs   check ok   (%d queries, |S|=%d, %d fallback)\n%!"
+           %8.3fs   engines agree   (%d queries, |S|=%d, %d fallback)\n%!"
           key s_row.C.elapsed s_col1.C.elapsed speedup_columnar jobs_n
           s_coln.C.elapsed s_coln.C.queries s_coln.C.support
           s_coln.C.fallback_queries;
-        (key, s_row, s_col1, s_coln, s_chk, speedup_columnar,
+        (key, s_row, s_col1, s_coln, check_mismatches, speedup_columnar,
          fingerprints_equal))
       WI.keys
   in
@@ -242,7 +241,7 @@ let conflict_bench ~meta ctx =
   List.iteri
     (fun i
          (key, (s_row : C.stats), (s_col1 : C.stats), (s_coln : C.stats),
-          (s_chk : C.stats), speedup_columnar, fingerprints_equal) ->
+          check_mismatches, speedup_columnar, fingerprints_equal) ->
       Printf.fprintf oc
         "%s\n    { \"workload\": %S, \"queries\": %d, \"support\": %d,\n\
         \      \"fallback_queries\": %d, \"failed_queries\": %d,\n\
@@ -250,7 +249,7 @@ let conflict_bench ~meta ctx =
         \      \"row_seconds\": %.6f, \"row_query_mean\": %.6f,\n\
         \      \"seconds_jobs_1\": %.6f, \"seconds_jobs_n\": %.6f,\n\
         \      \"speedup\": %.3f, \"speedup_columnar\": %.3f,\n\
-        \      \"check_seconds\": %.6f, \"check_mismatches\": %d,\n\
+        \      \"check_mismatches\": %d,\n\
         \      \"fingerprints_equal\": %b, \"jobs_used\": %d,\n\
         \      \"worker_busy_seconds\": [%s],\n\
         \      \"query_seconds_mean\": %.6f, \"query_seconds_max\": %.6f }"
@@ -263,7 +262,7 @@ let conflict_bench ~meta ctx =
               s_coln.C.strategies))
         s_row.C.elapsed (query_mean s_row) s_col1.C.elapsed s_coln.C.elapsed
         (s_col1.C.elapsed /. Float.max 1e-9 s_coln.C.elapsed)
-        speedup_columnar s_chk.C.elapsed s_chk.C.check_mismatches
+        speedup_columnar check_mismatches
         fingerprints_equal s_coln.C.jobs
         (float_array s_coln.C.worker_busy)
         (query_mean s_col1)

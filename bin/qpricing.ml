@@ -90,35 +90,6 @@ let set_injections specs =
           exit 2)
     specs
 
-let rel_engine_arg =
-  let doc =
-    "Relational engine: columnar (vectorized, the default), row (the \
-     reference row-at-a-time evaluator) or check (answer every delta with \
-     both and count disagreements). Overrides QP_REL_ENGINE."
-  in
-  let parse s =
-    match Qp_relational.Delta_eval.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected row, columnar or check")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Qp_relational.Delta_eval.engine_name e)
-  in
-  Arg.(value & opt (some (conv (parse, print))) None
-       & info [ "rel-engine" ] ~docv:"ENGINE" ~doc)
-
-let set_rel_engine = function
-  | Some e -> Qp_relational.Delta_eval.set_default_engine e
-  | None -> ()
-
-(* When check mode found disagreements, say so on exit: the whole point
-   of the mode is to make them impossible to miss. *)
-let report_cross_check () =
-  let n = Qp_relational.Delta_eval.check_mismatches () in
-  if n > 0 then
-    Printf.eprintf "[rel-engine check: %d engine disagreement%s]\n" n
-      (if n = 1 then "" else "s")
-
 (* Tracing wraps the whole command so the trace also covers instance
    construction; the file is written even when the traced code raises,
    so a crashed run still leaves its evidence behind. *)
@@ -220,11 +191,9 @@ let price_cmd =
          & info [ "algorithm"; "a" ] ~doc:"Algorithm key, or 'all'.")
   in
   let run workload scale support seed model algorithm profile jobs inject
-      rel_engine trace =
+      trace =
     set_jobs jobs;
     set_injections inject;
-    set_rel_engine rel_engine;
-    Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
     let h = V.apply ~rng:(Rng.create seed) model inst.WI.hypergraph in
@@ -258,17 +227,14 @@ let price_cmd =
        ~doc:"Run pricing algorithms on a workload under a valuation model.")
     Term.(const run $ workload_arg $ scale_arg $ support_arg $ seed_arg
           $ model_arg $ algorithm_arg $ profile_arg $ jobs_arg $ inject_arg
-          $ rel_engine_arg $ trace_arg)
+          $ trace_arg)
 
 (* --- run: one full benchmark cell ------------------------------------ *)
 
 let run_cmd =
-  let run workload scale support seed model profile jobs inject rel_engine
-      trace =
+  let run workload scale support seed model profile jobs inject trace =
     set_jobs jobs;
     set_injections inject;
-    set_rel_engine rel_engine;
-    Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
     let t0 = Unix.gettimeofday () in
@@ -311,8 +277,7 @@ let run_cmd =
           --trace, the cell's full execution (conflict-set build, every \
           algorithm, every simplex solve) is recorded.")
     Term.(const run $ workload_arg $ scale_arg $ support_arg $ seed_arg
-          $ model_arg $ profile_arg $ jobs_arg $ inject_arg $ rel_engine_arg
-          $ trace_arg)
+          $ model_arg $ profile_arg $ jobs_arg $ inject_arg $ trace_arg)
 
 (* --- report: aggregate a trace file ----------------------------------- *)
 
@@ -372,8 +337,7 @@ let quote_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"SQL" ~doc:"Query to price (the workload dialect).")
   in
-  let run workload seed rel_engine sql =
-    set_rel_engine rel_engine;
+  let run workload seed sql =
     let rng = Rng.create seed in
     let db =
       match workload with
@@ -423,7 +387,7 @@ let quote_cmd =
     (Cmd.info "quote"
        ~doc:
          "Parse a SQL query, build a broker over the named workload's tiny           dataset, and quote the query's arbitrage-free price.")
-    Term.(const run $ workload_arg $ seed_arg $ rel_engine_arg $ sql_arg)
+    Term.(const run $ workload_arg $ seed_arg $ sql_arg)
 
 (* --- serve: the persistent pricing broker ---------------------------- *)
 
@@ -829,11 +793,9 @@ let experiment_cmd =
   let ids_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.")
   in
-  let run ids profile seed jobs inject rel_engine trace =
+  let run ids profile seed jobs inject trace =
     set_jobs jobs;
     set_injections inject;
-    set_rel_engine rel_engine;
-    Fun.protect ~finally:report_cross_check @@ fun () ->
     with_trace trace @@ fun () ->
     let ctx = Context.create ~profile ~seed () in
     let entries =
@@ -859,7 +821,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate the paper's tables and figures (all, or by id).")
     Term.(const run $ ids_arg $ profile_arg $ seed_arg $ jobs_arg $ inject_arg
-          $ rel_engine_arg $ trace_arg)
+          $ trace_arg)
 
 (* --- demo ------------------------------------------------------------- *)
 

@@ -10,7 +10,6 @@ type stats = {
   failed_queries : (string * string) list;
   strategies : (string * int) list;
   engine : string;
-  check_mismatches : int;
   jobs : int;
   query_seconds : float array;
   worker_busy : float array;
@@ -58,14 +57,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
       ])
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  (* Resolve the engine here, once: workers inherit it as an explicit
-     argument instead of re-reading the process default in their own
-     domain, so a concurrent [set_default_engine] cannot split a build
-     across engines. *)
-  let engine =
-    match engine with Some e -> e | None -> Delta_eval.default_engine ()
-  in
-  let mismatches0 = Delta_eval.check_mismatches () in
+  let engine = Option.value engine ~default:Delta_eval.Columnar in
   let rows = Array.mapi (fun i r -> (i, r)) (Array.of_list valued_queries) in
   let total = Array.length rows in
   let results, pool =
@@ -125,9 +117,6 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
     List.sort compare
       (Hashtbl.fold (fun name n acc -> (name, n) :: acc) by_strategy [])
   in
-  let check_mismatches = Delta_eval.check_mismatches () - mismatches0 in
-  if check_mismatches > 0 then
-    Qp_obs.counter "conflict.rel_check_mismatches" check_mismatches;
   let stats =
     {
       queries = total;
@@ -137,7 +126,6 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
       failed_queries;
       strategies;
       engine = Delta_eval.engine_name engine;
-      check_mismatches;
       jobs = pool.Qp_util.Parallel.jobs;
       query_seconds;
       worker_busy = pool.Qp_util.Parallel.busy;
@@ -155,6 +143,36 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
   Qp_obs.counter "conflict.queries" total;
   (h, stats)
 
+(* Both item arrays are sorted and duplicate-free (Hypergraph.create),
+   so one merge walk yields their symmetric difference in item order. *)
+let disagreements h_a h_b =
+  let module H = Qp_core.Hypergraph in
+  let ea = H.edges h_a and eb = H.edges h_b in
+  if Array.length ea <> Array.length eb then
+    invalid_arg
+      (Printf.sprintf "Conflict.disagreements: %d edges vs %d"
+         (Array.length ea) (Array.length eb));
+  let out = ref [] in
+  Array.iter2
+    (fun (a : H.edge) (b : H.edge) ->
+      if a.name <> b.name then
+        invalid_arg
+          (Printf.sprintf "Conflict.disagreements: edge %d is %S vs %S" a.id
+             a.name b.name);
+      let xs = a.items and ys = b.items in
+      let rec walk i j =
+        let emit k = out := (a.name, k) :: !out in
+        if i < Array.length xs && j < Array.length ys then
+          if xs.(i) = ys.(j) then walk (i + 1) (j + 1)
+          else if xs.(i) < ys.(j) then (emit xs.(i); walk (i + 1) j)
+          else (emit ys.(j); walk i (j + 1))
+        else if i < Array.length xs then (emit xs.(i); walk (i + 1) j)
+        else if j < Array.length ys then (emit ys.(j); walk i (j + 1))
+      in
+      walk 0 0)
+    ea eb;
+  List.rev !out
+
 let query_time_histogram ?buckets stats =
   if Array.length stats.query_seconds = 0 then "(no queries)\n"
   else
@@ -170,8 +188,6 @@ let pp_stats fmt s =
     s.queries s.support s.elapsed s.jobs
     (if s.jobs = 1 then "" else "s")
     s.engine;
-  if s.engine = "check" then
-    Format.fprintf fmt "  cross-engine mismatches: %d@." s.check_mismatches;
   Format.fprintf fmt "  strategies: %s@."
     (String.concat ", "
        (List.map (fun (name, n) -> Printf.sprintf "%s %d" name n) s.strategies));

@@ -30,10 +30,7 @@ type stats = {
           sorted by name — the delta-eval vs fallback split *)
   engine : string;
       (** {!Qp_relational.Delta_eval.engine_name} of the engine the
-          build ran on ("row", "columnar" or "check") *)
-  check_mismatches : int;
-      (** cross-engine disagreements observed during this build; always
-          [0] outside check mode, and expected [0] within it *)
+          build ran on ("row" or "columnar") *)
   jobs : int;  (** worker-pool size actually used for the build *)
   query_seconds : float array;
       (** per-query prepare+scan wall-clock seconds, in workload order *)
@@ -61,14 +58,12 @@ val hypergraph :
     Queries are distributed over the {!Qp_util.Parallel} pool ([jobs]
     overrides [QP_JOBS]); the merge is sequential in workload order, so
     the hypergraph (edge order, items, valuations) is bit-identical at
-    any job count. [engine] selects the relational engine per
-    {!Qp_relational.Delta_eval.prepare} (default
-    {!Qp_relational.Delta_eval.default_engine}), resolved once before
-    fan-out so every worker uses the same engine; in check mode,
-    disagreements land in [check_mismatches] and the
-    ["conflict.rel_check_mismatches"] counter. [on_progress] fires from the merge side only — once
-    per query with [done_] strictly increasing from 1 to [total] —
-    never from a worker domain.
+    any job count. [engine] selects the relational engine every worker
+    prepares its queries on (default [Columnar], see
+    {!Qp_relational.Delta_eval.prepare}); compare a [Row] and a
+    [Columnar] build with {!disagreements}. [on_progress] fires from
+    the merge side only — once per query with [done_] strictly
+    increasing from 1 to [total] — never from a worker domain.
 
     Robustness: a query whose task raises (including an injected
     ["conflict.query"] fault, key = workload index) is retried once
@@ -77,6 +72,18 @@ val hypergraph :
     aborted build — recorded in [failed_queries], the
     ["conflict.query_failures"] counter and a ["conflict.query_failed"]
     event (retries bump ["conflict.query_retries"]). *)
+
+val disagreements :
+  Qp_core.Hypergraph.t -> Qp_core.Hypergraph.t -> (string * int) list
+(** [disagreements h_a h_b] — every (edge name, item) membership that
+    one hypergraph has and the other lacks: per edge, the symmetric
+    difference of the two item sets, in edge order then item order. Its
+    length is [sum_q |E_a(q) Δ E_b(q)|], the number of (query, delta)
+    pairs on which two builds of one workload (say [~engine:Row] and
+    [~engine:Columnar]) disagree; [[]] means the conflict sets are
+    identical. Valuations are not compared. Raises [Invalid_argument]
+    if the edge counts differ or the edges at some position carry
+    different names. *)
 
 val query_time_histogram : ?buckets:int -> stats -> string
 (** ASCII histogram (log counts) of per-query build times in

@@ -15,7 +15,8 @@
 
    Both engines therefore enumerate the same multiset of environments
    and construct answers with the same code — bit-identical results by
-   construction, enforced empirically by QP_REL_ENGINE=check. *)
+   construction, enforced empirically by comparing row and columnar
+   conflict hypergraphs (make check-rel-engines, bench conflict). *)
 
 module B = Bitset
 

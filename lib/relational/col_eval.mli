@@ -1,5 +1,5 @@
 (** Columnar join enumeration — the vectorized engine behind
-    [QP_REL_ENGINE=columnar].
+    [Delta_eval]'s default [Columnar] engine.
 
     Shares {!Eval}'s plan (resolution, predicate classification, equi
     detection) and its output construction ({!Eval.result_of_envs});

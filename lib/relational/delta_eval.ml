@@ -1,41 +1,8 @@
 (* --- engine selection ------------------------------------------------ *)
 
-type engine = Row | Columnar | Check
+type engine = Row | Columnar
 
-let engine_name = function
-  | Row -> "row"
-  | Columnar -> "columnar"
-  | Check -> "check"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "row" -> Some Row
-  | "columnar" -> Some Columnar
-  | "check" -> Some Check
-  | _ -> None
-
-(* Fail fast on an unknown QP_REL_ENGINE: a typo silently falling back
-   to the default would defeat the point of asking for a cross-check. *)
-let initial_engine =
-  match Sys.getenv_opt "QP_REL_ENGINE" with
-  | None -> Columnar
-  | Some s -> (
-      match engine_of_string s with
-      | Some e -> e
-      | None ->
-          Printf.eprintf
-            "QP_REL_ENGINE=%s is not a relational engine (expected row, \
-             columnar or check)\n"
-            s;
-          exit 2)
-
-let engine_ref = ref initial_engine
-let default_engine () = !engine_ref
-let set_default_engine e = engine_ref := e
-
-let mismatch_count = Atomic.make 0
-let check_mismatches () = Atomic.get mismatch_count
-let reset_check_mismatches () = Atomic.set mismatch_count 0
+let engine_name = function Row -> "row" | Columnar -> "columnar"
 
 (* --- strategies ------------------------------------------------------ *)
 
@@ -57,7 +24,7 @@ type strategy =
 
 type backend = B_row of Eval.prejoined | B_col of Col_eval.t
 
-type core = {
+type t = {
   db : Database.t;
   q : Query.t;
   plan : Eval.plan;
@@ -73,24 +40,15 @@ type core = {
   mutable base : Result_set.t option;
 }
 
-type t = {
-  engine : engine;
-  main : core;
-  check_row : core option;
-      (** in check mode, the row-engine oracle evaluated alongside *)
-}
+let query t = t.q
 
-let query t = t.main.q
-
-let core_base core =
+let base_result core =
   match core.base with
   | Some r -> r
   | None ->
       let r = Eval.run_plan core.plan core.db in
       core.base <- Some r;
       r
-
-let base_result t = core_base t.main
 
 let strategy_name_of = function
   | Rowwise -> "rowwise"
@@ -99,7 +57,7 @@ let strategy_name_of = function
   | Limited _ -> "limited"
   | Fallback -> "fallback"
 
-let strategy_name t = strategy_name_of t.main.strategy
+let strategy_name t = strategy_name_of t.strategy
 
 (* Grouped answers stay per-key comparable only when every selected
    field is itself a group key; then output rows are pairwise distinct
@@ -215,10 +173,13 @@ let choose_strategy plan q envs positions =
         end
         else Rowwise
 
-let prepare_core ~columnar db q plan positions =
+let prepare ?(engine = Columnar) db q =
+  let plan = Eval.prepare db q in
+  let positions = table_positions q in
   let backend =
-    if columnar then B_col (Col_eval.prepare plan db)
-    else B_row (Eval.precompute_levels plan db)
+    match engine with
+    | Columnar -> B_col (Col_eval.prepare plan db)
+    | Row -> B_row (Eval.precompute_levels plan db)
   in
   let self_join =
     Hashtbl.fold (fun _ ps b -> b || List.length ps > 1) positions false
@@ -253,20 +214,6 @@ let prepare_core ~columnar db q plan positions =
     rels = Hashtbl.create 4;
     base = None;
   }
-
-let prepare ?engine db q =
-  let engine = Option.value engine ~default:(default_engine ()) in
-  let plan = Eval.prepare db q in
-  let positions = table_positions q in
-  let main =
-    prepare_core ~columnar:(engine <> Row) db q plan positions
-  in
-  let check_row =
-    if engine = Check then
-      Some (prepare_core ~columnar:false db q plan positions)
-    else None
-  in
-  { engine; main; check_row }
 
 (* --- per-delta contribution ----------------------------------------- *)
 
@@ -423,12 +370,13 @@ let limited_differs core k base_rows removed added =
 
 let fallback_differs core delta =
   let perturbed = Delta.apply core.db delta in
-  not (Result_set.equal (Eval.run_plan core.plan perturbed) (core_base core))
+  not
+    (Result_set.equal (Eval.run_plan core.plan perturbed) (base_result core))
 
 (* The columnar engine short-circuits cell changes on columns the query
    never reads: the answer is a function of the referenced cells and
    the row multiset, and a Cell_change alters neither. The row engine
-   stays free of this shortcut so check mode exercises it. *)
+   stays free of this shortcut so comparing the engines exercises it. *)
 let unreferenced_cell core levels delta =
   match delta with
   | Delta.Row_drop _ -> false
@@ -462,7 +410,7 @@ let changed_tuple core delta =
       (old_tup, Some new_tup)
   | Delta.Row_drop { row; _ } -> (Relation.tuple r row, None)
 
-let core_differs core delta =
+let differs core delta =
   match find_positions core (Delta.relation delta) with
   | None -> false
   | Some levels -> (
@@ -506,13 +454,3 @@ let core_differs core delta =
                 (* Self-joins force the fallback strategy at prepare
                    time, so this is unreachable; stay safe regardless. *)
                 fallback_differs core delta))
-
-let differs t delta =
-  match t.check_row with
-  | None -> core_differs t.main delta
-  | Some row_core ->
-      let col_ans = core_differs t.main delta in
-      let row_ans = core_differs row_core delta in
-      if col_ans <> row_ans then Atomic.incr mismatch_count;
-      (* the row engine is the oracle *)
-      row_ans

@@ -34,45 +34,26 @@
     {2 Engines}
 
     Join enumeration behind the strategies runs on one of two engines:
-    the original row-at-a-time {!Eval} engine, or the vectorized
-    {!Col_eval} engine over {!Col_table} columnar images. [Check] runs
-    both on every delta, returns the {e row} engine's answer (the
-    oracle), and counts disagreements in {!check_mismatches}. The
-    columnar engine additionally short-circuits [Cell_change] deltas on
-    columns the query never references — the row oracle does not, so
-    check mode exercises that shortcut too.
+    the vectorized {!Col_eval} engine over {!Col_table} columnar images
+    ([Columnar], the default and the only one production builds use),
+    or the original row-at-a-time {!Eval} engine ([Row]), kept as the
+    reference that tests and benches name explicitly. The columnar
+    engine additionally short-circuits [Cell_change] deltas on columns
+    the query never references; the row engine does not, so comparing
+    the two engines' answers (for conflict sets,
+    [Qp_market.Conflict.disagreements]) exercises that shortcut too. *)
 
-    The process-wide default comes from [QP_REL_ENGINE]
-    ([row]/[columnar]/[check]; unknown values exit with status 2) and
-    defaults to [Columnar]. *)
-
-type engine = Row | Columnar | Check
+type engine = Row | Columnar
 
 val engine_name : engine -> string
-(** ["row"], ["columnar"] or ["check"]. *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name} (case-insensitive); [None] if unknown. *)
-
-val default_engine : unit -> engine
-(** The process-wide default, initialized from [QP_REL_ENGINE]. *)
-
-val set_default_engine : engine -> unit
-(** Override the process-wide default (CLI flag support). *)
-
-val check_mismatches : unit -> int
-(** Process-wide count of deltas on which the two engines disagreed
-    under [Check] (monotone; see {!reset_check_mismatches}). *)
-
-val reset_check_mismatches : unit -> unit
-(** Zero the mismatch counter (benchmarks isolate runs with this). *)
+(** ["row"] or ["columnar"]. *)
 
 type t
 
 val prepare : ?engine:engine -> Database.t -> Query.t -> t
 (** Compiles the query, enumerates its pre-aggregation rows once, and
     builds the per-strategy base state on [engine] (default
-    {!default_engine}). *)
+    [Columnar]). *)
 
 val query : t -> Query.t
 (** The query this preparation was built for. *)

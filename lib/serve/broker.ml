@@ -43,7 +43,7 @@ type t = {
   mutable lifecycle : Protocol.health_state;
   request_hist : Qp_obs.Hist.t;
   quote_hist : Qp_obs.Hist.t;
-  started_at : float;
+  started_ns : int64;  (* monotonic clock, like every latency read *)
 }
 
 let pricing_keys = Qp_core.Algorithms.keys @ [ "capped" ]
@@ -85,7 +85,7 @@ let make ~workload ~seed ~pricing_key ~instance ~hypergraph ~pricing =
     lifecycle = Protocol.Serving;
     request_hist = Qp_obs.Hist.create ();
     quote_hist = Qp_obs.Hist.create ();
-    started_at = Unix.gettimeofday ();
+    started_ns = Monotonic_clock.now ();
   }
 
 let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
@@ -319,7 +319,9 @@ let metrics_text t =
         {
           name = "qp_serve_uptime_seconds";
           help = "Seconds since the broker finished precompute";
-          value = Unix.gettimeofday () -. t.started_at;
+          value =
+            Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.started_ns)
+            /. 1e9;
         };
       Metrics.Histogram
         {
@@ -499,13 +501,15 @@ let dispatch ~overloaded t line =
 
 (* Wrap dispatch with the always-on latency histograms (independent of
    the obs enabled flag — METRICS/STATS must work on a production
-   broker with tracing off). The completed-request counter is bumped
-   last so a METRICS snapshot taken *during* a request (i.e. its own)
-   never shows count and histogram out of step. *)
+   broker with tracing off), timed on the monotonic clock so a wall
+   clock step cannot clamp or inflate the percentiles. The
+   completed-request counter is bumped last so a METRICS snapshot taken
+   *during* a request (i.e. its own) never shows count and histogram
+   out of step. *)
 let handle ?(overloaded = false) t line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let resp = dispatch ~overloaded t line in
-  let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  let dt_ns = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
   Qp_obs.Hist.record t.request_hist dt_ns;
   (match resp with
   | Protocol.Quote_reply _ -> Qp_obs.Hist.record t.quote_hist dt_ns

@@ -14,7 +14,7 @@
                   bounds are tight on purpose — wall-clock is not gated);
      - conflict:  every workload's hypergraph must be bit-identical
                   across relational engines and job counts with zero
-                  check-mode disagreements and no dropped queries; the
+                  row/columnar disagreements and no dropped queries; the
                   same-run row/columnar per-query-mean ratio must hold
                   its floor (5x on ssb, parity elsewhere) and the
                   absolute columnar per-query mean may grow at most 3x
@@ -248,7 +248,7 @@ let check_conflict ~baseline ~current =
   List.iter
     (fun (name, w) ->
       (* Correctness pins: every engine/job combination built the same
-         hypergraph and check mode saw zero disagreements. *)
+         hypergraph and the row and columnar conflict sets agree. *)
       (match Json.member "fingerprints_equal" w with
       | Some (Json.Bool true) -> ok "conflict %s engines bit-identical" name
       | Some _ -> fail "conflict %s: hypergraphs differ across engines" name

@@ -1,38 +1,40 @@
 (* Cross-engine identity gate for the relational layer, run by `make
-   check`: build every workload's conflict hypergraph at Tiny scale in
-   check mode — the columnar engine races the row oracle on every
-   (query, delta) pair — and fail on any disagreement. The bench gate
-   pins the same property at Default scale; this catches divergence in
+   check`: build every workload's conflict hypergraph at Tiny scale on
+   the row engine and on the columnar engine, and fail on any (query,
+   delta) pair where their conflict sets disagree. The bench gate pins
+   the same property at Default scale; this catches divergence in
    seconds, before the benches run. *)
 
 module WI = Qp_experiments.Workload_instances
+module C = Qp_market.Conflict
 module DE = Qp_relational.Delta_eval
 
 let () =
-  DE.set_default_engine DE.Check;
   let failures = ref 0 in
   List.iter
     (fun key ->
       let inst = WI.build key ~scale:WI.Tiny ~seed:42 () in
-      let s = inst.WI.build_stats in
-      let edges = Qp_core.Hypergraph.m inst.WI.hypergraph in
-      if s.Qp_market.Conflict.check_mismatches = 0 then
-        Printf.printf "check-rel-engines: %-8s ok (%d queries, %d edges)\n"
-          key
-          (List.length inst.WI.queries)
-          edges
-      else begin
-        incr failures;
-        Printf.printf
-          "check-rel-engines: %-8s FAILED — %d columnar/row disagreements\n"
-          key s.Qp_market.Conflict.check_mismatches
-      end)
+      let valued = List.map (fun q -> (q, 1.0)) inst.WI.queries in
+      let build engine =
+        fst (C.hypergraph ~engine inst.WI.db valued inst.WI.deltas)
+      in
+      match C.disagreements (build DE.Row) (build DE.Columnar) with
+      | [] ->
+          Printf.printf "check-rel-engines: %-8s ok (%d queries, %d edges)\n"
+            key
+            (List.length inst.WI.queries)
+            (Qp_core.Hypergraph.m inst.WI.hypergraph)
+      | (query, delta) :: _ as ds ->
+          incr failures;
+          Printf.printf
+            "check-rel-engines: %-8s FAILED — %d columnar/row disagreements, \
+             first at query %s, delta %d\n"
+            key (List.length ds) query delta)
     WI.keys;
   if !failures > 0 then begin
     Printf.printf
-      "check-rel-engines: %d workload(s) diverge; debug with \
-       QP_REL_ENGINE=check and the cross-engine tests in \
-       test/test_col_eval.ml\n"
+      "check-rel-engines: %d workload(s) diverge; see the cross-engine \
+       tests in test/test_col_eval.ml\n"
       !failures;
     exit 1
   end

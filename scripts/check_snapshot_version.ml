@@ -19,8 +19,8 @@
 (* The pinned state of the world. After intentionally changing any
    payload-reachable type: bump [format_version] in
    lib/serve/snapshot.ml, then set these two from [--print]. *)
-let expected_version = 2
-let expected_fingerprint = "cac4b97f70dbe96e8ff5d0762d0a11c8"
+let expected_version = 3
+let expected_fingerprint = "2e02b8ec34fbcbf42d955eb168fbbf53"
 
 (* Every file whose toplevel type declarations the marshalled payload
    representation can reach ([Broker.frozen] -> Workload_instances.t

@@ -57,29 +57,31 @@ let test_like_kernel_matches_row () =
         (Query.to_sql query)
   done
 
-(* In check mode the row oracle runs alongside on every delta; the big
-   random property must finish with zero recorded disagreements. *)
-let test_check_mode_clean () =
+(* The row engine is the reference: on the big random property, a
+   columnar preparation must answer every delta exactly as a row
+   preparation of the same query does. *)
+let test_engines_agree_per_delta () =
   let rand = Random.State.make [| 9001 |] in
-  let before = Delta_eval.check_mismatches () in
   for round = 1 to 60 do
     let database = random_db rand in
     for qi = 1 to 8 do
       let query = random_query rand ((round * 10) + qi) in
-      let prep = Delta_eval.prepare ~engine:Delta_eval.Check database query in
+      let prep engine = Delta_eval.prepare ~engine database query in
+      let row = prep Delta_eval.Row and col = prep Delta_eval.Columnar in
       for _ = 1 to 10 do
-        ignore (Delta_eval.differs prep (random_delta rand database))
+        let delta = random_delta rand database in
+        if Delta_eval.differs row delta <> Delta_eval.differs col delta then
+          Alcotest.failf "round %d: engines disagree on a delta for %s" round
+            (Query.to_sql query)
       done
     done
-  done;
-  Alcotest.(check int) "no cross-engine mismatches" before
-    (Delta_eval.check_mismatches ())
+  done
 
 let fingerprint h =
   Array.map (fun e -> (e.H.name, e.H.items, e.H.valuation)) (H.edges h)
 
-(* All four paper workloads at tiny scale: row, columnar and check
-   builds produce bit-identical hypergraphs, and check observes zero
+(* All four paper workloads at tiny scale: row and columnar builds
+   produce bit-identical hypergraphs with zero conflict-set
    disagreements. *)
 let test_workload_hypergraph_identity () =
   List.iter
@@ -89,23 +91,20 @@ let test_workload_hypergraph_identity () =
       let build engine =
         Conflict.hypergraph ~jobs:1 ~engine inst.WI.db valued inst.WI.deltas
       in
-      let h_row, _ = build Delta_eval.Row in
-      let h_col, _ = build Delta_eval.Columnar in
-      let h_chk, chk_stats = build Delta_eval.Check in
+      let h_row, row_stats = build Delta_eval.Row in
+      let h_col, col_stats = build Delta_eval.Columnar in
       Alcotest.(check bool)
         (key ^ ": row = columnar")
         true
         (fingerprint h_row = fingerprint h_col);
-      Alcotest.(check bool)
-        (key ^ ": row = check")
-        true
-        (fingerprint h_row = fingerprint h_chk);
       Alcotest.(check int)
-        (key ^ ": check mismatches")
-        0 chk_stats.Conflict.check_mismatches;
-      Alcotest.(check string)
+        (key ^ ": disagreements")
+        0
+        (List.length (Conflict.disagreements h_row h_col));
+      Alcotest.(check (pair string string))
         (key ^ ": stats engine")
-        "check" chk_stats.Conflict.engine)
+        ("row", "columnar")
+        (row_stats.Conflict.engine, col_stats.Conflict.engine))
     WI.keys
 
 (* Satellite of ISSUE 10: Q16 (plain LIMIT 2 over Country) used to be
@@ -160,21 +159,13 @@ let test_limited_boundary () =
             (Printf.sprintf "%s (%s)" name (Delta_eval.engine_name engine))
             (reference query delta)
             (Delta_eval.differs prep delta))
-        [ Delta_eval.Row; Delta_eval.Columnar; Delta_eval.Check ])
+        [ Delta_eval.Row; Delta_eval.Columnar ])
     cases
 
-let test_engine_of_string () =
-  Alcotest.(check string) "row" "row"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "Row")));
+let test_engine_name () =
+  Alcotest.(check string) "row" "row" (Delta_eval.engine_name Delta_eval.Row);
   Alcotest.(check string) "columnar" "columnar"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "columnar")));
-  Alcotest.(check string) "check" "check"
-    (Delta_eval.engine_name
-       (Option.get (Delta_eval.engine_of_string "CHECK")));
-  Alcotest.(check bool) "unknown rejected" true
-    (Delta_eval.engine_of_string "vectorized" = None)
+    (Delta_eval.engine_name Delta_eval.Columnar)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -182,9 +173,9 @@ let suite =
     [
       t "columnar run matches row" test_run_matches_row;
       t "LIKE kernel matches row" test_like_kernel_matches_row;
-      t "check mode records no mismatches" test_check_mode_clean;
+      t "check mode records no mismatches" test_engines_agree_per_delta;
       t "workload hypergraphs engine-identical" test_workload_hypergraph_identity;
       t "skewed workload has no fallback" test_skewed_has_no_fallback;
       t "limited strategy boundary cases" test_limited_boundary;
-      t "engine_of_string" test_engine_of_string;
+      t "engine_of_string" test_engine_name;
     ] )

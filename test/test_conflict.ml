@@ -87,6 +87,37 @@ let test_stats_sequential_pool () =
   Alcotest.(check int) "sequential build reports one job" 1 s.C.jobs;
   Alcotest.(check int) "single busy slot" 1 (Array.length s.C.worker_busy)
 
+(* The engine-agreement helper counts (edge, item) memberships in one
+   hypergraph and not the other, and refuses hypergraphs whose edges do
+   not line up. *)
+let test_disagreements () =
+  let h specs = H.create ~n_items:6 (Array.of_list specs) in
+  let base =
+    h [ ("a", [| 0; 2; 4 |], 1.0); ("b", [| 1 |], 2.0); ("c", [||], 1.0) ]
+  in
+  (* valuations are not compared *)
+  let same =
+    h [ ("a", [| 0; 2; 4 |], 5.0); ("b", [| 1 |], 0.0); ("c", [||], 1.0) ]
+  in
+  Alcotest.(check (list (pair string int))) "identical" []
+    (C.disagreements base same);
+  (* a loses 2 and gains 5, b gains 3, c gains 0: k = 4 *)
+  let other =
+    h [ ("a", [| 0; 4; 5 |], 1.0); ("b", [| 1; 3 |], 2.0); ("c", [| 0 |], 1.0) ]
+  in
+  Alcotest.(check (list (pair string int))) "k memberships"
+    [ ("a", 2); ("a", 5); ("b", 3); ("c", 0) ]
+    (C.disagreements base other);
+  Alcotest.(check int) "symmetric" 4 (List.length (C.disagreements other base));
+  let raises name h' =
+    match C.disagreements base h' with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "edge count" (h [ ("a", [| 0; 2; 4 |], 1.0); ("b", [| 1 |], 2.0) ]);
+  raises "edge names"
+    (h [ ("a", [| 0; 2; 4 |], 1.0); ("c", [| 1 |], 2.0); ("b", [||], 1.0) ])
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "conflict",
@@ -96,4 +127,5 @@ let suite =
       t "progress fires monotonically from the merge" test_progress_monotone;
       t "stats partition queries and workers" test_stats_sanity;
       t "sequential pool stats" test_stats_sequential_pool;
+      t "disagreements count differing memberships" test_disagreements;
     ] )

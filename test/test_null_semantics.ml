@@ -228,7 +228,7 @@ let test_null_deltas () =
                    (Delta_eval.engine_name engine))
                 (reference q d) (Delta_eval.differs prep d))
             deltas)
-        [ Delta_eval.Row; Delta_eval.Columnar; Delta_eval.Check ])
+        [ Delta_eval.Row; Delta_eval.Columnar ])
     queries
 
 let suite =
