@@ -456,7 +456,9 @@ let simplex_bench ~meta () =
    optimal basis carried from member to member), and writes
    BENCH_warmstart.json. Pivot counts come from the "simplex.pivots"
    counter, so the comparison is meaningful even on a single-CPU box
-   where wall time is noisy; a final warm-started CIP run under
+   where wall time is noisy; "simplex.warm_wasted_pivots" adds the
+   pivots of warm attempts that were abandoned for a cold re-solve,
+   which "simplex.pivots" leaves out (reported, not gated). A final warm-started CIP run under
    Qp_lp_oracle.with_check re-solves every member on the dense oracle
    and records the mismatch count (must be 0: warm starting never
    changes answers). *)
@@ -519,14 +521,15 @@ let warmstart_bench ~meta ctx =
           let hits = counter "simplex.warm_hit" in
           let misses = counter "simplex.warm_miss" in
           let saved = counter "simplex.warm_pivots_saved" in
+          let wasted = counter "simplex.warm_wasted_pivots" in
           Printf.printf
             "  %-6s cold %8.3fs %7d pivots   warm %8.3fs %7d pivots   \
-             pivots %5.2fx  wall %5.2fx   (%d hits, %d misses)\n%!"
+             pivots %5.2fx  wall %5.2fx   (%d hits, %d misses, %d wasted)\n%!"
             name tc pc tw pw
             (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
             (tc /. Float.max 1e-9 tw)
-            hits misses;
-          (name, tc, pc, tw, pw, hits, misses, saved)
+            hits misses wasted;
+          (name, tc, pc, tw, pw, hits, misses, saved, wasted)
         in
         let results = List.map measure [ ("cip", cip); ("lpip", lpip) ] in
         (* correctness sentinel: warm-started CIP under the dense oracle *)
@@ -540,17 +543,18 @@ let warmstart_bench ~meta ctx =
   Printf.fprintf oc "{\n  %s,\n  \"check_mismatches\": %d,\n  \"families\": ["
     (meta ()) mismatches;
   List.iteri
-    (fun i (name, tc, pc, tw, pw, hits, misses, saved) ->
+    (fun i (name, tc, pc, tw, pw, hits, misses, saved, wasted) ->
       Printf.fprintf oc
         "%s\n    { \"name\": %S, \"seconds_cold\": %.6f, \"pivots_cold\": %d,\n\
         \      \"seconds_warm\": %.6f, \"pivots_warm\": %d,\n\
         \      \"pivot_ratio\": %.3f, \"wall_speedup\": %.3f,\n\
-        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d }"
+        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d,\n\
+        \      \"pivots_wasted\": %d }"
         (if i = 0 then "" else ",")
         name tc pc tw pw
         (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
         (tc /. Float.max 1e-9 tw)
-        hits misses saved)
+        hits misses saved wasted)
     results;
   Printf.fprintf oc "\n  ]\n}\n";
   close_out oc;

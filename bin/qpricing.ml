@@ -354,12 +354,10 @@ let quote_cmd =
     in
     match Qp_relational.Sql.parse ~db sql with
     | Error msg ->
-        Printf.eprintf "parse error: %s
-" msg;
+        Printf.eprintf "parse error: %s\n" msg;
         exit 2
     | Ok query ->
-        Printf.printf "parsed: %s
-" (Qp_relational.Query.to_sql query);
+        Printf.printf "parsed: %s\n" (Qp_relational.Query.to_sql query);
         let broker = Broker.create ~seed ~support_size:200 db in
         let buyers =
           match workload with
@@ -372,21 +370,20 @@ let quote_cmd =
         List.iteri
           (fun i q -> Broker.add_buyer broker ~valuation:(10.0 +. Float.of_int i) q)
           buyers;
-        Printf.printf "building the market (%d registered buyers)...
-%!"
+        Printf.printf "building the market (%d registered buyers)...\n%!"
           (List.length buyers);
         Broker.build broker;
         let _ = Broker.price broker ~algorithm:"lpip" in
         let price = Broker.quote broker query in
         let answer = Qp_relational.Eval.run db query in
-        Printf.printf "quote: %.2f (answer has %d rows)
-" price
+        Printf.printf "quote: %.2f (answer has %d rows)\n" price
           (Qp_relational.Result_set.row_count answer)
   in
   Cmd.v
     (Cmd.info "quote"
        ~doc:
-         "Parse a SQL query, build a broker over the named workload's tiny           dataset, and quote the query's arbitrage-free price.")
+         "Parse a SQL query, build a broker over the named workload's tiny \
+           dataset, and quote the query's arbitrage-free price.")
     Term.(const run $ workload_arg $ seed_arg $ sql_arg)
 
 (* --- serve: the persistent pricing broker ---------------------------- *)

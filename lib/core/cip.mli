@@ -15,10 +15,11 @@ type options = {
   epsilon : float;
   max_pivots : int;
   time_budget : float option;
-      (** wall-clock seconds across the whole grid; once exceeded the
-          remaining capacities are skipped — the paper applies exactly
-          this mitigation ("we fix ε = 3 to limit the running time",
-          §6.4) *)
+      (** elapsed seconds across the whole grid, read from the
+          monotonic clock so that a wall-clock step can neither skip
+          capacities nor extend the budget; once exceeded the remaining
+          capacities are skipped — the paper applies exactly this
+          mitigation ("we fix ε = 3 to limit the running time", §6.4) *)
   jobs : int option;
       (** worker-pool size for the capacity sweep; [None] defers to
           {!Qp_util.Parallel.default_jobs} ([QP_JOBS]). Without a time

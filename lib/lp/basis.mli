@@ -1,13 +1,14 @@
-(** Product-form (eta-file) basis factorization for the revised
-    simplex engine in {!Simplex}.
+(** Eta-file basis factorization for the revised simplex engine in
+    {!Simplex}.
 
     The basis inverse is represented as a product of elementary eta
-    matrices, one per pivot: solving with it ([ftran]/[btran]) costs
-    the fill of the file rather than O(m^2). An empty file represents
-    the identity — which is exactly the initial basis of the
-    transformed problem (slacks and artificials). The engine rebuilds
-    the file from scratch (reinversion) when it grows past its
-    refactorization interval. *)
+    matrices: solving with it ([ftran]/[btran]) costs the fill of the
+    file rather than O(m^2). An empty file represents the identity —
+    which is exactly the initial basis of the transformed problem
+    (slacks and artificials). Reinversion ({!factor}) writes a sparse
+    LU factorization of the basis as etas; every simplex pivot then
+    appends one product-form eta ({!push}) until the engine reinverts
+    again. *)
 
 type t
 
@@ -37,3 +38,19 @@ val ftran : t -> float array -> unit
 val btran : t -> float array -> unit
 (** [btran t y] replaces dense [y] with [y B^-1] by applying every eta
     inverse in reverse file order. *)
+
+val factor : t -> tol:float -> Sparse.col array -> int array option
+(** [factor t ~tol cols] reinverts: [cols] are the [m] basis columns,
+    and the file is replaced by a sparse LU factorization of them — the
+    L etas in pivot order (unit pivots), then the U etas in reverse
+    pivot order (pivot = the diagonal of U). Pivots are chosen by
+    Markowitz cost, (row count - 1) * (column count - 1) in the active
+    submatrix, among entries at least 0.1 times their column's largest
+    active magnitude and above [tol]; column singletons (unit slacks,
+    artificials) cost nothing and go first.
+
+    Returns [Some slot] where column [k] now sits in basis row
+    [slot.(k)], i.e. [ftran] maps [cols.(k)] to [e_(slot.(k))]. Returns
+    [None] when the columns are numerically singular (an empty or
+    all-below-[tol] active column, or no acceptable pivot); the file is
+    then left unchanged. *)

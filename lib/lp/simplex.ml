@@ -1,11 +1,18 @@
 (* Two-phase primal simplex: a *revised* simplex engine.
 
    The constraint matrix is held as sparse columns (Sparse), the basis
-   inverse as an eta-file factorization (Basis), and each iteration
+   inverse as an eta file (Basis): a sparse LU of the basis written at
+   each reinversion, then one product-form eta per pivot, with a
+   reinversion every [default_refactor_every] pivots. Each iteration
    prices the non-basic columns against freshly BTRAN'd duals. Per-pivot
    cost is the fill of the eta file plus the nonzeros of the matrix,
    instead of a dense tableau's O(rows * cols) elimination — which is
    what lifts the LP scale wall for LPIP/CIP on larger supports.
+
+   Warm re-solves ([resolve]) start from the previous member's optimal
+   basis, but give up after twice the pivots of the family's last cold
+   solve and re-solve cold: a warm chain that long costs more than
+   starting over.
 
    The dense tableau this engine replaced lives on as a test-only
    reference oracle (the qp_lp_oracle library), attached through the one
@@ -113,7 +120,7 @@ module Revised_engine = struct
     mutable bland_ever : bool;
     mutable refactors : int;
     mutable max_fill : int;
-    max_pivots : int;
+    mutable max_pivots : int; (* a warm attempt lowers it to its cap *)
     stall_threshold : int;
     refactor_every : int;
     tol : Tolerance.t;
@@ -218,61 +225,29 @@ module Revised_engine = struct
     st.basis.(r) <- q;
     st.pivots <- st.pivots + 1
 
-  (* Reinversion: rebuild the eta file from the current basis columns,
-     cheapest (fewest-nonzero) columns first so identity columns create
-     no etas at all. Re-deriving xb from b' flushes the roundoff the
-     incremental updates accumulate. Returns false on a numerically
-     singular basis. *)
+  (* Reinversion: replace the eta file with a sparse LU of the current
+     basis columns; each column moves to the basis row it pivoted on.
+     Re-deriving xb from b' flushes the roundoff the incremental updates
+     accumulate. Returns false on a numerically singular basis. *)
   let refactorize st ~phase1 =
-    Basis.reset st.bas;
-    let order = Array.init st.nrows Fun.id in
-    Array.sort
-      (fun p1 p2 ->
-        let n1 = Sparse.nnz st.cols.(st.basis.(p1))
-        and n2 = Sparse.nnz st.cols.(st.basis.(p2)) in
-        if n1 <> n2 then Int.compare n1 n2
-        else Int.compare st.basis.(p1) st.basis.(p2))
-      order;
-    let assigned = Array.make st.nrows false in
-    let newbasis = Array.make st.nrows (-1) in
-    let ok = ref true in
-    (try
-       Array.iter
-         (fun p ->
-           let q = st.basis.(p) in
-           ftran_col st q;
-           let r = ref (-1) and mag = ref 0.0 in
-           for i = 0 to st.nrows - 1 do
-             let a = Float.abs st.d.(i) in
-             if (not assigned.(i)) && a > !mag then begin
-               r := i;
-               mag := a
-             end
-           done;
-           if !r < 0 || !mag <= st.tol.Tolerance.pivot then begin
-             ok := false;
-             raise Exit
-           end;
-           Basis.push st.bas ~r:!r st.d;
-           assigned.(!r) <- true;
-           newbasis.(!r) <- q)
-         order
-     with Exit -> ());
-    if !ok then begin
-      Array.blit newbasis 0 st.basis 0 st.nrows;
-      Array.blit st.b 0 st.xb 0 st.nrows;
-      Basis.ftran st.bas st.xb;
-      st.obj_val <- 0.0;
-      for i = 0 to st.nrows - 1 do
-        st.obj_val <-
-          st.obj_val +. (phase_cost st ~phase1 st.basis.(i) *. st.xb.(i))
-      done;
-      st.last_rebuild <- Basis.eta_count st.bas;
-      st.max_fill <- max st.max_fill (Basis.fill st.bas);
-      st.refactors <- st.refactors + 1;
-      Qp_obs.counter "simplex.refactorizations" 1
-    end;
-    !ok
+    let bcols = Array.map (fun q -> st.cols.(q)) st.basis in
+    match Basis.factor st.bas ~tol:st.tol.Tolerance.pivot bcols with
+    | None -> false
+    | Some slot ->
+        let old = Array.copy st.basis in
+        Array.iteri (fun k r -> st.basis.(r) <- old.(k)) slot;
+        Array.blit st.b 0 st.xb 0 st.nrows;
+        Basis.ftran st.bas st.xb;
+        st.obj_val <- 0.0;
+        for i = 0 to st.nrows - 1 do
+          st.obj_val <-
+            st.obj_val +. (phase_cost st ~phase1 st.basis.(i) *. st.xb.(i))
+        done;
+        st.last_rebuild <- Basis.eta_count st.bas;
+        st.max_fill <- max st.max_fill (Basis.fill st.bas);
+        st.refactors <- st.refactors + 1;
+        Qp_obs.counter "simplex.refactorizations" 1;
+        true
 
   let run_phase st ~phase1 ~allowed ~etol =
     let start = st.pivots in
@@ -682,10 +657,11 @@ module Revised_engine = struct
 
      Any non-optimal phase outcome (and a basic artificial drifting off
      zero, which would silently violate a dependent row) surfaces as
-     Warm_fallback; the caller then runs a cold solve, so warm-starting
-     never changes which outcomes are reachable — only how fast the
-     Optimal ones are found. *)
-  let warm_solve st ~c ~rhs =
+     Warm_fallback, and so does running past [cap] pivots; the caller
+     then runs a cold solve, so warm-starting never changes which
+     outcomes are reachable — only how fast the Optimal ones are found. *)
+  let warm_solve st ~c ~rhs ~cap =
+    st.max_pivots <- cap;
     st.pivots <- 0;
     st.degenerate <- 0;
     st.stall <- 0;
@@ -780,7 +756,18 @@ let outcome_tag = function
   | Budget_exhausted _ -> "budget_exhausted"
   | Numerical_error _ -> "numerical_error"
 
-let solve ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every ~c
+(* Product-form etas appended between two reinversions. Each
+   reinversion costs about 1 ms on a 701-row SSB basis; each appended
+   eta lengthens every later FTRAN/BTRAN pass. On the serial SSB sweeps
+   the two balance from 32 to 64 (equal wall time within noise); at 128
+   the FTRAN/BTRAN work is 1.7x that at 64. *)
+let default_refactor_every = 40
+
+let refactor_every = function
+  | Some k -> max 1 k
+  | None -> default_refactor_every
+
+let solve ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every:k ~c
     ~rows () =
   let nvars = Array.length c in
   let nrows = Array.length rows in
@@ -790,9 +777,7 @@ let solve ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every ~c
   @@ fun () ->
   Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
   let tol = Tolerance.make ~c ~rows in
-  let refactor_every =
-    match refactor_every with Some k -> max 1 k | None -> max 64 (nrows / 2)
-  in
+  let refactor_every = refactor_every k in
   Qp_obs.counter "simplex.solves" 1;
   if Qp_obs.enabled () then begin
     let n_art =
@@ -900,11 +885,7 @@ let resolve ?c ?rhs fam =
   let cold () =
     let rows = family_rows fam in
     let tol = Tolerance.make ~c:fam.f_c ~rows in
-    let refactor_every =
-      match fam.f_refactor with
-      | Some k -> max 1 k
-      | None -> max 64 (fam.f_nrows / 2)
-    in
+    let refactor_every = refactor_every fam.f_refactor in
     let st =
       Revised_engine.make_state ~tol ~max_pivots:fam.f_max_pivots
         ~stall_threshold:fam.f_stall ~refactor_every ~c:fam.f_c ~rows
@@ -918,14 +899,20 @@ let resolve ?c ?rhs fam =
   let outcome, stats, warm_hit, dual_pivots =
     match fam.f_state with
     | Some st when !warm_ref -> (
-        match Revised_engine.warm_solve st ~c:fam.f_c ~rhs:fam.f_rhs with
+        (* A warm attempt that needs more than twice the family's last
+           cold solve is cheaper abandoned: it falls back cold. *)
+        let cap = min fam.f_max_pivots (max 64 (2 * fam.f_cold_pivots)) in
+        match Revised_engine.warm_solve st ~c:fam.f_c ~rhs:fam.f_rhs ~cap with
         | Revised_engine.Warm (outcome, stats, dp) ->
             (match outcome with Optimal _ -> () | _ -> fam.f_state <- None);
             (outcome, stats, true, dp)
         | Revised_engine.Warm_fallback reason ->
             fam.f_state <- None;
+            let wasted = st.Revised_engine.pivots in
+            Qp_obs.counter "simplex.warm_wasted_pivots" wasted;
             Qp_obs.event "simplex.warm_fallback"
-              ~args:(fun () -> [ ("reason", Qp_obs.Str reason) ]);
+              ~args:(fun () ->
+                [ ("reason", Qp_obs.Str reason); ("pivots", Qp_obs.Int wasted) ]);
             let outcome, stats = cold () in
             (outcome, stats, false, 0))
     | _ ->

@@ -6,10 +6,10 @@
     {!Lp} offers a friendlier incremental problem builder.
 
     The engine is a {e revised} simplex: the constraint matrix is stored
-    as sparse columns ({!Sparse}) and the basis inverse as an eta-file
-    factorization ({!Basis}) with periodic reinversion, so the per-pivot
-    cost tracks the nonzero structure rather than a dense
-    [O(rows * cols)] elimination. Pivoting uses Dantzig pricing with an
+    as sparse columns ({!Sparse}) and the basis inverse as an eta file
+    ({!Basis}): a sparse LU factorization written at each reinversion,
+    then one product-form eta per pivot. The per-pivot cost tracks the
+    nonzero structure rather than a dense [O(rows * cols)] elimination. Pivoting uses Dantzig pricing with an
     anti-cycling switch to Bland's rule once the iteration stalls, under
     scale-relative {!Tolerance} thresholds. The dense tableau it
     replaced lives on as a test-only reference oracle, attached through
@@ -69,10 +69,10 @@ val solve :
     [max_int] disables the fallback entirely, exposing the raw Dantzig
     rule — useful only for demonstrating cycling in tests.
 
-    [refactor_every] (default [max 64 (rows / 2)])
-    caps how many etas accumulate before the basis is reinverted from
-    scratch. Small values stress-test reinversion; the default balances
-    eta-file fill against rebuild cost.
+    [refactor_every] (default [40]) caps how many product-form etas
+    accumulate before the basis is reinverted from scratch as a sparse
+    LU ({!Basis.factor}). Small values stress-test reinversion; the
+    default balances eta-file fill against rebuild cost.
 
     All numeric thresholds are scale-relative ({!Tolerance.make}): they
     grow with the magnitudes of [c], [A] and [b], so feasible but
@@ -155,7 +155,16 @@ val resolve : ?c:float array -> ?rhs:float array -> family -> outcome
     ["simplex.warm_pivots_saved_max"] gauge (vs the family's last cold
     solve), and — when the dual phase runs — a ["simplex.dual_phase"]
     span. Warm-path failures emit a ["simplex.warm_fallback"] event and
-    re-solve cold. *)
+    re-solve cold; the pivots the abandoned attempt spent go to the
+    ["simplex.warm_wasted_pivots"] counter (["simplex.pivots"] counts
+    only the cold re-solve).
+
+    A warm attempt may spend at most twice the pivots of the family's
+    last cold solve (at least 64, never more than [max_pivots]); one
+    that reaches this cap is abandoned and the member re-solved cold,
+    since a warm chain that long costs more than starting over. The
+    cap reads only the family's own history, so results do not depend
+    on how sweeps are spread over workers. *)
 
 val family_size : family -> int * int
 (** [(rows, vars)] of the shared matrix. *)

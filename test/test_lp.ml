@@ -285,6 +285,186 @@ let test_pivot_budget () =
       Alcotest.(check int) "stopped at the budget" 1 d.Simplex.pivots
   | _ -> Alcotest.fail "expected Budget_exhausted"
 
+(* --- sparse LU reinversion (Basis.factor) ------------------------------ *)
+
+module Basis = Qp_lp.Basis
+module Sparse = Qp_lp.Sparse
+
+(* A random nonsingular basis shaped like the pricing LPs': unit-like
+   columns (slacks, artificials) on most rows, plus a dense bump over
+   the rest, diagonally dominant there so it is nonsingular; bump
+   columns also reach into the unit rows, and rows and columns come in
+   random order. Returned as dense columns. *)
+let shuffle rand a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rand (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let random_basis rand =
+  let m = 2 + Random.State.int rand 59 in
+  let perm = shuffle rand (Array.init m Fun.id) in
+  let nb = 1 + Random.State.int rand (min m 12) in
+  let bump_rows = Array.sub perm 0 nb in
+  let unit_rows = Array.sub perm nb (m - nb) in
+  let cols =
+    Array.append
+      (Array.map
+         (fun r ->
+           let d = Array.make m 0.0 in
+           d.(r) <-
+             (if Random.State.bool rand then 1.0
+              else -.(0.5 +. Random.State.float rand 2.0));
+           d)
+         unit_rows)
+      (Array.mapi
+         (fun k r ->
+           let d = Array.make m 0.0 in
+           Array.iter
+             (fun r' ->
+               if Random.State.int rand 3 > 0 then
+                 d.(r') <- Random.State.float rand 2.0 -. 1.0)
+             bump_rows;
+           d.(r) <- Float.of_int (nb + 1) *. if k mod 2 = 0 then 1.0 else -1.0;
+           Array.iter
+             (fun r' ->
+               if Random.State.int rand 4 = 0 then
+                 d.(r') <- Random.State.float rand 2.0 -. 1.0)
+             unit_rows;
+           d)
+         bump_rows)
+  in
+  shuffle rand cols
+
+(* Solve z^T A = y for square dense A given by columns: Gaussian
+   elimination with partial pivoting on A^T. *)
+let dense_left_solve (cols : float array array) (y : float array) =
+  let m = Array.length y in
+  let a = Array.init m (fun p -> Array.copy cols.(p)) in
+  let b = Array.copy y in
+  for k = 0 to m - 1 do
+    let piv = ref k in
+    for i = k + 1 to m - 1 do
+      if Float.abs a.(i).(k) > Float.abs a.(!piv).(k) then piv := i
+    done;
+    let t = a.(k) in
+    a.(k) <- a.(!piv);
+    a.(!piv) <- t;
+    let t = b.(k) in
+    b.(k) <- b.(!piv);
+    b.(!piv) <- t;
+    for i = k + 1 to m - 1 do
+      let f = a.(i).(k) /. a.(k).(k) in
+      if f <> 0.0 then begin
+        for j = k to m - 1 do
+          a.(i).(j) <- a.(i).(j) -. (f *. a.(k).(j))
+        done;
+        b.(i) <- b.(i) -. (f *. b.(k))
+      end
+    done
+  done;
+  let z = Array.make m 0.0 in
+  for k = m - 1 downto 0 do
+    let s = ref b.(k) in
+    for j = k + 1 to m - 1 do
+      s := !s -. (a.(k).(j) *. z.(j))
+    done;
+    z.(k) <- !s /. a.(k).(k)
+  done;
+  z
+
+let close ~what expected got =
+  let scale =
+    Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 1.0 expected
+  in
+  Array.iteri
+    (fun i e ->
+      if Float.abs (e -. got.(i)) > 1e-9 *. scale then
+        Alcotest.failf "%s: entry %d is %.17g, expected %.17g" what i got.(i) e)
+    expected
+
+let test_factor_random_bases () =
+  for seed = 1 to 200 do
+    let rand = Random.State.make [| 9241; seed |] in
+    let dense = random_basis rand in
+    let m = Array.length dense in
+    let bas = Basis.create m in
+    match Basis.factor bas ~tol:1e-9 (Array.map Sparse.of_dense dense) with
+    | None -> Alcotest.failf "basis %d: nonsingular basis reported singular" seed
+    | Some slot ->
+        let seen = Array.make m false in
+        Array.iter (fun r -> seen.(r) <- true) slot;
+        Alcotest.(check bool)
+          (Printf.sprintf "basis %d: slots are a permutation" seed)
+          true
+          (Array.for_all Fun.id seen);
+        Array.iteri
+          (fun k col ->
+            let w = Array.copy col in
+            Basis.ftran bas w;
+            let unit = Array.make m 0.0 in
+            unit.(slot.(k)) <- 1.0;
+            close ~what:(Printf.sprintf "basis %d: ftran column %d" seed k) unit w)
+          dense;
+        (* btran: y B^-1 over the basis in slot order, i.e. z with
+           z . column k = y.(slot k) for every k *)
+        let y = Array.init m (fun _ -> Random.State.float rand 2.0 -. 1.0) in
+        let z = Array.copy y in
+        Basis.btran bas z;
+        let by_slot = Array.make m [||] in
+        Array.iteri (fun k col -> by_slot.(slot.(k)) <- col) dense;
+        close
+          ~what:(Printf.sprintf "basis %d: btran vs dense solve" seed)
+          (dense_left_solve by_slot y) z
+  done
+
+let test_factor_singular () =
+  let col entries =
+    let d = Array.make 4 0.0 in
+    List.iter (fun (i, x) -> d.(i) <- x) entries;
+    Sparse.of_dense d
+  in
+  let good =
+    [| col [ (0, 1.0) ]; col [ (0, 2.0); (1, 3.0) ]; col [ (2, -1.0) ];
+       col [ (1, 1.0); (3, 4.0) ] |]
+  in
+  let bas = Basis.create 4 in
+  (match Basis.factor bas ~tol:1e-9 good with
+  | Some _ -> ()
+  | None -> Alcotest.fail "nonsingular basis reported singular");
+  let etas = Basis.eta_count bas and fill = Basis.fill bas in
+  let probe () =
+    let w = [| 1.0; 2.0; 3.0; 4.0 |] in
+    Basis.ftran bas w;
+    w
+  in
+  let before = probe () in
+  List.iter
+    (fun (what, cols) ->
+      (match Basis.factor bas ~tol:1e-9 cols with
+      | None -> ()
+      | Some _ -> Alcotest.failf "%s: singular basis factored" what);
+      Alcotest.(check int) (what ^ ": eta file kept") etas (Basis.eta_count bas);
+      Alcotest.(check int) (what ^ ": fill kept") fill (Basis.fill bas);
+      Alcotest.(check bool)
+        (what ^ ": old factorization still applies, no NaN")
+        true
+        (probe () = before))
+    [
+      ("zero column", [| good.(0); good.(1); Sparse.empty; good.(3) |]);
+      (* the rest are structurally nonsingular: only the numbers say no *)
+      ("duplicated column", [| good.(0); good.(3); good.(2); good.(3) |]);
+      ( "dependent column",
+        [| good.(0); col [ (0, 3.0); (1, 1.0); (3, 4.0) ]; good.(2); good.(3) |] );
+      ( "dependent up to roundoff",
+        [| good.(0);
+           col [ (0, 0.1); (1, 0.7); (3, 0.7 *. 4.0) ];
+           good.(2); good.(3) |] );
+    ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   (* Every solver-level test runs once per engine; the [engine] ref is
@@ -326,4 +506,8 @@ let suite =
         t "builder: repeated terms summed" test_lp_repeated_terms;
         t "builder: dual sign for >= in min" test_lp_dual_sign_ge;
         t "builder: counts" test_lp_counts;
+        t "reinversion: random sparse bases, ftran/btran exact"
+          test_factor_random_bases;
+        t "reinversion: singular bases reported, file kept"
+          test_factor_singular;
       ] )

@@ -461,6 +461,114 @@ let test_oracle_seam () =
   Alcotest.(check int) "no oracle once the body raised" (seen + 1)
     (Atomic.get calls)
 
+(* --- the warm-attempt cap ------------------------------------------------ *)
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Qp_obs.counters ()))
+
+let with_counters f =
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Qp_obs.set_enabled false;
+      Qp_obs.reset ())
+    f
+
+(* max sum_j c_j x_j s.t. x_j <= 1 for 100 variables. Under c = 0 the
+   cold solve takes no pivot, so the next warm attempt is capped at the
+   floor, 64 pivots; under c = 1 it needs 100 (one per variable), so it
+   is abandoned at the cap and the member is re-solved cold. *)
+let test_warm_cap_falls_back () =
+  let n = 100 in
+  let rows =
+    Array.init n (fun i ->
+        let a = Array.make n 0.0 in
+        a.(i) <- 1.0;
+        (a, 1.0))
+  in
+  let was = Simplex.warm_starts () in
+  Simplex.set_warm_starts true;
+  Fun.protect ~finally:(fun () -> Simplex.set_warm_starts was) @@ fun () ->
+  with_counters @@ fun () ->
+  let fam = Simplex.prepare ~c:(Array.make n 0.0) ~rows () in
+  (match Simplex.resolve fam with
+  | Simplex.Optimal s -> checkf "c = 0 objective" 0.0 s.Simplex.objective
+  | o -> Alcotest.fail ("c = 0: expected optimal, got " ^ outcome_tag o));
+  Alcotest.(check int) "c = 0 is solved cold without pivots" 0
+    (counter "simplex.pivots");
+  Qp_obs.reset ();
+  let c = Array.make n 1.0 in
+  let warm = Simplex.resolve ~c fam in
+  let dense = Oracle.Dense.solve ~c ~rows () in
+  Alcotest.(check string) "same outcome as the dense oracle"
+    (outcome_tag dense) (outcome_tag warm);
+  (match (warm, dense) with
+  | Simplex.Optimal w, Simplex.Optimal d ->
+      checkf "objective = dense objective" d.Simplex.objective
+        w.Simplex.objective;
+      checkf "objective" 100.0 w.Simplex.objective
+  | _ -> Alcotest.fail "c = 1: expected optimal");
+  check_certificates ~label:"capped member" c rows warm;
+  Alcotest.(check int) "the warm attempt stopped at its cap" 64
+    (counter "simplex.warm_wasted_pivots");
+  Alcotest.(check int) "it counts as a miss" 1 (counter "simplex.warm_miss");
+  Alcotest.(check int) "simplex.pivots counts the cold re-solve" n
+    (counter "simplex.pivots");
+  (* the cold re-solve took 100 pivots, so the cap is now 200 and a
+     small objective change warm-starts *)
+  Qp_obs.reset ();
+  let c = Array.init n (fun j -> 1.0 +. (Float.of_int j /. 1000.0)) in
+  (match Simplex.resolve ~c fam with
+  | Simplex.Optimal _ -> ()
+  | o -> Alcotest.fail ("perturbed: expected optimal, got " ^ outcome_tag o));
+  Alcotest.(check int) "the next member warm-starts" 1
+    (counter "simplex.warm_hit");
+  Alcotest.(check int) "nothing wasted" 0 (counter "simplex.warm_wasted_pivots")
+
+(* The pricing sweeps chunk their families independently of the job
+   count, and the warm cap reads only its own family's history, so
+   prices, pivot counts and wasted pivots are the same at jobs 1 and
+   2. *)
+let test_sweeps_identical_across_jobs () =
+  let rand = Random.State.make [| 2 |] in
+  let n = 40 in
+  let specs =
+    Array.init 200 (fun i ->
+        let items =
+          Array.init (1 + Random.State.int rand 10) (fun _ ->
+              Random.State.int rand n)
+        in
+        (Printf.sprintf "e%d" i, items, Float.of_int (1 + Random.State.int rand 99)))
+  in
+  let h = Qp_core.Hypergraph.create ~n_items:n specs in
+  let run jobs =
+    with_counters @@ fun () ->
+    let cip =
+      Qp_core.Cip.solve
+        ~options:{ Qp_core.Cip.default_options with jobs = Some jobs }
+        h
+    in
+    let lpip =
+      Qp_core.Lpip.solve
+        ~options:
+          { Qp_core.Lpip.max_candidates = Some 24; max_pivots = 200_000;
+            jobs = Some jobs }
+        h
+    in
+    ( (cip, lpip),
+      (counter "simplex.pivots", counter "simplex.warm_wasted_pivots",
+       counter "simplex.warm_hit") )
+  in
+  let p1, c1 = run 1 and p2, c2 = run 2 in
+  Alcotest.(check bool) "bit-identical prices" true (p1 = p2);
+  let pivots, wasted, hits = c1 in
+  Alcotest.(check bool)
+    "the sweeps warm-started, and abandoned some warm attempts" true
+    (pivots > 0 && hits > 0 && wasted > 0);
+  Alcotest.(check (triple int int int))
+    "same pivots, wasted pivots and warm hits" (pivots, wasted, hits) c2
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "simplex-engines",
@@ -480,4 +588,7 @@ let suite =
       t "check mode over warm-started CIP sweeps" test_check_mode_warm_cip;
       t "oracle seam fires once per solve, uninstalls on raise"
         test_oracle_seam;
+      t "warm attempt past its cap falls back cold" test_warm_cap_falls_back;
+      t "sweeps identical at jobs 1 and 2 under the warm cap"
+        test_sweeps_identical_across_jobs;
     ] )
