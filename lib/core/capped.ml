@@ -32,28 +32,50 @@ let optimal ?(cap_candidates = 32) ?jobs h =
          The cap sweep is batched: for a fixed slope, an edge with base
          price w*s <= v_e + tol buys at every cap (paying min(w*s, cap))
          and any other edge buys exactly when cap <= v_e + tol (paying
-         cap). Sorting once per slope turns the per-cap fold over all
-         edges into two binary searches against prefix sums. *)
+         cap). With the base prices and the capped-only valuations each
+         in ascending order, the per-cap fold over all edges becomes two
+         binary searches against prefix sums.
+
+         Both orders come from sorting the edges once, before the
+         fan-out: by size and by valuation. Each slope filters them in
+         O(m). For w >= 0, fl(w*s) is monotone in s, so filtering the
+         size order yields the base prices already ascending, element
+         for element what a sort per slope would give. *)
+      let presorted cmp =
+        let a = Array.of_list sized in
+        Array.sort cmp a;
+        (Array.map (fun (s, _) -> Float.of_int s) a, Array.map snd a)
+      in
+      let size_s, size_v = presorted (fun (a, _) (b, _) -> Int.compare a b) in
+      let val_s, val_v =
+        presorted (fun (_, a) (_, b) -> Float.compare a b)
+      in
+      let n = Array.length size_s in
       let per_slope =
         Qp_util.Parallel.map ?jobs
           (fun w ->
-            let always = ref [] and capped_only = ref [] in
-            List.iter
-              (fun (s, v) ->
-                let p = w *. Float.of_int s in
-                if p <= v +. 1e-12 then always := p :: !always
-                else capped_only := v :: !capped_only)
-              sized;
-            let always = Array.of_list !always in
-            Array.sort Float.compare always;
-            let n_a = Array.length always in
+            let always = Array.make n 0.0 and n_a = ref 0 in
+            for i = 0 to n - 1 do
+              let p = w *. size_s.(i) in
+              if p <= size_v.(i) +. 1e-12 then begin
+                always.(!n_a) <- p;
+                incr n_a
+              end
+            done;
+            let n_a = !n_a in
             let prefix = Array.make (n_a + 1) 0.0 in
             for i = 0 to n_a - 1 do
               prefix.(i + 1) <- prefix.(i) +. always.(i)
             done;
-            let vals = Array.of_list !capped_only in
-            Array.sort Float.compare vals;
-            let n_b = Array.length vals in
+            let vals = Array.make n 0.0 and n_b = ref 0 in
+            for i = 0 to n - 1 do
+              let v = val_v.(i) in
+              if not (w *. val_s.(i) <= v +. 1e-12) then begin
+                vals.(!n_b) <- v;
+                incr n_b
+              end
+            done;
+            let n_b = !n_b in
             let revenue_of cap =
               (* first index with always.(i) > cap *)
               let lo = ref 0 and hi = ref n_a in

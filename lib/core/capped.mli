@@ -13,7 +13,12 @@
     The solver sweeps candidate slopes (the per-size value densities
     [v_e / |e|], as in UIP) against a quantile grid of caps; each pair
     is evaluated exactly. By construction its revenue is at least that
-    of the best pure uniform item pricing (cap = ∞ is in the grid). *)
+    of the best pure uniform item pricing (cap = ∞ is in the grid).
+
+    The edges are sorted once by size and once by valuation before the
+    sweep; each slope filters those two orders in O(m) and prices every
+    cap with two binary searches, so a sweep over S slopes and C caps
+    costs O(m log m + S (m + C log m)). *)
 
 val solve : ?cap_candidates:int -> ?jobs:int -> Hypergraph.t -> Pricing.t
 (** [cap_candidates] bounds the cap grid (default 32); [jobs] sizes the

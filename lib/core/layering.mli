@@ -2,7 +2,9 @@
     layers, each a {e minimal} set cover of the remaining items. Within
     a minimal cover every edge owns a unique item, so pricing each
     unique item at its edge's valuation extracts the layer's full value.
-    The best layer is a B-approximation in O(Bm) time.
+    The best layer is a B-approximation. There are at most B layers;
+    peeling one costs O(m_r * |cover| + sum |e|) integer work, for the
+    m_r edges still remaining and the |cover| greedy picks it takes.
 
     Edges with empty conflict sets can never own an item and are ignored
     (they sell at price 0 and contribute nothing). *)

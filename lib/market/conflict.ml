@@ -36,7 +36,7 @@ let build_row ?attempt ?engine db deltas index (q, valuation) =
   Qp_obs.with_span "conflict.query"
     ~args:(fun () -> [ ("query", Qp_obs.Str q.Query.name) ])
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Qp_util.Timing.now_ns () in
   let prep = Delta_eval.prepare ?engine db q in
   let items = conflict_set_prepared prep deltas in
   Qp_obs.annotate (fun () ->
@@ -46,7 +46,7 @@ let build_row ?attempt ?engine db deltas index (q, valuation) =
       ]);
   ( (q.Query.name, items, valuation),
     Delta_eval.strategy_name prep,
-    Unix.gettimeofday () -. t0 )
+    Qp_util.Timing.seconds_since t0 )
 
 let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
   Qp_obs.with_span "conflict.build"
@@ -56,7 +56,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
         ("support", Qp_obs.Int (Array.length deltas));
       ])
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
+  let t0 = Qp_util.Timing.now_ns () in
   let engine = Option.value engine ~default:Delta_eval.Columnar in
   let rows = Array.mapi (fun i r -> (i, r)) (Array.of_list valued_queries) in
   let total = Array.length rows in
@@ -129,12 +129,12 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
       jobs = pool.Qp_util.Parallel.jobs;
       query_seconds;
       worker_busy = pool.Qp_util.Parallel.busy;
-      elapsed = Unix.gettimeofday () -. t0;
+      elapsed = Qp_util.Timing.seconds_since t0;
     }
   in
   (* The stats record predates the tracing layer and remains the bench
      API; mirror its deterministic fields onto the span so traces are
-     self-contained (elapsed/busy stay wall-clock-only). *)
+     self-contained (the elapsed/busy timings stay off the span). *)
   Qp_obs.annotate (fun () ->
       ("fallback_queries", Qp_obs.Int stats.fallback_queries)
       :: List.map

@@ -33,11 +33,11 @@ type stats = {
           build ran on ("row" or "columnar") *)
   jobs : int;  (** worker-pool size actually used for the build *)
   query_seconds : float array;
-      (** per-query prepare+scan wall-clock seconds, in workload order *)
+      (** per-query prepare+scan seconds (monotonic clock), in workload order *)
   worker_busy : float array;
       (** seconds each pool worker spent computing conflict sets;
           worker 0 is the calling domain *)
-  elapsed : float;  (** wall-clock seconds for the whole computation *)
+  elapsed : float;  (** seconds (monotonic clock) for the whole computation *)
 }
 
 val conflict_set : Database.t -> Query.t -> Delta.t array -> int array

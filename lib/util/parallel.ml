@@ -49,9 +49,8 @@ let map_contained ?jobs f xs =
   in
   let results, stats =
     if jobs <= 1 || Domain.DLS.get in_worker then begin
-      let t0 = Unix.gettimeofday () in
-      let results = Array.mapi run xs in
-      (results, { jobs = 1; busy = [| Unix.gettimeofday () -. t0 |] })
+      let results, busy = Timing.time (fun () -> Array.mapi run xs) in
+      (results, { jobs = 1; busy = [| busy |] })
     end
     else begin
       let results = Array.make n (Error (Exit, Printexc.get_raw_backtrace ())) in
@@ -68,11 +67,11 @@ let map_contained ?jobs f xs =
           if start >= n then continue := false
           else begin
             let stop = min n (start + chunk) in
-            let t0 = Unix.gettimeofday () in
+            let t0 = Timing.now_ns () in
             for i = start to stop - 1 do
               results.(i) <- run i xs.(i)
             done;
-            busy.(w) <- busy.(w) +. (Unix.gettimeofday () -. t0)
+            busy.(w) <- busy.(w) +. Timing.seconds_since t0
           end
         done
       in

@@ -49,7 +49,7 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 type pool_stats = {
   jobs : int;  (** workers actually used (1 on the sequential path) *)
   busy : float array;
-      (** [busy.(w)] — wall-clock seconds worker [w] spent executing
+      (** [busy.(w)] — seconds (monotonic clock) worker [w] spent executing
           tasks; worker 0 is the calling domain. Length [jobs]. *)
 }
 

@@ -1,7 +1,11 @@
+let now_ns () = Monotonic_clock.now ()
+
+let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e9
+
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_ns () in
   let result = f () in
-  (result, Unix.gettimeofday () -. t0)
+  (result, seconds_since t0)
 
 let time_runs ?(warmup = 1) ~runs f =
   assert (runs > 0);

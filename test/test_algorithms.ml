@@ -94,6 +94,113 @@ let test_ubp_ignores_empty_edges () =
   Alcotest.(check (float 1e-9)) "pricing evaluates to it" 10.0
     (P.revenue (Ubp.solve h) h)
 
+(* The set-based Layering this library shipped before its integer-array
+   rewrite, kept verbatim as a test-only reference: every greedy pick
+   re-folds the remaining edges against an [Int_set], and
+   minimalization rebuilds the item set of the cover without each
+   chosen edge. [Layering.layers] must peel the same edges, in the same
+   order, layer by layer. *)
+module Reference_layering = struct
+  module Int_set = Set.Make (Int)
+
+  let items_of edges =
+    List.fold_left
+      (fun acc (e : H.edge) ->
+        Array.fold_left (fun acc j -> Int_set.add j acc) acc e.items)
+      Int_set.empty edges
+
+  let minimal_cover edges =
+    let universe = items_of edges in
+    let uncovered = ref universe in
+    let chosen = ref [] in
+    let remaining = ref edges in
+    while not (Int_set.is_empty !uncovered) do
+      let gain (e : H.edge) =
+        Array.fold_left
+          (fun acc j -> if Int_set.mem j !uncovered then acc + 1 else acc)
+          0 e.items
+      in
+      let best =
+        List.fold_left
+          (fun acc e ->
+            let g = gain e in
+            match acc with
+            | Some (bg, (be : H.edge)) ->
+                if g > bg || (g = bg && e.H.valuation > be.valuation) then
+                  Some (g, e)
+                else acc
+            | None -> Some (g, e))
+          None !remaining
+      in
+      match best with
+      | Some (g, e) when g > 0 ->
+          chosen := e :: !chosen;
+          remaining := List.filter (fun (e' : H.edge) -> e'.id <> e.id) !remaining;
+          uncovered :=
+            Array.fold_left (fun acc j -> Int_set.remove j acc) !uncovered e.items
+      | _ -> assert false
+    done;
+    let by_value_asc =
+      List.sort
+        (fun (a : H.edge) (b : H.edge) -> compare a.valuation b.valuation)
+        !chosen
+    in
+    let cover = ref !chosen in
+    List.iter
+      (fun (e : H.edge) ->
+        let without = List.filter (fun (e' : H.edge) -> e'.id <> e.id) !cover in
+        if Int_set.equal (items_of without) universe then cover := without)
+      by_value_asc;
+    !cover
+
+  let layers h =
+    let non_empty =
+      Array.to_list (H.edges h)
+      |> List.filter (fun (e : H.edge) -> Array.length e.items > 0)
+    in
+    let rec peel remaining acc =
+      match remaining with
+      | [] -> List.rev acc
+      | _ ->
+          let layer = minimal_cover remaining in
+          let layer_ids = Int_set.of_list (List.map (fun (e : H.edge) -> e.id) layer) in
+          let rest =
+            List.filter
+              (fun (e : H.edge) -> not (Int_set.mem e.id layer_ids))
+              remaining
+          in
+          peel rest (layer :: acc)
+    in
+    peel non_empty []
+end
+
+(* Random instances built to stress tie-breaks and degenerate edges:
+   valuations from {0, 0.1, 0.2, 0.3} (ties, zeros, and base prices
+   w*|e| that land within Capped's 1e-12 buying tolerance of a
+   valuation), repeated item sets, empty and single-item edges, and now
+   and then a larger instance deep enough for many layers. *)
+let tie_heavy_h rand =
+  let big = Random.State.int rand 5 = 0 in
+  let n = 1 + Random.State.int rand (if big then 40 else 10) in
+  let m = Random.State.int rand (if big then 80 else 16) in
+  let items = Array.make m [||] in
+  for i = 0 to m - 1 do
+    items.(i) <-
+      (match Random.State.int rand 6 with
+      | 0 when i > 0 -> items.(Random.State.int rand i)
+      | 1 -> [||]
+      | 2 -> [| Random.State.int rand n |]
+      | _ ->
+          Array.init
+            (1 + Random.State.int rand n)
+            (fun _ -> Random.State.int rand n))
+  done;
+  H.create ~n_items:n
+    (Array.mapi
+       (fun i it ->
+         (Printf.sprintf "e%d" i, it, 0.1 *. Float.of_int (Random.State.int rand 4)))
+       items)
+
 (* Layering structural guarantees. *)
 let test_layering_layers_structure () =
   let rand = Random.State.make [| 3 |] in
@@ -305,6 +412,42 @@ let test_registry () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
 
+let layer_ids layers = List.map (List.map (fun (e : H.edge) -> e.id)) layers
+
+let test_layering_matches_reference () =
+  let rand = Random.State.make [| 16 |] in
+  for _ = 1 to 300 do
+    let h = tie_heavy_h rand in
+    Alcotest.(check (list (list int))) "same layers, same order"
+      (layer_ids (Reference_layering.layers h))
+      (layer_ids (Layering.layers h))
+  done
+
+(* Algorithm 1 peels a cover of what is left: each layer must hold
+   every item of the edges still remaining at its turn. *)
+let test_layering_layers_cover () =
+  let rand = Random.State.make [| 3 |] in
+  for _ = 1 to 150 do
+    let h = random_h rand in
+    let items_of edges =
+      List.concat_map (fun (e : H.edge) -> Array.to_list e.items) edges
+      |> List.sort_uniq Int.compare
+    in
+    let rec check remaining = function
+      | [] -> Alcotest.(check int) "every edge peeled" 0 (List.length remaining)
+      | layer :: rest ->
+          Alcotest.(check (list int)) "layer covers the remaining items"
+            (items_of remaining) (items_of layer);
+          let ids = List.map (fun (e : H.edge) -> e.id) layer in
+          check
+            (List.filter (fun (e : H.edge) -> not (List.mem e.id ids)) remaining)
+            rest
+    in
+    check
+      (Array.to_list (H.edges h) |> List.filter (fun (e : H.edge) -> e.items <> [||]))
+      (Layering.layers h)
+  done
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "algorithms",
@@ -329,4 +472,7 @@ let suite =
       t "lemma 4 behavior" test_lemma4_behavior;
       t "lemma instance sizes" test_lemma_sizes;
       t "algorithm registry" test_registry;
+      t "layering: matches the set-based reference (300 random)"
+        test_layering_matches_reference;
+      t "layering: each layer covers the remaining items" test_layering_layers_cover;
     ] )
