@@ -3,7 +3,7 @@
 .PHONY: all build test chaos soak bench bench-full bench-json bench-conflict \
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-lp-oracle \
-        check-obs-labels \
+        check-clock check-obs-labels \
         check-snapshot-version check-rel-engines serve-smoke bench-gate \
         check examples clean
 
@@ -71,6 +71,15 @@ check-lp-oracle:
 	  echo "lp-oracle lint: qp_lp_oracle is test/bench-only"; exit 1; \
 	else echo "lp-oracle lint: lib/ and bin/ do not link qp_lp_oracle"; fi
 
+# One clock: every timer reads Qp_util.Timing (Qp_obs, below qp_util,
+# reads the same monotonic clock itself). No other file under lib/,
+# bin/ or bench/ may read gettimeofday or Monotonic_clock.
+check-clock:
+	@if grep -rnE 'gettimeofday|Monotonic_clock' lib bin bench \
+	    | grep -vE '^(lib/util/timing\.ml|lib/obs/qp_obs\.ml):'; then \
+	  echo "clock lint: time through Qp_util.Timing"; exit 1; \
+	else echo "clock lint: only Timing and Qp_obs read the clock"; fi
+
 # Every Qp_obs label must be a lowercase dotted name under a prefix
 # registered in scripts/check_obs_labels.ml (and documented in
 # docs/OBSERVABILITY.md) — keeps the trace/metrics taxonomy closed.
@@ -112,7 +121,7 @@ endif
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-clock check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

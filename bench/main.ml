@@ -28,6 +28,7 @@ module WI = Qp_experiments.Workload_instances
 module H = Qp_core.Hypergraph
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
+module Timing = Qp_util.Timing
 
 (* --- run metadata for BENCH_*.json ----------------------------------- *)
 
@@ -94,10 +95,8 @@ let run_experiments ctx entries =
       Format.fprintf fmt "@.==================================================@.";
       Format.fprintf fmt "== %s (%s)@." e.title e.id;
       Format.fprintf fmt "==================================================@.";
-      let t0 = Unix.gettimeofday () in
-      e.run fmt ctx;
-      Format.fprintf fmt "[%s completed in %.1fs]@." e.id
-        (Unix.gettimeofday () -. t0))
+      let (), seconds = Timing.time (fun () -> e.run fmt ctx) in
+      Format.fprintf fmt "[%s completed in %.1fs]@." e.id seconds)
     entries
 
 (* --- bechamel micro-benchmarks -------------------------------------- *)
@@ -275,10 +274,17 @@ let conflict_bench ~meta ctx =
 
 (* --- parallel-layer benchmark --------------------------------------- *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
-  Unix.gettimeofday () -. t0
+(* Each side is timed in [parallel_pairs] interleaved pairs, alternating
+   which side runs first, so a host whose speed drifts during the bench
+   moves both sides alike; the speedup is the ratio of the medians, and
+   min/max show how far one sample strays. *)
+let parallel_pairs = 5
+
+let median_min_max samples =
+  let a = Array.of_list samples in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  (a.(n / 2), a.(0), a.(n - 1))
 
 let parallel_bench ~meta ctx =
   let module Runner = Qp_experiments.Runner in
@@ -319,24 +325,35 @@ let parallel_bench ~meta ctx =
   let results =
     List.map
       (fun (name, f) ->
-        let t1 = time (f 1) in
-        let tn = time (f jobs_n) in
-        Printf.printf "  %-12s jobs=1 %8.3fs   jobs=%d %8.3fs   speedup %.2fx\n%!"
+        let s1 = ref [] and sn = ref [] in
+        let side jobs acc = acc := snd (Timing.time (f jobs)) :: !acc in
+        for pair = 0 to parallel_pairs - 1 do
+          if pair mod 2 = 0 then (side 1 s1; side jobs_n sn)
+          else (side jobs_n sn; side 1 s1)
+        done;
+        let ((t1, _, _) as one) = median_min_max !s1
+        and ((tn, _, _) as many) = median_min_max !sn in
+        Printf.printf
+          "  %-12s jobs=1 %8.3fs   jobs=%d %8.3fs   speedup %.2fx (medians of %d)\n%!"
           name t1 jobs_n tn
-          (t1 /. Float.max 1e-9 tn);
-        (name, t1, tn))
+          (t1 /. Float.max 1e-9 tn)
+          parallel_pairs;
+        (name, one, many))
       [ ("lpip", lpip); ("cip", cip); ("capped", capped); ("runner-cell", cell) ]
   in
   let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"jobs\": %d,\n  \"algorithms\": [" (meta ())
-    jobs_n;
+  Printf.fprintf oc
+    "{\n  %s,\n  \"jobs\": %d,\n  \"pairs\": %d,\n  \"algorithms\": ["
+    (meta ()) jobs_n parallel_pairs;
   List.iteri
-    (fun i (name, t1, tn) ->
+    (fun i (name, (t1, min1, max1), (tn, minn, maxn)) ->
       Printf.fprintf oc
         "%s\n    { \"name\": %S, \"seconds_jobs_1\": %.6f, \
-         \"seconds_jobs_n\": %.6f, \"speedup\": %.3f }"
+         \"min_jobs_1\": %.6f, \"max_jobs_1\": %.6f, \
+         \"seconds_jobs_n\": %.6f, \"min_jobs_n\": %.6f, \
+         \"max_jobs_n\": %.6f, \"speedup\": %.3f }"
         (if i = 0 then "" else ",")
-        name t1 tn
+        name t1 min1 max1 tn minn maxn
         (t1 /. Float.max 1e-9 tn))
     results;
   Printf.fprintf oc "\n  ]\n}\n";
@@ -395,12 +412,15 @@ let simplex_bench ~meta () =
         let reps = max 1 (20_000_000 / (n * n * n)) in
         let run solve =
           ignore (Sys.opaque_identity (solve ()));
-          let t0 = Unix.gettimeofday () in
-          let outcome = ref Simplex.Unbounded in
-          for _ = 1 to reps do
-            outcome := solve ()
-          done;
-          ((Unix.gettimeofday () -. t0) /. Float.of_int reps, !outcome)
+          let outcome, seconds =
+            Timing.time (fun () ->
+                let outcome = ref Simplex.Unbounded in
+                for _ = 1 to reps do
+                  outcome := solve ()
+                done;
+                !outcome)
+          in
+          (seconds /. Float.of_int reps, outcome)
         in
         let td, dense = run (Qp_lp_oracle.Dense.solve ~c ~rows) in
         let tr, revised = run (Simplex.solve ~c ~rows) in
@@ -512,11 +532,11 @@ let warmstart_bench ~meta ctx =
         let measure (name, f) =
           Simplex.set_warm_starts false;
           Qp_obs.reset ();
-          let tc = time f in
+          let tc = snd (Timing.time f) in
           let pc = counter "simplex.pivots" in
           Simplex.set_warm_starts true;
           Qp_obs.reset ();
-          let tw = time f in
+          let tw = snd (Timing.time f) in
           let pw = counter "simplex.pivots" in
           let hits = counter "simplex.warm_hit" in
           let misses = counter "simplex.warm_miss" in
@@ -578,12 +598,12 @@ let serve_bench ~meta ctx =
   print_endline "== serving throughput: qpricing serve under load";
   print_endline "==================================================";
   let inst = Context.instance ctx "skewed" in
-  let t0 = Unix.gettimeofday () in
-  let broker =
-    SB.of_instance ~profile:(Context.profile ctx) ~model:(V.Uniform_val 100.0)
-      ~pricing:"lpip" ~seed:(Context.seed ctx) inst
+  let broker, precompute =
+    Timing.time (fun () ->
+        SB.of_instance ~profile:(Context.profile ctx)
+          ~model:(V.Uniform_val 100.0) ~pricing:"lpip" ~seed:(Context.seed ctx)
+          inst)
   in
-  let precompute = Unix.gettimeofday () -. t0 in
   let n = SB.queries broker in
   Printf.printf "  broker up: %d queries, %d items, precompute %.2fs\n%!" n
     (SB.items broker) precompute;
@@ -600,24 +620,26 @@ let serve_bench ~meta ctx =
       support = None; seed = Context.seed ctx; model = V.Uniform_val 100.0;
       pricing = "lpip"; profile = Context.profile ctx }
   in
-  let t0 = Unix.gettimeofday () in
-  (match SB.save_snapshot ~file:snap_file ~config:snap_config broker with
+  let saved, save_s =
+    Timing.time (fun () ->
+        SB.save_snapshot ~file:snap_file ~config:snap_config broker)
+  in
+  (match saved with
   | Ok () -> ()
   | Error msg ->
       Printf.eprintf "BUG: snapshot save failed: %s\n" msg;
       exit 1);
-  let snapshot_save_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let snapshot_save_ms = save_s *. 1000.0 in
   let snapshot_bytes = (Unix.stat snap_file).Unix.st_size in
-  let t0 = Unix.gettimeofday () in
-  let recovered =
-    match SB.load_snapshot ~file:snap_file snap_config with
-    | Ok b -> b
-    | Error err ->
+  let recovered, recovery_s =
+    match Timing.time (fun () -> SB.load_snapshot ~file:snap_file snap_config) with
+    | Ok b, dt -> (b, dt)
+    | Error err, _ ->
         Printf.eprintf "BUG: snapshot load failed: %s\n"
           (Qp_serve.Snapshot.describe_load_error err);
         exit 1
   in
-  let recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let recovery_ms = recovery_s *. 1000.0 in
   let recovery_identity_mismatches =
     let bad = ref 0 in
     for idx = 0 to n - 1 do
@@ -693,8 +715,8 @@ let serve_bench ~meta ctx =
      showed 4 clients "beating" 1). *)
   let runs_per_level = 3 in
   let run_pass clients =
-    let t0 = Unix.gettimeofday () in
-    let per_client =
+    let per_client, seconds =
+      Timing.time @@ fun () ->
       Qp_util.Parallel.map ~jobs:clients
         (fun c ->
           let conn = SS.connect listen in
@@ -702,17 +724,16 @@ let serve_bench ~meta ctx =
           let lats = ref [] and errors = ref 0 and quotes = ref 0 in
           let idx = ref c in
           while !idx < n do
-            let q0 = Unix.gettimeofday () in
+            let q0 = Timing.now_ns () in
             (match quote conn !idx with
             | Some _ -> incr quotes
             | None -> incr errors);
-            lats := (Unix.gettimeofday () -. q0) *. 1000.0 :: !lats;
+            lats := Timing.seconds_since q0 *. 1000.0 :: !lats;
             idx := !idx + clients
           done;
           (!lats, !quotes, !errors))
         (Array.init clients (fun c -> c))
     in
-    let seconds = Unix.gettimeofday () -. t0 in
     let lats =
       Array.of_list
         (Array.to_list per_client |> List.concat_map (fun (l, _, _) -> l))
@@ -902,7 +923,7 @@ let () =
   | Some _ ->
       Qp_obs.set_enabled true;
       Qp_obs.reset ());
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timing.now_ns () in
   Fun.protect
     ~finally:(fun () ->
       match trace with
@@ -919,4 +940,4 @@ let () =
       if warmstart then warmstart_bench ~meta ctx;
       if serve then serve_bench ~meta ctx;
       if micro || ids = [] then microbenchmarks ctx);
-  Printf.printf "\nTotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nTotal bench time: %.1fs\n" (Timing.seconds_since t0)

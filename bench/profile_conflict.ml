@@ -8,10 +8,7 @@
 module WI = Qp_experiments.Workload_instances
 module DE = Qp_relational.Delta_eval
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let time = Qp_util.Timing.time
 
 let () =
   let key = if Array.length Sys.argv > 1 then Sys.argv.(1) else "ssb" in
@@ -60,9 +57,7 @@ let () =
                 let tf, tt, cnt, th =
                   table_stats (Qp_relational.Delta.relation d)
                 in
-                let t0 = Unix.gettimeofday () in
-                let r = DE.differs prep d in
-                let dt = Unix.gettimeofday () -. t0 in
+                let r, dt = time (fun () -> DE.differs prep d) in
                 incr cnt;
                 if r then begin
                   tt := !tt +. dt;

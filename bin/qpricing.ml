@@ -106,6 +106,8 @@ let with_trace file f =
             (Qp_obs.span_count ()) path)
         f
 
+let default_model = V.Uniform_val 100.0
+
 let model_arg =
   let parse s =
     match String.split_on_char ':' (String.lowercase_ascii s) with
@@ -125,7 +127,7 @@ let model_arg =
     | exception _ -> Error (`Msg "bad numeric parameter in MODEL")
   in
   let print fmt m = Format.pp_print_string fmt (V.describe m) in
-  Arg.(value & opt (conv (parse, print)) (V.Uniform_val 100.0)
+  Arg.(value & opt (conv (parse, print)) default_model
        & info [ "model" ] ~docv:"MODEL" ~doc:"Valuation model (see qpricing list).")
 
 let build_instance workload scale support seed =
@@ -209,9 +211,7 @@ let price_cmd =
       (V.describe model) total;
     List.iter
       (fun (spec : Qp_core.Algorithms.spec) ->
-        let t0 = Unix.gettimeofday () in
-        let pricing = spec.solve h in
-        let dt = Unix.gettimeofday () -. t0 in
+        let pricing, dt = Qp_util.Timing.time (fun () -> spec.solve h) in
         let revenue = P.revenue pricing h in
         let sold = List.length (P.sold_edges pricing h) in
         Printf.printf
@@ -237,13 +237,14 @@ let run_cmd =
     set_injections inject;
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
-    let t0 = Unix.gettimeofday () in
-    match Runner.run_cell_result ~profile ~seed model inst with
-    | Error f ->
+    match
+      Qp_util.Timing.time (fun () ->
+          Runner.run_cell_result ~profile ~seed model inst)
+    with
+    | Error f, _ ->
         Printf.eprintf "%s\n" (Runner.pp_cell_failure f);
         exit 1
-    | Ok cell ->
-        let dt = Unix.gettimeofday () -. t0 in
+    | Ok cell, dt ->
         Printf.printf "%s under %s (%d run%s, %.1fs):\n" cell.Runner.instance
           cell.Runner.model
           (Runner.runs profile)
@@ -338,52 +339,27 @@ let quote_cmd =
          & info [] ~docv:"SQL" ~doc:"Query to price (the workload dialect).")
   in
   let run workload seed sql =
-    let rng = Rng.create seed in
-    let db =
-      match workload with
-      | "skewed" | "uniform" ->
-          Qp_workloads.World.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.World.tiny_config ()
-      | "tpch" ->
-          Qp_workloads.Tpch.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.Tpch.tiny_config ()
-      | "ssb" ->
-          Qp_workloads.Ssb.generate ~rng:(Rng.split rng "db")
-            ~config:Qp_workloads.Ssb.tiny_config ()
-      | _ -> assert false
+    Printf.printf "loading %s (tiny) and precomputing lpip pricing...\n%!"
+      workload;
+    let broker =
+      Qp_serve.Broker.create ~scale:WI.Tiny ~workload ~model:default_model
+        ~pricing:"lpip" ~seed ()
     in
-    match Qp_relational.Sql.parse ~db sql with
+    match Qp_serve.Broker.quote_sql broker sql with
     | Error msg ->
         Printf.eprintf "parse error: %s\n" msg;
         exit 2
-    | Ok query ->
-        Printf.printf "parsed: %s\n" (Qp_relational.Query.to_sql query);
-        let broker = Broker.create ~seed ~support_size:200 db in
-        let buyers =
-          match workload with
-          | "skewed" | "uniform" -> Qp_workloads.World_queries.base_templates db
-          | "tpch" ->
-              List.filteri (fun i _ -> i mod 5 = 0) (Qp_workloads.Tpch_queries.workload ())
-          | _ ->
-              List.filteri (fun i _ -> i mod 20 = 0) (Qp_workloads.Ssb_queries.workload ())
-        in
-        List.iteri
-          (fun i q -> Broker.add_buyer broker ~valuation:(10.0 +. Float.of_int i) q)
-          buyers;
-        Printf.printf "building the market (%d registered buyers)...\n%!"
-          (List.length buyers);
-        Broker.build broker;
-        let _ = Broker.price broker ~algorithm:"lpip" in
-        let price = Broker.quote broker query in
-        let answer = Qp_relational.Eval.run db query in
-        Printf.printf "quote: %.2f (answer has %d rows)\n" price
-          (Qp_relational.Result_set.row_count answer)
+    | Ok q ->
+        print_endline
+          (Qp_serve.Protocol.print_response (Qp_serve.Protocol.Quote_reply q))
   in
   Cmd.v
     (Cmd.info "quote"
        ~doc:
-         "Parse a SQL query, build a broker over the named workload's tiny \
-           dataset, and quote the query's arbitrage-free price.")
+         "Quote a SQL query's arbitrage-free price against the broker \
+          $(b,serve) would stand up for the named workload at tiny scale \
+          (lpip pricing, default model, same seed); prints the reply a \
+          served QUOTE returns.")
     Term.(const run $ workload_arg $ seed_arg $ sql_arg)
 
 (* --- serve: the persistent pricing broker ---------------------------- *)
@@ -539,13 +515,12 @@ let serve_cmd =
       match snapshot with
       | None -> build_fresh ()
       | Some file -> (
-          let t0 = Unix.gettimeofday () in
-          match SB.load_snapshot ~file config with
-          | Ok b ->
+          match Qp_util.Timing.time (fun () -> SB.load_snapshot ~file config) with
+          | Ok b, dt ->
               Printf.printf "restored from snapshot %s in %.1f ms\n%!" file
-                ((Unix.gettimeofday () -. t0) *. 1000.0);
+                (dt *. 1000.0);
               b
-          | Error err ->
+          | Error err, _ ->
               Printf.printf "snapshot %s refused: %s; recomputing\n%!" file
                 (Qp_serve.Snapshot.describe_load_error err);
               let b = build_fresh () in

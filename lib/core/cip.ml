@@ -138,15 +138,13 @@ let solve_report ?(options = default_options) h =
         ("max_degree", Qp_obs.Int (Hypergraph.max_degree h));
       ])
   @@ fun () ->
-  (* Monotonic, in integer ns: a wall-clock step must neither skip
-     capacities nor extend the budget. *)
-  let started = Monotonic_clock.now () in
+  (* Monotonic: a wall-clock step must neither skip capacities nor
+     extend the budget. *)
+  let started = Qp_util.Timing.now_ns () in
   let in_budget () =
     match options.time_budget with
     | None -> true
-    | Some budget ->
-        Int64.sub (Monotonic_clock.now ()) started
-        < Int64.of_float (budget *. 1e9)
+    | Some budget -> Qp_util.Timing.seconds_since started < budget
   in
   ignore (Hypergraph.classes h);
   (* One welfare LP per capacity, solved by the worker pool. Workers

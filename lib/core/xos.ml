@@ -32,28 +32,33 @@ type report = {
   degraded : Degrade.marker option;
 }
 
-let report_of_components ~lpip ~cip h =
-  (* A degraded CIP hands back a uniform-bundle pricing, which is not
-     additive and cannot join an XOS max — combine over whatever is
-     still additive, and only fall back to UIP when nothing is. *)
-  match combine_safe [ lpip.Lpip.pricing; cip.Cip.pricing ] with
-  | Some (pricing, 0) -> { pricing; lpip; cip; degraded = None }
+(* A degraded CIP hands back a uniform-bundle pricing, which is not
+   additive and cannot join an XOS max — combine over whatever is still
+   additive, and only fall back to UIP when nothing is. *)
+let synthesize ~lpip ~cip h =
+  match combine_safe [ lpip; cip ] with
+  | Some (pricing, 0) -> (pricing, None)
   | Some (pricing, dropped) ->
-      let degraded =
-        Degrade.record
-          (Degrade.make ~algorithm:"xos" ~fallback:"additive-subset"
-             ~reason:
-               (Printf.sprintf "%d non-additive degraded component(s) dropped"
-                  dropped))
-      in
-      { pricing; lpip; cip; degraded = Some degraded }
+      ( pricing,
+        Some
+          (Degrade.record
+             (Degrade.make ~algorithm:"xos" ~fallback:"additive-subset"
+                ~reason:
+                  (Printf.sprintf "%d non-additive degraded component(s) dropped"
+                     dropped))) )
   | None ->
-      let degraded =
+      let marker =
         Degrade.record
           (Degrade.make ~algorithm:"xos" ~fallback:"uip"
              ~reason:"no additive component survived")
       in
-      { pricing = Uip.solve h; lpip; cip; degraded = Some degraded }
+      (Uip.solve h, Some marker)
+
+let report_of_components ~lpip ~cip h =
+  let pricing, degraded =
+    synthesize ~lpip:lpip.Lpip.pricing ~cip:cip.Cip.pricing h
+  in
+  { pricing; lpip; cip; degraded }
 
 let solve_report ?lpip_options ?cip_options h =
   Qp_obs.with_span "xos.solve" @@ fun () ->

@@ -26,6 +26,15 @@ type report = {
 }
 (** The XOS combination with both components' health attached. *)
 
+val synthesize :
+  lpip:Pricing.t -> cip:Pricing.t -> Hypergraph.t ->
+  Pricing.t * Degrade.marker option
+(** [synthesize ~lpip ~cip h] is the XOS max over the two component
+    pricings, with the degradation policy of {!solve_report}: a
+    non-additive component is dropped ([fallback = "additive-subset"]),
+    and when neither is additive the result is {!Uip.solve} [h]
+    ([fallback = "uip"]). Each marker is also {!Degrade.record}ed. *)
+
 val report_of_components :
   lpip:Lpip.report -> cip:Cip.report -> Hypergraph.t -> report
 (** Combine already-computed component reports — for callers (the

@@ -3,6 +3,7 @@ module WI = Workload_instances
 module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module Rng = Qp_util.Rng
+module Timing = Qp_util.Timing
 
 let valued ctx ?(model = V.Uniform_val 100.0) key =
   let inst = Context.instance ctx key in
@@ -71,17 +72,17 @@ let run_cip_epsilon fmt ctx =
   let total = Float.max 1e-9 (H.sum_valuations h) in
   List.iter
     (fun epsilon ->
-      let t0 = Unix.gettimeofday () in
-      let pricing, lps =
-        Qp_core.Cip.solve_with_trace
-          ~options:{ Qp_core.Cip.epsilon; max_pivots = 200_000;
-                     time_budget = Some 120.0; jobs = None }
-          h
+      let (pricing, lps), seconds =
+        Timing.time (fun () ->
+            Qp_core.Cip.solve_with_trace
+              ~options:{ Qp_core.Cip.epsilon; max_pivots = 200_000;
+                         time_budget = Some 120.0; jobs = None }
+              h)
       in
       Format.fprintf fmt "  ε=%-5g  LPs=%-3d  revenue=%.3f  time=%.2fs@." epsilon
         lps
         (P.revenue pricing h /. total)
-        (Unix.gettimeofday () -. t0))
+        seconds)
     [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
 let run_lpip_candidates fmt ctx =
@@ -90,18 +91,18 @@ let run_lpip_candidates fmt ctx =
   let total = Float.max 1e-9 (H.sum_valuations h) in
   List.iter
     (fun cap ->
-      let t0 = Unix.gettimeofday () in
-      let pricing, lps =
-        Qp_core.Lpip.solve_with_trace
-          ~options:{ Qp_core.Lpip.max_candidates = cap; max_pivots = 200_000;
-                     jobs = None }
-          h
+      let (pricing, lps), seconds =
+        Timing.time (fun () ->
+            Qp_core.Lpip.solve_with_trace
+              ~options:{ Qp_core.Lpip.max_candidates = cap; max_pivots = 200_000;
+                         jobs = None }
+              h)
       in
       Format.fprintf fmt "  cap=%-6s LPs=%-4d revenue=%.3f  time=%.2fs@."
         (match cap with None -> "all" | Some c -> string_of_int c)
         lps
         (P.revenue pricing h /. total)
-        (Unix.gettimeofday () -. t0))
+        seconds)
     [ Some 4; Some 12; Some 48 ]
 
 let run_collapse fmt ctx =
@@ -118,12 +119,11 @@ let run_collapse fmt ctx =
       let top = List.filteri (fun i _ -> 4 * i < List.length edges) edges in
       let ids = List.map (fun (e : H.edge) -> e.id) top in
       let time collapse =
-        let t0 = Unix.gettimeofday () in
-        let w = Qp_core.Class_lp.solve_must_sell ~collapse h ~edge_ids:ids in
-        (Unix.gettimeofday () -. t0, w)
+        Timing.time (fun () ->
+            Qp_core.Class_lp.solve_must_sell ~collapse h ~edge_ids:ids)
       in
-      let t_on, w_on = time true in
-      let t_off, w_off = time false in
+      let w_on, t_on = time true in
+      let w_off, t_off = time false in
       let revenue = function
         | Ok w -> P.revenue (P.Item w) h
         | Error _ -> nan

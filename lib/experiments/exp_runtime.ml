@@ -16,9 +16,7 @@ let timed_algorithms ctx inst =
   in
   List.map
     (fun (spec : Qp_core.Algorithms.spec) ->
-      let t0 = Unix.gettimeofday () in
-      ignore (spec.solve h);
-      (spec.label, Unix.gettimeofday () -. t0))
+      (spec.label, snd (Qp_util.Timing.time (fun () -> spec.solve h))))
     specs
 
 let algorithm_labels ctx =

@@ -60,46 +60,25 @@ type cell_failure = {
   error : string;
 }
 
-(* XOS-LPIP+CIP combines the two vectors the run just computed, so it
-   is synthesized from them rather than re-solved (the paper's §6.4
-   makes the same observation when timing it). [combine_safe] because a
-   degraded CIP hands back a non-additive UBP fallback that must be
-   dropped from the max, not crash the run. *)
-let synthesize_xos ~lpip ~cip h =
-  match Qp_core.Xos.combine_safe [ lpip; cip ] with
-  | Some (p, 0) -> (p, None)
-  | Some (p, dropped) ->
-      ( p,
-        Some
-          (Qp_core.Degrade.record
-             (Qp_core.Degrade.make ~algorithm:"xos" ~fallback:"additive-subset"
-                ~reason:
-                  (Printf.sprintf "%d non-additive degraded component(s) dropped"
-                     dropped))) )
-  | None ->
-      ( Qp_core.Uip.solve h,
-        Some
-          (Qp_core.Degrade.record
-             (Qp_core.Degrade.make ~algorithm:"xos" ~fallback:"uip"
-                ~reason:"no additive component survived")) )
-
 let run_once ~specs h =
   let solved = Hashtbl.create 8 in
   List.map
     (fun (spec : Algorithms.spec) ->
       Qp_obs.with_span ("algo." ^ spec.key) @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let pricing, degraded =
-        match
-          ( spec.key,
-            Hashtbl.find_opt solved "lpip",
-            Hashtbl.find_opt solved "cip" )
-        with
-        | "xos", Some lpip, Some cip -> synthesize_xos ~lpip ~cip h
-        | _ -> spec.solve_report h
+      (* XOS-LPIP+CIP combines the two vectors the run just computed,
+         so it is synthesized from them rather than re-solved (the
+         paper's §6.4 makes the same observation when timing it). *)
+      let (pricing, degraded), seconds =
+        Qp_util.Timing.time (fun () ->
+            match
+              ( spec.key,
+                Hashtbl.find_opt solved "lpip",
+                Hashtbl.find_opt solved "cip" )
+            with
+            | "xos", Some lpip, Some cip -> Qp_core.Xos.synthesize ~lpip ~cip h
+            | _ -> spec.solve_report h)
       in
       Hashtbl.replace solved spec.key pricing;
-      let seconds = Unix.gettimeofday () -. t0 in
       let revenue = Pricing.revenue pricing h in
       Qp_obs.annotate (fun () -> [ ("revenue", Qp_obs.Float revenue) ]);
       (spec.label, revenue, seconds, degraded))

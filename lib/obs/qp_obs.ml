@@ -16,9 +16,9 @@ type arg =
   | Bool of bool
 
 type ev =
-  | Span_begin of { label : string; args : (string * arg) list; ts : float }
-  | Span_end of { ts : float; args : (string * arg) list }
-  | Instant of { label : string; args : (string * arg) list; ts : float }
+  | Span_begin of { label : string; args : (string * arg) list; ts : int }
+  | Span_end of { ts : int; args : (string * arg) list }
+  | Instant of { label : string; args : (string * arg) list; ts : int }
 
 type buf = { mutable events : ev list (* newest first *) }
 
@@ -34,10 +34,13 @@ type dstate = {
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 
-(* Trace epoch: timestamps are seconds since [set_enabled true] /
-   [reset], exported as microseconds. *)
-let epoch = ref 0.0
-let now () = Unix.gettimeofday () -. !epoch
+(* The monotonic clock Qp_util.Timing reads (this library sits below
+   qp_util, so it reads it directly). Trace timestamps are integer
+   nanoseconds since [set_enabled true] / [reset], exported as
+   microseconds; span durations are their exact difference. *)
+let clock_ns () = Int64.to_int (Monotonic_clock.now ())
+let epoch = ref 0
+let now () = clock_ns () - !epoch
 
 let dls : dstate Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { cur = { events = [] }; pending = [] })
@@ -197,7 +200,7 @@ let hist_observe label ~ns ~gc_minor ~gc_major =
   Mutex.unlock metrics_mu
 
 let set_enabled on =
-  if on && not (enabled ()) then epoch := Unix.gettimeofday ();
+  if on && not (enabled ()) then epoch := clock_ns ();
   Atomic.set enabled_flag on
 
 let reset () =
@@ -209,10 +212,10 @@ let reset () =
   Hashtbl.reset gauges_tbl;
   Hashtbl.reset hist_tbl;
   Mutex.unlock metrics_mu;
-  epoch := Unix.gettimeofday ()
+  epoch := clock_ns ()
 
 (* Duration and GC-delta recording live outside the trace buffer on
-   purpose: wall time and promoted-word counts are timing-dependent, so
+   purpose: elapsed time and promoted-word counts are timing-dependent, so
    attaching them as span args would break the bit-identical
    [structure] contract. Aggregated into per-label histograms they only
    affect [histograms ()], whose integer counts stay deterministic. *)
@@ -236,7 +239,7 @@ let with_span ?args label f =
         let t1 = now () in
         st.cur.events <- Span_end { ts = t1; args = !endargs } :: st.cur.events;
         hist_observe label
-          ~ns:(int_of_float ((t1 -. t0) *. 1e9))
+          ~ns:(t1 - t0)
           ~gc_minor:(int_of_float (minor1 -. minor0))
           ~gc_major:(int_of_float (major1 -. major0)))
       f
@@ -412,15 +415,16 @@ let to_chrome_lines () =
   let push l = lines := l :: !lines in
   push
     "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"qpricing\"}}";
-  (* Spliced worker events carry wall-clock stamps that can run behind
-     the caller's; clamping to a monotone sequence keeps the merged
-     timeline well-formed for chrome://tracing without changing the
-     (deterministic) structure. *)
-  let last = ref 0.0 in
+  (* Worker events are spliced in task order, not time order, so a
+     later task's stamps can run behind an earlier one's; clamping to a
+     monotone sequence keeps the merged timeline well-formed for
+     chrome://tracing without changing the (deterministic) structure. *)
+  let last = ref 0 in
+  let us ns = Float.of_int ns /. 1e3 in
   let mono ts =
-    let ts = Float.max ts !last in
+    let ts = max ts !last in
     last := ts;
-    ts *. 1e6
+    us ts
   in
   List.iter
     (fun ev ->
@@ -441,7 +445,7 @@ let to_chrome_lines () =
                "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"args\":%s}"
                (mono ts) (json_escape label) (args_json args)))
     (events_chronological ());
-  let final = !last *. 1e6 in
+  let final = us !last in
   List.iter
     (fun (k, v) ->
       push

@@ -40,7 +40,8 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Turn tracing on or off. Turning it on stamps the trace epoch —
-    subsequent timestamps are relative to this moment. *)
+    subsequent timestamps are monotonic-clock nanoseconds relative to
+    this moment. *)
 
 val reset : unit -> unit
 (** Drop all recorded events, counters and gauges, and re-stamp the
@@ -72,8 +73,10 @@ val gauge_max : string -> float -> unit
 (** {2 Histograms}
 
     Fixed log2-bucketed duration histograms. Every span records its
-    wall-clock duration and per-span GC deltas (minor/major words, via
-    [Gc.quick_stat]) into the histogram of its label automatically —
+    duration — exactly its end minus begin trace timestamp, in
+    monotonic-clock nanoseconds — and per-span GC deltas (minor/major
+    words, via [Gc.counters]) into the histogram of its label
+    automatically —
     but only while tracing is enabled; the disabled path is still a
     single atomic load. All histogram state is integer (counts,
     nanosecond sums, extrema), so accumulation is commutative and the
@@ -146,7 +149,7 @@ val histograms : unit -> (string * Hist.snapshot) list
 (** Snapshot of every per-label histogram, sorted by label. Labels
     appear once their first span closes (or first {!observe_ns}).
     Counts and GC sums are deterministic at any [QP_JOBS]; durations
-    are wall-clock and vary between runs. *)
+    are measured time and vary between runs. *)
 
 (** {2 Parallel-section plumbing}
 

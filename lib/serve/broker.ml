@@ -12,6 +12,7 @@ module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module V = Qp_workloads.Valuations
 module Rng = Qp_util.Rng
+module Timing = Qp_util.Timing
 
 type t = {
   workload : string;
@@ -85,7 +86,7 @@ let make ~workload ~seed ~pricing_key ~instance ~hypergraph ~pricing =
     lifecycle = Protocol.Serving;
     request_hist = Qp_obs.Hist.create ();
     quote_hist = Qp_obs.Hist.create ();
-    started_ns = Monotonic_clock.now ();
+    started_ns = Timing.now_ns ();
   }
 
 let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
@@ -319,9 +320,7 @@ let metrics_text t =
         {
           name = "qp_serve_uptime_seconds";
           help = "Seconds since the broker finished precompute";
-          value =
-            Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.started_ns)
-            /. 1e9;
+          value = Timing.seconds_since t.started_ns;
         };
       Metrics.Histogram
         {
@@ -507,9 +506,9 @@ let dispatch ~overloaded t line =
    *during* a request (i.e. its own) never shows count and histogram
    out of step. *)
 let handle ?(overloaded = false) t line =
-  let t0 = Monotonic_clock.now () in
+  let t0 = Timing.now_ns () in
   let resp = dispatch ~overloaded t line in
-  let dt_ns = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+  let dt_ns = Int64.to_int (Int64.sub (Timing.now_ns ()) t0) in
   Qp_obs.Hist.record t.request_hist dt_ns;
   (match resp with
   | Protocol.Quote_reply _ -> Qp_obs.Hist.record t.quote_hist dt_ns

@@ -49,7 +49,6 @@ type conn = {
   mutable out_since : int64;  (* mono ns since [out] is nonempty; 0 = empty *)
 }
 
-let now_ns () = Monotonic_clock.now ()
 let ns_of_seconds s = Int64.of_float (s *. 1e9)
 
 let seconds_until ~now deadline_ns =
@@ -91,7 +90,7 @@ let serve ?(backlog = 16) ?max_requests ?should_stop ?idle_timeout
     && Qp_fault.check ~key:n "serve.io" <> None
   in
   let reply c resp =
-    if c.out = "" then c.out_since <- now_ns ();
+    if c.out = "" then c.out_since <- Qp_util.Timing.now_ns ();
     c.out <- c.out ^ Protocol.print_response resp ^ "\n"
   in
   let handle_line c line =
@@ -130,7 +129,7 @@ let serve ?(backlog = 16) ?max_requests ?should_stop ?idle_timeout
     | n ->
         if io_faulted n then client_gone c
         else begin
-          c.last_activity <- now_ns ();
+          c.last_activity <- Qp_util.Timing.now_ns ();
           c.pending <- c.pending ^ Bytes.sub_string buf 0 n;
           drain_lines c
         end
@@ -221,7 +220,7 @@ let serve ?(backlog = 16) ?max_requests ?should_stop ?idle_timeout
   in
   let rec loop () =
     if (not !stopping) && stop_requested () then stopping := true;
-    let now = now_ns () in
+    let now = Qp_util.Timing.now_ns () in
     enforce_deadlines now;
     (* Drop drained connections that asked to close. *)
     List.iter (fun c -> if c.closing && c.out = "" then drop c) !conns;
@@ -265,7 +264,7 @@ let serve ?(backlog = 16) ?max_requests ?should_stop ?idle_timeout
                 match Unix.accept sock with
                 | cfd, _ ->
                     Broker.note_connection broker;
-                    let t = now_ns () in
+                    let t = Qp_util.Timing.now_ns () in
                     conns :=
                       {
                         fd = cfd;

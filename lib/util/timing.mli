@@ -1,7 +1,10 @@
-(** Elapsed-time measurement for the runtime tables (Tables 4-6), the
-    worker pool and the conflict build. Every reading comes from the
-    monotonic clock, differenced in integer nanoseconds, so a step of
-    the wall clock cannot corrupt a duration. *)
+(** The one clock. Every duration the system reports — the runtime
+    tables (Tables 4-6), the worker pool's busy time, the conflict
+    build, the CIP time budget, the serving histograms and uptime, the
+    CLI and bench timers — is read here, from the monotonic clock,
+    differenced in integer nanoseconds, so a step of the wall clock
+    cannot corrupt a duration. {!Qp_obs}, which sits below this library,
+    reads the same clock for its trace timestamps and span histograms. *)
 
 val now_ns : unit -> int64
 (** The monotonic clock, in nanoseconds from an arbitrary origin. *)
@@ -13,9 +16,3 @@ val seconds_since : int64 -> float
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the
     elapsed seconds. *)
-
-val time_runs : ?warmup:int -> runs:int -> (unit -> 'a) -> float
-(** [time_runs ~warmup ~runs f] reports the mean elapsed seconds over
-    [runs] executions after [warmup] (default 1) discarded executions —
-    the measurement protocol of §6.1 ("average over 5 runs, where we
-    discard the first run"). *)

@@ -52,12 +52,9 @@ let test_timing () =
   let result, dt = Qp_util.Timing.time (fun () -> 40 + 2) in
   Alcotest.(check int) "result" 42 result;
   Alcotest.(check bool) "non-negative" true (dt >= 0.0);
-  let calls = ref 0 in
-  let mean =
-    Qp_util.Timing.time_runs ~warmup:2 ~runs:3 (fun () -> incr calls)
-  in
-  Alcotest.(check int) "warmup + runs" 5 !calls;
-  Alcotest.(check bool) "mean sane" true (mean >= 0.0)
+  let t0 = Qp_util.Timing.now_ns () in
+  Alcotest.(check bool) "clock never runs back" true
+    (Qp_util.Timing.now_ns () >= t0 && Qp_util.Timing.seconds_since t0 >= 0.0)
 
 let test_result_truncation () =
   let rows = Array.init 5 (fun i -> [| Value.Int i |]) in

@@ -334,6 +334,95 @@ let test_report_renders_gauges () =
       Alcotest.(check bool) "render shows the gauge table" true
         (contains (Report.render t) "gauges")
 
+(* --- one clock: histograms and trace agree to the nanosecond ----------- *)
+
+(* The value of ["key":] in a chrome-trace line, up to the next [stop]. *)
+let field line key stop =
+  let pat = "\"" ^ key ^ "\":" in
+  let n = String.length pat and m = String.length line in
+  let rec find i =
+    if i + n > m then None
+    else if String.sub line i n = pat then Some (i + n)
+    else find (i + 1)
+  in
+  Option.map
+    (fun i -> String.sub line i (String.index_from line i stop - i))
+    (find 0)
+
+(* Span durations reach the histograms as the exact difference of the
+   span's own trace timestamps, so a traced run's per-label [sum_ns]
+   must equal the sum of end - begin recovered from the export (µs with
+   three decimals is exact ns). The run stays on one domain: spliced
+   worker events can be clamped in the export, which is the one place
+   the two may legitimately differ. *)
+let test_hist_sums_match_trace () =
+  let inst = Lazy.force tpch in
+  let h =
+    V.apply ~rng:(Qp_util.Rng.create 3) (V.Uniform_val 100.0)
+      inst.WI.hypergraph
+  in
+  with_tracing @@ fun () ->
+  ignore
+    (Qp_core.Lpip.solve_with_trace
+       ~options:
+         { (Runner.lpip_options Runner.Quick) with Qp_core.Lpip.jobs = Some 1 }
+       h);
+  ignore
+    (Qp_core.Cip.solve_with_trace
+       ~options:
+         { (Runner.cip_options Runner.Quick) with
+           Qp_core.Cip.jobs = Some 1;
+           time_budget = None;
+         }
+       h);
+  let ns_of line =
+    match field line "ts" ',' with
+    | Some us -> Float.to_int (Float.round (float_of_string us *. 1e3))
+    | None -> Alcotest.failf "no ts in %s" line
+  in
+  let sums = Hashtbl.create 16 in
+  let stack = ref [] and last = ref 0 in
+  List.iter
+    (fun line ->
+      match field line "ph" ',' with
+      | Some "\"B\"" ->
+          let ts = ns_of line in
+          let label =
+            match field line "name" ',' with
+            | Some l -> String.sub l 1 (String.length l - 2)
+            | None -> Alcotest.failf "unnamed span: %s" line
+          in
+          stack := (label, ts) :: !stack
+      | Some "\"E\"" -> (
+          let ts = ns_of line in
+          Alcotest.(check bool) "timestamps never decrease" true (ts >= !last);
+          last := ts;
+          match !stack with
+          | (label, t0) :: tl ->
+              stack := tl;
+              Hashtbl.replace sums label
+                (ts - t0
+                + Option.value (Hashtbl.find_opt sums label) ~default:0)
+          | [] -> Alcotest.failf "unmatched span end: %s" line)
+      | Some _ ->
+          if String.length line > 0 && field line "ts" ',' <> None then begin
+            let ts = ns_of line in
+            Alcotest.(check bool) "timestamps never decrease" true (ts >= !last);
+            last := ts
+          end
+      | None -> ())
+    (Obs.to_chrome_lines ());
+  Alcotest.(check int) "every span closed" 0 (List.length !stack);
+  Alcotest.(check bool) "traced run has simplex spans" true
+    (Hashtbl.mem sums "simplex.solve");
+  List.iter
+    (fun (label, (s : Obs.Hist.snapshot)) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: histogram sum_ns = trace end - begin" label)
+        (Option.value (Hashtbl.find_opt sums label) ~default:(-1))
+        s.Obs.Hist.sum_ns)
+    (Obs.histograms ())
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "obs",
@@ -355,4 +444,5 @@ let suite =
       t "report rejects malformed traces" test_of_file_malformed;
       t "report --diff flags a synthetic slowdown" test_diff_flags_slowdown;
       t "report renders gauges" test_report_renders_gauges;
+      t "span histogram sums equal trace durations" test_hist_sums_match_trace;
     ] )
