@@ -127,10 +127,7 @@ let subadditive_bound_report ?max_covers ?(max_pivots = 400_000) h =
               end
           | None -> ())
       by_valuation_desc;
-    (* Routed through the batch API: the expansion is captured once and
-       the solve shares the warm-capable resolve path (a single member,
-       so it runs cold — but stays on the sweep-audited code path). *)
-    match Lp.Batch.resolve (Lp.Batch.prepare ~max_pivots p) with
+    match Lp.solve ~max_pivots p with
     | Ok sol -> (Float.min total (Lp.objective_value sol), None)
     | Error e ->
         (* The bound LP is feasible (r = 0) and bounded by construction,

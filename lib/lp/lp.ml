@@ -108,19 +108,6 @@ let solution_of_optimal ~sign ~origin ~nuser
     origin;
   { objective = sign *. objective; primal; row_dual }
 
-let solve ?max_pivots ?stall_threshold p =
-  Qp_obs.with_span "lp.solve"
-    ~args:(fun () ->
-      [ ("vars", Qp_obs.Int p.nvars); ("constraints", Qp_obs.Int p.nrows) ])
-  @@ fun () ->
-  let sign, c, rows, origin, nuser = expand p in
-  match Simplex.solve ?max_pivots ?stall_threshold ~c ~rows () with
-  | Simplex.Infeasible -> Error Infeasible
-  | Simplex.Unbounded -> Error Unbounded
-  | Simplex.Budget_exhausted d -> Error (Budget_exhausted d)
-  | Simplex.Numerical_error d -> Error (Numerical_error d)
-  | Simplex.Optimal sol -> Ok (solution_of_optimal ~sign ~origin ~nuser sol)
-
 module Batch = struct
   type problem = t
 
@@ -169,6 +156,9 @@ module Batch = struct
     | Simplex.Optimal sol ->
         Ok (solution_of_optimal ~sign:bt.sign ~origin:bt.origin ~nuser:bt.nuser sol)
 end
+
+let solve ?max_pivots ?stall_threshold p =
+  Batch.resolve (Batch.prepare ?max_pivots ?stall_threshold p)
 
 let objective_value s = s.objective
 let value s v = s.primal.(v)

@@ -57,11 +57,13 @@ val add_eq : t -> (float * var) list -> float -> constr
 
 val solve :
   ?max_pivots:int -> ?stall_threshold:int -> t -> (solution, error) result
-(** Solve the problem as built so far. [max_pivots] and
-    [stall_threshold] are passed through to {!Simplex.solve}. Solver
-    give-ups surface as [Error (Budget_exhausted _ | Numerical_error _)]
-    — never as an exception — so callers must not conflate them with
-    [Infeasible]. *)
+(** Solve the problem as built so far: the first resolve of a fresh
+    family, [Batch.resolve (Batch.prepare ?max_pivots ?stall_threshold
+    p)], so it reports the same outcomes and trace as any sweep member.
+    [max_pivots] and [stall_threshold] mean the same as in
+    {!Simplex.solve}. Solver give-ups surface as
+    [Error (Budget_exhausted _ | Numerical_error _)] — never as an
+    exception — so callers must not conflate them with [Infeasible]. *)
 
 (** Warm-started solving of builder-level LP families: capture the
     expanded matrix of a problem once, then re-solve with new objective

@@ -67,7 +67,7 @@ type phase_result =
   | Phase_budget of string
   | Phase_numerical of string
 
-(* What an engine run reports back to [solve]/[resolve] for tracing. *)
+(* What an engine run reports back to [resolve] for tracing. *)
 type run_stats = {
   s_pivots : int;
   s_phase1 : int;
@@ -338,9 +338,8 @@ module Revised_engine = struct
     done
 
   (* Build a fresh state: sparse columns factored from [rows], slack
-     basis (artificials on negated rows), xb = b. Shared by the one-shot
-     cold solve and the warm-started family path, which keeps the state
-     alive across solves. *)
+     basis (artificials on negated rows), xb = b. The family keeps it
+     alive across solves to warm-start the next member. *)
   let make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
     let nvars = Array.length c in
     let nrows = Array.length rows in
@@ -536,10 +535,6 @@ module Revised_engine = struct
         end
     in
     (outcome, stats_of st ~phase1_pivots)
-
-  let solve ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
-    cold_solve
-      (make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows)
 
   (* --- warm re-solve --------------------------------------------------- *)
 
@@ -747,7 +742,7 @@ module Revised_engine = struct
         end
 end
 
-(* --- one-shot solves ---------------------------------------------------- *)
+(* --- families: the one way into the engine ----------------------------- *)
 
 let outcome_tag = function
   | Optimal _ -> "optimal"
@@ -767,58 +762,12 @@ let refactor_every = function
   | Some k -> max 1 k
   | None -> default_refactor_every
 
-let solve ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every:k ~c
-    ~rows () =
-  let nvars = Array.length c in
-  let nrows = Array.length rows in
-  Qp_obs.with_span "simplex.solve"
-    ~args:(fun () ->
-      [ ("rows", Qp_obs.Int nrows); ("vars", Qp_obs.Int nvars) ])
-  @@ fun () ->
-  Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
-  let tol = Tolerance.make ~c ~rows in
-  let refactor_every = refactor_every k in
-  Qp_obs.counter "simplex.solves" 1;
-  if Qp_obs.enabled () then begin
-    let n_art =
-      Array.fold_left (fun acc (_, b) -> if b < 0.0 then acc + 1 else acc) 0 rows
-    in
-    Qp_obs.gauge_max "simplex.max_rows" (Float.of_int nrows);
-    Qp_obs.gauge_max "simplex.max_cols" (Float.of_int (nvars + nrows + n_art))
-  end;
-  let outcome, stats =
-    Revised_engine.solve ~tol ~max_pivots ~stall_threshold ~refactor_every ~c
-      ~rows
-  in
-  (match outcome with
-  | Budget_exhausted _ -> Qp_obs.counter "simplex.budget_exhausted" 1
-  | Numerical_error _ -> Qp_obs.counter "simplex.numerical_error" 1
-  | Optimal _ | Unbounded | Infeasible -> ());
-  Qp_obs.counter "simplex.pivots" stats.s_pivots;
-  if Qp_obs.enabled () && stats.s_etas > 0 then begin
-    Qp_obs.gauge_max "simplex.max_eta_len" (Float.of_int stats.s_etas);
-    Qp_obs.gauge_max "simplex.max_eta_fill" (Float.of_int stats.s_fill)
-  end;
-  Qp_obs.annotate (fun () ->
-      [
-        ("phase1_pivots", Qp_obs.Int stats.s_phase1);
-        ("phase2_pivots", Qp_obs.Int (stats.s_pivots - stats.s_phase1));
-        ("degenerate_pivots", Qp_obs.Int stats.s_degenerate);
-        ("bland_engaged", Qp_obs.Bool stats.s_bland);
-        ("etas", Qp_obs.Int stats.s_etas);
-        ("refactorizations", Qp_obs.Int stats.s_refactors);
-        ("outcome", Qp_obs.Str (outcome_tag outcome));
-      ]);
-  (match !oracle_ref with None -> () | Some f -> f ~c ~rows outcome);
-  outcome
-
-(* --- warm-started families --------------------------------------------- *)
-
 (* A family is a sequence of LPs over one shared constraint matrix whose
    members differ only in objective and/or rhs. The sparse columns are
    factored once (at the first resolve) and the optimal basis of member
    k seeds member k+1, so a typical sweep step costs a handful of
-   primal/dual pivots instead of a full two-phase solve. *)
+   primal/dual pivots instead of a full two-phase solve. A one-shot
+   [solve] is the first resolve of a fresh family. *)
 type family = {
   f_nvars : int;
   f_nrows : int;
@@ -856,8 +805,6 @@ let prepare ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every
 let family_rows fam =
   Array.init fam.f_nrows (fun i -> (fam.f_coeffs.(i), fam.f_rhs.(i)))
 
-let family_size fam = (fam.f_nrows, fam.f_nvars)
-
 let resolve ?c ?rhs fam =
   (match c with
   | None -> ()
@@ -869,9 +816,6 @@ let resolve ?c ?rhs fam =
   | Some r ->
       assert (Array.length r = fam.f_nrows);
       Array.blit r 0 fam.f_rhs 0 fam.f_nrows);
-  (* Same span label as the one-shot path: report tooling aggregates by
-     label, and a resolve is a solve — [warm_seed]/[warm_hit] args and
-     the resolve counter tell the two apart. *)
   Qp_obs.with_span "simplex.solve"
     ~args:(fun () ->
       [
@@ -881,7 +825,6 @@ let resolve ?c ?rhs fam =
       ])
   @@ fun () ->
   Qp_obs.counter "simplex.solves" 1;
-  Qp_obs.counter "simplex.resolves" 1;
   let cold () =
     let rows = family_rows fam in
     let tol = Tolerance.make ~c:fam.f_c ~rows in
@@ -932,9 +875,28 @@ let resolve ?c ?rhs fam =
     Qp_obs.counter "simplex.warm_pivots_saved" saved;
     Qp_obs.gauge_max "simplex.warm_pivots_saved_max" (Float.of_int saved)
   end;
+  if Qp_obs.enabled () then begin
+    (* the member's cold shape: one artificial per negative rhs *)
+    let n_art =
+      Array.fold_left (fun acc b -> if b < 0.0 then acc + 1 else acc) 0 fam.f_rhs
+    in
+    Qp_obs.gauge_max "simplex.max_rows" (Float.of_int fam.f_nrows);
+    Qp_obs.gauge_max "simplex.max_cols"
+      (Float.of_int (fam.f_nvars + fam.f_nrows + n_art));
+    if stats.s_etas > 0 then begin
+      Qp_obs.gauge_max "simplex.max_eta_len" (Float.of_int stats.s_etas);
+      Qp_obs.gauge_max "simplex.max_eta_fill" (Float.of_int stats.s_fill)
+    end
+  end;
   Qp_obs.annotate (fun () ->
       [
         ("pivots", Qp_obs.Int stats.s_pivots);
+        ("phase1_pivots", Qp_obs.Int stats.s_phase1);
+        ("phase2_pivots", Qp_obs.Int (stats.s_pivots - stats.s_phase1));
+        ("degenerate_pivots", Qp_obs.Int stats.s_degenerate);
+        ("bland_engaged", Qp_obs.Bool stats.s_bland);
+        ("etas", Qp_obs.Int stats.s_etas);
+        ("refactorizations", Qp_obs.Int stats.s_refactors);
         ("dual_pivots", Qp_obs.Int dual_pivots);
         ("warm_hit", Qp_obs.Bool warm_hit);
         ("outcome", Qp_obs.Str (outcome_tag outcome));
@@ -944,3 +906,6 @@ let resolve ?c ?rhs fam =
   | None -> ()
   | Some f -> f ~c:fam.f_c ~rows:(family_rows fam) outcome);
   outcome
+
+let solve ?max_pivots ?stall_threshold ?refactor_every ~c ~rows () =
+  resolve (prepare ?max_pivots ?stall_threshold ?refactor_every ~c ~rows ())

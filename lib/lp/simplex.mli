@@ -9,11 +9,16 @@
     as sparse columns ({!Sparse}) and the basis inverse as an eta file
     ({!Basis}): a sparse LU factorization written at each reinversion,
     then one product-form eta per pivot. The per-pivot cost tracks the
-    nonzero structure rather than a dense [O(rows * cols)] elimination. Pivoting uses Dantzig pricing with an
-    anti-cycling switch to Bland's rule once the iteration stalls, under
-    scale-relative {!Tolerance} thresholds. The dense tableau it
-    replaced lives on as a test-only reference oracle, attached through
-    {!with_oracle}.
+    nonzero structure rather than a dense [O(rows * cols)] elimination.
+    Pivoting uses Dantzig pricing with an anti-cycling switch to Bland's
+    rule once the iteration stalls, under scale-relative {!Tolerance}
+    thresholds. The dense tableau it replaced lives on as a test-only
+    reference oracle, attached through {!with_oracle}.
+
+    There is one way into the engine: a {!family} of LPs over a shared
+    matrix, solved member by member with {!resolve}. A one-shot
+    {!solve} is the first resolve of a fresh family, so every LP takes
+    the same cold/warm path and reports the same instrumentation.
 
     The solver never raises on solver-side failure: exceeding the pivot
     budget or detecting non-finite arithmetic is reported as a typed
@@ -79,16 +84,10 @@ val solve :
     badly-scaled instances (rhs around [1e10]) are not misclassified as
     [Infeasible] by an absolute phase-1 residual check.
 
-    When {!Qp_obs} tracing is enabled, every solve records a
-    ["simplex.solve"] span carrying the dimensions on open
-    and phase-1/phase-2 pivot counts, degenerate pivots, whether Bland's
-    rule engaged, eta count, reinversion count and the outcome on close,
-    plus the ["simplex.solves"] / ["simplex.pivots"] /
-    ["simplex.refactorizations"] counters, problem-size gauges and the
-    eta-file length/fill gauges ["simplex.max_eta_len"] /
-    ["simplex.max_eta_fill"]. Failures bump
-    ["simplex.budget_exhausted"] / ["simplex.numerical_error"]; the
-    fallback bumps ["simplex.bland_engaged"].
+    [solve] is the first resolve of a fresh family:
+    [resolve (prepare ?max_pivots ?stall_threshold ?refactor_every ~c
+    ~rows ())], with the same outcomes, instrumentation and oracle call
+    as {!resolve}.
 
     Fault injection: each pivot iteration consults the
     ["simplex.pivot"] site of {!Qp_fault} (key = current pivot count);
@@ -112,8 +111,8 @@ val solve :
 
     Warm solving is a pure optimization: any warm-path failure (budget,
     numerics, a basic artificial drifting off zero) silently falls back
-    to a cold solve, so {!resolve} reaches exactly the outcomes a cold
-    {!solve} of the same member would. *)
+    to a cold solve, so {!resolve} reaches exactly the outcomes a
+    one-shot {!solve} of the same member would. *)
 
 type family
 (** A mutable handle over one shared-matrix LP family: current
@@ -141,23 +140,29 @@ val resolve : ?c:float array -> ?rhs:float array -> family -> outcome
     replacing the current objective and/or rhs, then remembers the
     optimal basis for the next call. The first resolve (and any resolve
     after a non-[Optimal] outcome) runs cold; later ones warm-start as
-    described above. Semantically equivalent to
-    [solve ~c ~rows:(current rows) ()] — same typed outcomes, same
-    tolerances, same fault-injection site.
+    described above; a warm start reaches the same typed outcomes as
+    the cold path, under the same tolerances and fault-injection site.
 
-    Under tracing each call records a ["simplex.solve"] span — the same
-    label as one-shot solves, so reports aggregate all solver activity
-    together — with [warm_seed] on open and pivots, dual-phase pivots,
-    [warm_hit] and the outcome on close, the ["simplex.solves"] and
-    ["simplex.resolves"] counters, a
-    ["simplex.warm_hit"] / ["simplex.warm_miss"] counter, the
-    ["simplex.warm_pivots_saved"] counter plus
-    ["simplex.warm_pivots_saved_max"] gauge (vs the family's last cold
-    solve), and — when the dual phase runs — a ["simplex.dual_phase"]
-    span. Warm-path failures emit a ["simplex.warm_fallback"] event and
-    re-solve cold; the pivots the abandoned attempt spent go to the
-    ["simplex.warm_wasted_pivots"] counter (["simplex.pivots"] counts
-    only the cold re-solve).
+    When {!Qp_obs} tracing is enabled, every call — cold or warm, from a
+    sweep or from a one-shot {!solve} — records a ["simplex.solve"]
+    span with [rows], [vars] and [warm_seed] on open and, on close,
+    [pivots], [phase1_pivots] / [phase2_pivots], [degenerate_pivots],
+    [bland_engaged], [etas] (eta-file length), [refactorizations],
+    [dual_pivots], [warm_hit] and the [outcome] tag. It bumps the
+    ["simplex.solves"] and ["simplex.pivots"] counters, one of
+    ["simplex.warm_hit"] / ["simplex.warm_miss"], and on failure
+    ["simplex.budget_exhausted"] / ["simplex.numerical_error"]; it
+    raises the ["simplex.max_rows"] / ["simplex.max_cols"] size gauges
+    and the eta-file gauges ["simplex.max_eta_len"] /
+    ["simplex.max_eta_fill"]. A warm hit adds its savings against the
+    family's last cold solve to the ["simplex.warm_pivots_saved"]
+    counter and ["simplex.warm_pivots_saved_max"] gauge; when the dual
+    phase runs it records a nested ["simplex.dual_phase"] span. Each
+    reinversion bumps ["simplex.refactorizations"], and Bland's rule
+    engaging bumps ["simplex.bland_engaged"]. Warm-path failures emit a
+    ["simplex.warm_fallback"] event and re-solve cold; the pivots the
+    abandoned attempt spent go to the ["simplex.warm_wasted_pivots"]
+    counter (["simplex.pivots"] counts only the cold re-solve).
 
     A warm attempt may spend at most twice the pivots of the family's
     last cold solve (at least 64, never more than [max_pivots]); one
@@ -165,9 +170,6 @@ val resolve : ?c:float array -> ?rhs:float array -> family -> outcome
     since a warm chain that long costs more than starting over. The
     cap reads only the family's own history, so results do not depend
     on how sweeps are spread over workers. *)
-
-val family_size : family -> int * int
-(** [(rows, vars)] of the shared matrix. *)
 
 val warm_starts : unit -> bool
 (** Whether {!resolve} may reuse saved bases (default [true]). *)
@@ -183,9 +185,9 @@ val with_oracle :
   (unit -> 'a) ->
   'a
 (** [with_oracle f body] runs [body] with [f] installed as the solver's
-    oracle: after every {!solve} and every {!resolve}, [f ~c ~rows
-    outcome] is called with the LP that was actually solved (for a
-    resolve, the current family member) and its outcome. The previous
+    oracle: after every {!resolve} (a one-shot {!solve} is one),
+    [f ~c ~rows outcome] is called with the family member that was
+    actually solved and its outcome. The previous
     oracle is restored when [body] returns or raises. The hook is a
     process-wide setting read from worker domains, so install it around
     a whole run, not from inside a worker; [f] itself must be

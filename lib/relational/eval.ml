@@ -283,9 +283,6 @@ let join_fixed plan prejoined (flvl, tup) =
 let join_prejoined plan prejoined = run_levels plan prejoined.plans
 let join_all plan db = run_levels plan (precompute_levels plan db).plans
 
-let join_with_fixed plan db ~fixed =
-  join_fixed plan (precompute_levels plan db) fixed
-
 (* --- output construction ------------------------------------------- *)
 
 let header plan =

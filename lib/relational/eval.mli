@@ -27,13 +27,6 @@ val query : plan -> Query.t
 val from_env : plan -> (string * Schema.t) array
 (** The alias/schema environment the plan compiled against. *)
 
-val join_with_fixed :
-  plan -> Database.t -> fixed:(int * Relation.tuple) -> Expr.env list
-(** All [WHERE]-satisfying join environments in which [FROM] position
-    [fst fixed] is bound to the given tuple (which need not occur in the
-    instance — this is how the delta evaluator probes a changed tuple
-    for its contribution to the answer). *)
-
 val join_all : plan -> Database.t -> Expr.env list
 (** Every [WHERE]-satisfying environment (the pre-aggregation rows). *)
 
@@ -46,8 +39,11 @@ val precompute_levels : plan -> Database.t -> prejoined
 (** Build the {!type:prejoined} state for one instance. *)
 
 val join_fixed : plan -> prejoined -> int * Relation.tuple -> Expr.env list
-(** Like {!join_with_fixed} but reusing the precomputation for every
-    level other than the fixed one. *)
+(** [join_fixed plan pj (pos, tup)] is every [WHERE]-satisfying join
+    environment in which [FROM] position [pos] is bound to [tup] (which
+    need not occur in the instance — this is how the delta evaluator
+    probes a changed tuple for its contribution to the answer), reusing
+    the precomputation for every level other than the fixed one. *)
 
 val join_prejoined : plan -> prejoined -> Expr.env list
 (** {!join_all} over already-precomputed levels. *)

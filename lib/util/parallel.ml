@@ -117,16 +117,13 @@ let map_result_stats ?jobs f xs =
 
 let map_result ?jobs f xs = fst (map_result_stats ?jobs f xs)
 
-let map_stats ?jobs f xs =
-  let results, stats = map_contained ?jobs f xs in
-  (* Legacy raising interface: the lowest-index failure is re-raised
-     (with its original backtrace) after the pool has fully drained —
-     deterministic at any job count, unlike first-observed-wins. *)
+let map ?jobs f xs =
+  let results, _ = map_contained ?jobs f xs in
+  (* Raising interface: the lowest-index failure is re-raised (with its
+     original backtrace) after the pool has fully drained — deterministic
+     at any job count, unlike first-observed-wins. *)
   Array.iter (function Ok _ -> () | Error (e, bt) -> Printexc.raise_with_backtrace e bt) results;
-  ( Array.map (function Ok (v, _) -> v | Error _ -> assert false) results,
-    stats )
-
-let map ?jobs f xs = fst (map_stats ?jobs f xs)
+  Array.map (function Ok (v, _) -> v | Error _ -> assert false) results
 
 let map_list ?jobs f l = Array.to_list (map ?jobs f (Array.of_list l))
 

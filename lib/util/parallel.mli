@@ -20,7 +20,7 @@
     Failure containment: a raising task never kills or deadlocks the
     pool. Every task runs to completion regardless of other tasks'
     failures; {!map_result} exposes the contained per-task errors, while
-    {!map}/{!map_stats} re-raise the lowest-index failure after the pool
+    {!map} re-raises the lowest-index failure after the pool
     drains — deterministic at any job count either way.
 
     When {!Qp_obs} tracing is enabled, each task runs under
@@ -59,11 +59,6 @@ type task_error = {
 }
 (** A contained task failure, as surfaced by {!map_result}. *)
 
-val map_stats : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array * pool_stats
-(** {!map} plus per-worker utilization, for instrumentation of the
-    fan-out (conflict-set construction reports these). The result array
-    is the same as {!map}'s — stats never affect determinism. *)
-
 val map_result :
   ?jobs:int -> ('a -> 'b) -> 'a array -> ('b, task_error) result array
 (** Containment interface: each task's exception is caught and returned
@@ -78,7 +73,9 @@ val map_result_stats :
   ('a -> 'b) ->
   'a array ->
   ('b, task_error) result array * pool_stats
-(** {!map_result} plus per-worker utilization. *)
+(** {!map_result} plus per-worker utilization, for instrumentation of
+    the fan-out (conflict-set construction reports these). Stats never
+    affect the results. *)
 
 val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [List.map f l] via {!map}. *)

@@ -1,14 +1,16 @@
 (* Warm-start lint: the sweep modules under lib/core solve long
    sequences of LPs over one shared constraint matrix, and those
-   sequences must go through the family API ([Lp.Batch] /
-   [Simplex.resolve]) so the optimal basis is carried between members. A
-   cold [Lp.solve] inside a sweep silently pays full phase-1 cost on
-   every member — exactly the regression [bench warmstart] exists to
-   catch, but only when someone runs it.
+   sequences must go through one family ([Lp.Batch] /
+   [Simplex.resolve]) so the optimal basis is carried between members.
+   A one-shot [Lp.solve] is itself a family, but a fresh one: it is the
+   first resolve of a batch that is thrown away afterwards, so inside a
+   sweep it still discards the basis and pays a full cold (phase-1)
+   solve on every member — exactly the regression [bench warmstart]
+   exists to catch, but only when someone runs it.
 
    Run as:  ocaml scripts/check_cold_lp_sweeps.ml lib/core
    Heuristic: a file that both fans work out ([Parallel.map]) and calls
-   a cold [Lp.solve] (the token outside comments, excluding
+   a one-shot [Lp.solve] (the token outside comments, excluding
    [Lp.Batch.*]) is flagged; one-shot solvers with no sweep (e.g. a
    single bounding LP) pass. Exits 1 on any hit outside the allowlist.
    Wired into `make check` as check-cold-lp. *)
@@ -57,8 +59,8 @@ let contains sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* A cold solve is the token [Lp.solve] — [Lp.Batch.resolve] and
-   [Simplex.resolve] don't contain it, so only exact cold calls hit. *)
+(* A one-shot solve is the token [Lp.solve] — [Lp.Batch.resolve] and
+   [Simplex.resolve] don't contain it, so only one-shot calls hit. *)
 let cold_solve code = contains "Lp.solve" code
 
 let allowlisted path line =
@@ -98,15 +100,18 @@ let () =
           List.iter
             (fun (line, text) ->
               incr failures;
-              Printf.printf "%s:%d: cold Lp.solve in a sweep module: %s\n" path
-                line text)
+              Printf.printf
+                "%s:%d: one-shot Lp.solve in a sweep module (a fresh family \
+                 per call, so the basis is thrown away): %s\n"
+                path line text)
             (check_file path))
         files)
     dirs;
   if !failures > 0 then begin
     Printf.printf
-      "cold-LP lint: %d cold solve(s) in sweep modules — route the sweep \
-       through Lp.Batch / Simplex.resolve or add an argued allowlist entry\n"
+      "cold-LP lint: %d one-shot solve(s) in sweep modules — each starts \
+       a fresh family and discards its basis; route the sweep through one \
+       Lp.Batch / Simplex family or add an argued allowlist entry\n"
       !failures;
     exit 1
   end

@@ -569,6 +569,144 @@ let test_sweeps_identical_across_jobs () =
   Alcotest.(check (triple int int int))
     "same pivots, wasted pivots and warm hits" (pivots, wasted, hits) c2
 
+(* --- one entry point ------------------------------------------------------ *)
+
+(* An outcome with every float replaced by its bit pattern, so that
+   structural equality means bit-identity. Diagnostics compare as they
+   are. *)
+let outcome_bits = function
+  | Simplex.Optimal { Simplex.objective; primal; dual } ->
+      `Optimal
+        ( Int64.bits_of_float objective,
+          Array.map Int64.bits_of_float primal,
+          Array.map Int64.bits_of_float dual )
+  | Simplex.Unbounded -> `Unbounded
+  | Simplex.Infeasible -> `Infeasible
+  | Simplex.Budget_exhausted d -> `Budget_exhausted d
+  | Simplex.Numerical_error d -> `Numerical_error d
+
+(* A one-shot solve is the first resolve of a fresh family: on seeded
+   random LPs (negative right-hand sides, infeasible and unbounded
+   instances, and a pivot budget too small to finish) both report the
+   same outcome, bit for bit, diagnostics included. *)
+let test_solve_is_first_resolve () =
+  let rand = Random.State.make [| 1818 |] in
+  let tags = Hashtbl.create 8 and negative_rhs = ref 0 in
+  let check ?max_pivots what (c, rows) =
+    let one_shot = Simplex.solve ?max_pivots ~c ~rows () in
+    let first = Simplex.resolve (Simplex.prepare ?max_pivots ~c ~rows ()) in
+    Alcotest.(check string) (what ^ ": same outcome")
+      (outcome_tag first) (outcome_tag one_shot);
+    Alcotest.(check bool) (what ^ ": bit-identical outcome") true
+      (outcome_bits one_shot = outcome_bits first);
+    Hashtbl.replace tags (outcome_tag one_shot) ();
+    if Array.exists (fun (_, b) -> b < 0.0) rows then incr negative_rhs
+  in
+  List.iter
+    (fun (name, gen, max_pivots) ->
+      for k = 1 to 30 do
+        check ?max_pivots (Printf.sprintf "%s #%d" name k) (gen rand)
+      done)
+    [
+      ("bounded", gen_bounded, None);
+      ("mixed", gen_mixed, None);
+      ("degenerate", gen_degenerate, None);
+      ("unbounded", gen_unbounded, None);
+      ("infeasible", gen_infeasible, None);
+      ("budget", gen_bounded, Some 1);
+    ];
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool) ("covered: " ^ tag) true (Hashtbl.mem tags tag))
+    [ "optimal"; "unbounded"; "infeasible"; "budget_exhausted" ];
+  Alcotest.(check bool) "covered: negative right-hand sides" true
+    (!negative_rhs > 0)
+
+(* The builder's one-shot solve is the first resolve of a fresh batch:
+   same objective, primal and user-facing duals, bit for bit, on a
+   problem mixing <=, >= and = rows. *)
+let test_lp_solve_is_first_batch_resolve () =
+  let p = Lp.create () in
+  let x = Lp.add_var p ~obj:3.0 () in
+  let y = Lp.add_var p ~obj:2.0 () in
+  let z = Lp.add_var p ~obj:1.0 () in
+  let rows =
+    [
+      Lp.add_le p [ (1.0, x); (1.0, y); (1.0, z) ] 10.0;
+      Lp.add_ge p [ (1.0, x); (-1.0, y) ] (-2.0);
+      Lp.add_eq p [ (1.0, x); (1.0, z) ] 4.0;
+      Lp.add_le p [ (1.0, y) ] 6.0;
+      Lp.add_ge p [ (1.0, y); (2.0, z) ] 1.0;
+    ]
+  in
+  match (Lp.solve p, Lp.Batch.resolve (Lp.Batch.prepare p)) with
+  | Ok a, Ok b ->
+      let bits f = Int64.bits_of_float f in
+      Alcotest.(check int64) "objective" (bits (Lp.objective_value b))
+        (bits (Lp.objective_value a));
+      List.iter
+        (fun v ->
+          Alcotest.(check int64) "primal" (bits (Lp.value b v))
+            (bits (Lp.value a v)))
+        [ x; y; z ];
+      List.iteri
+        (fun i r ->
+          Alcotest.(check int64)
+            (Printf.sprintf "dual of row %d" i)
+            (bits (Lp.dual b r)) (bits (Lp.dual a r)))
+        rows
+  | _ -> Alcotest.fail "expected both solves optimal"
+
+(* Every simplex.solve span — cold or warm — closes with the same
+   diagnostics. Structure lines are indented two spaces per depth; an
+   [end] line sits one level deeper than the span it closes. *)
+let test_every_solve_span_has_diagnostics () =
+  let h = random_hypergraph (Random.State.make [| 4243 |]) in
+  let was = Simplex.warm_starts () in
+  Simplex.set_warm_starts true;
+  Fun.protect ~finally:(fun () -> Simplex.set_warm_starts was) @@ fun () ->
+  with_counters @@ fun () ->
+  let report = Qp_core.Cip.solve_report h in
+  Alcotest.(check bool) "CIP solved some LPs" true
+    (report.Qp_core.Cip.solved > 0);
+  Alcotest.(check bool) "the sweep warm-started" true
+    (counter "simplex.warm_hit" > 0);
+  let open_at = Hashtbl.create 16 and opened = ref 0 and closes = ref [] in
+  List.iter
+    (fun line ->
+      let n = String.length line in
+      let i = ref 0 in
+      while !i < n && line.[!i] = ' ' do incr i done;
+      let depth = !i / 2 and body = String.sub line !i (n - !i) in
+      if String.starts_with ~prefix:"span " body then begin
+        let label =
+          List.hd (String.split_on_char ' ' (String.sub body 5 (String.length body - 5)))
+        in
+        Hashtbl.replace open_at depth label;
+        if label = "simplex.solve" then incr opened
+      end
+      else if
+        String.starts_with ~prefix:"end [" body
+        && Hashtbl.find_opt open_at (depth - 1) = Some "simplex.solve"
+      then closes := body :: !closes)
+    (String.split_on_char '\n' (Qp_obs.structure ()));
+  Alcotest.(check int) "one simplex.solve span per solve"
+    (counter "simplex.solves") !opened;
+  Alcotest.(check int) "every simplex.solve span closes with args" !opened
+    (List.length !closes);
+  List.iter
+    (fun body ->
+      List.iter
+        (fun key ->
+          if not (Astring_contains.contains body (" " ^ key ^ "=")
+                  || Astring_contains.contains body ("[" ^ key ^ "="))
+          then Alcotest.failf "simplex.solve closed without %s: %s" key body)
+        [
+          "phase1_pivots"; "degenerate_pivots"; "bland_engaged"; "etas";
+          "refactorizations"; "warm_hit"; "outcome";
+        ])
+    !closes
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "simplex-engines",
@@ -591,4 +729,10 @@ let suite =
       t "warm attempt past its cap falls back cold" test_warm_cap_falls_back;
       t "sweeps identical at jobs 1 and 2 under the warm cap"
         test_sweeps_identical_across_jobs;
+      t "one-shot solve = first resolve of a fresh family, bit for bit"
+        test_solve_is_first_resolve;
+      t "Lp.solve = first Batch.resolve, bit-identical duals"
+        test_lp_solve_is_first_batch_resolve;
+      t "every simplex.solve span closes with the same diagnostics"
+        test_every_solve_span_has_diagnostics;
     ] )
