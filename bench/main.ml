@@ -297,14 +297,14 @@ let parallel_bench ~meta ctx =
   ignore (H.classes h);
   let lpip jobs () =
     ignore
-      (Qp_core.Lpip.solve_with_trace
+      (Qp_core.Lpip.solve_report
          ~options:
            { (Runner.lpip_options profile) with Qp_core.Lpip.jobs = Some jobs }
          h)
   in
   let cip jobs () =
     ignore
-      (Qp_core.Cip.solve_with_trace
+      (Qp_core.Cip.solve_report
          ~options:
            { (Runner.cip_options profile) with
              Qp_core.Cip.jobs = Some jobs;
@@ -497,7 +497,7 @@ let warmstart_bench ~meta ctx =
      on small machines. *)
   let cip () =
     ignore
-      (Qp_core.Cip.solve_with_trace
+      (Qp_core.Cip.solve_report
          ~options:
            { Qp_core.Cip.epsilon = 0.25; max_pivots = 200_000;
              time_budget = None; jobs = Some 1 }
@@ -505,7 +505,7 @@ let warmstart_bench ~meta ctx =
   in
   let lpip () =
     ignore
-      (Qp_core.Lpip.solve_with_trace
+      (Qp_core.Lpip.solve_report
          ~options:
            { Qp_core.Lpip.max_candidates = Some 48; max_pivots = 200_000;
              jobs = Some 1 }

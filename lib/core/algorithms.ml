@@ -8,6 +8,11 @@ type spec = {
 (* Combinatorial algorithms have no LP to fail, hence never degrade. *)
 let total solve = (fun h -> (solve h, None))
 
+(* The LP sweeps report their fallback marker in the shared sweep report. *)
+let swept solve_report h =
+  let r : Lp_sweep.report = solve_report h in
+  (r.pricing, r.degraded)
+
 let all ?lpip_options ?cip_options () =
   [
     { key = "ubp"; label = "UBP"; solve = Ubp.solve; solve_report = total Ubp.solve };
@@ -16,19 +21,13 @@ let all ?lpip_options ?cip_options () =
       key = "lpip";
       label = "LPIP";
       solve = (fun h -> Lpip.solve ?options:lpip_options h);
-      solve_report =
-        (fun h ->
-          let r = Lpip.solve_report ?options:lpip_options h in
-          (r.Lpip.pricing, r.Lpip.degraded));
+      solve_report = swept (Lpip.solve_report ?options:lpip_options);
     };
     {
       key = "cip";
       label = "CIP";
       solve = (fun h -> Cip.solve ?options:cip_options h);
-      solve_report =
-        (fun h ->
-          let r = Cip.solve_report ?options:cip_options h in
-          (r.Cip.pricing, r.Cip.degraded));
+      solve_report = swept (Cip.solve_report ?options:cip_options);
     };
     {
       key = "layering";
@@ -47,7 +46,7 @@ let all ?lpip_options ?cip_options () =
     };
   ]
 
-let keys = [ "ubp"; "uip"; "lpip"; "cip"; "layering"; "xos" ]
+let keys = List.map (fun s -> s.key) (all ())
 
 let find ?lpip_options ?cip_options key =
   let key = String.lowercase_ascii key in

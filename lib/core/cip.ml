@@ -10,7 +10,7 @@ type options = {
 let default_options =
   { epsilon = 0.25; max_pivots = 200_000; time_budget = None; jobs = None }
 
-type report = {
+type report = Lp_sweep.report = {
   pricing : Pricing.t;
   solved : int;
   attempted : int;
@@ -46,8 +46,8 @@ let capacity_grid ~epsilon ~max_degree =
                y, z >= 0
 
    The constraint matrix is identical across the whole capacity grid —
-   only the y-objective k moves — so the sweep solves each chunk of
-   capacities through one warm-started Lp.Batch. *)
+   only the y-objective k moves — so each chunk of capacities solves
+   through one warm-started Lp.Batch ([welfare_family]). *)
 let build_dual h =
   let classes = Hypergraph.classes h in
   let p = Lp.create ~minimize:true () in
@@ -84,18 +84,9 @@ let prices_of_solution h y sol =
   Qp_obs.counter "cip.rounded_weights" !rounded;
   Hypergraph.spread_class_weights h w_class
 
-(* Fixed, job-count-independent chunking: each worker owns one batch and
-   sweeps its capacities through it, so results (and warm-start chains)
-   are bit-identical at any QP_JOBS. *)
-let chunk_size = 8
-
-let chunked n arr =
-  let len = Array.length arr in
-  Array.init
-    ((len + n - 1) / n)
-    (fun i -> Array.sub arr (i * n) (min n (len - (i * n))))
-
-let prices_for_chunk ~max_pivots h ks ~in_budget =
+(* One chunk's family: a fresh batch over the dual, whose members only
+   move the y-objective to their capacity. *)
+let welfare_family ~max_pivots h () =
   let p, y = build_dual h in
   let y_idx =
     Array.to_list y
@@ -104,30 +95,10 @@ let prices_for_chunk ~max_pivots h ks ~in_budget =
   in
   let base_obj = Array.make (Lp.var_count p) 1.0 in
   let batch = Lp.Batch.prepare ~max_pivots p in
-  Array.map
-    (fun k ->
-      if not (in_budget ()) then begin
-        Qp_obs.event "cip.capacity_skipped"
-          ~args:(fun () -> [ ("k", Qp_obs.Float k) ]);
-        `Skipped
-      end
-      else
-        Qp_obs.with_span "cip.capacity"
-          ~args:(fun () -> [ ("k", Qp_obs.Float k) ])
-        @@ fun () ->
-        let obj = Array.copy base_obj in
-        Array.iter (fun i -> obj.(i) <- k) y_idx;
-        match Lp.Batch.resolve ~obj batch with
-        | Error e ->
-            Qp_obs.annotate (fun () ->
-                [ ("lp_failure", Qp_obs.Str (Qp_lp.Lp.error_tag e)) ]);
-            `Failed e
-        | Ok sol ->
-            let pricing = Pricing.Item (prices_of_solution h y sol) in
-            let revenue = Pricing.revenue pricing h in
-            Qp_obs.annotate (fun () -> [ ("revenue", Qp_obs.Float revenue) ]);
-            `Solved (pricing, revenue))
-    ks
+  fun k ->
+    let obj = Array.copy base_obj in
+    Array.iter (fun i -> obj.(i) <- k) y_idx;
+    Result.map (prices_of_solution h y) (Lp.Batch.resolve ~obj batch)
 
 let solve_report ?(options = default_options) h =
   Qp_obs.with_span "cip.solve"
@@ -139,88 +110,29 @@ let solve_report ?(options = default_options) h =
       ])
   @@ fun () ->
   (* Monotonic: a wall-clock step must neither skip capacities nor
-     extend the budget. *)
+     extend the budget. Workers check the budget before starting a
+     capacity (skip once over budget); the merge runs in grid order so
+     ties keep the smallest capacity. The fallback is UBP, the guarantee
+     CIP is built on. *)
   let started = Qp_util.Timing.now_ns () in
-  let in_budget () =
+  let over_budget k =
     match options.time_budget with
-    | None -> true
-    | Some budget -> Qp_util.Timing.seconds_since started < budget
+    | Some budget when Qp_util.Timing.seconds_since started >= budget ->
+        Qp_obs.event "cip.capacity_skipped"
+          ~args:(fun () -> [ ("k", Qp_obs.Float k) ]);
+        true
+    | _ -> false
   in
-  ignore (Hypergraph.classes h);
-  (* One welfare LP per capacity, solved by the worker pool. Workers
-     check the budget before starting a capacity (the sequential sweep's
-     skip-once-over-budget semantics); the merge runs in grid order so
-     ties keep the smallest capacity, as before. *)
   let grid =
     capacity_grid ~epsilon:options.epsilon ~max_degree:(Hypergraph.max_degree h)
   in
   Qp_obs.annotate (fun () -> [ ("capacities", Qp_obs.Int (List.length grid)) ]);
-  let solutions =
-    Array.concat
-      (Array.to_list
-         (Qp_util.Parallel.map ?jobs:options.jobs
-            (fun ks ->
-              prices_for_chunk ~max_pivots:options.max_pivots h ks ~in_budget)
-            (chunked chunk_size (Array.of_list grid))))
-  in
-  let zero = Pricing.Item (Array.make (Hypergraph.n_items h) 0.0) in
-  let best = ref zero and best_revenue = ref (Pricing.revenue zero h) in
-  let solved = ref 0 and errors = ref [] in
-  Array.iter
-    (function
-      | `Skipped -> ()
-      | `Failed e -> errors := e :: !errors
-      | `Solved (pricing, revenue) ->
-          incr solved;
-          if revenue > !best_revenue then begin
-            best := pricing;
-            best_revenue := revenue
-          end)
-    solutions;
-  let failures = Degrade.tally_failures (List.rev !errors) in
-  if !errors <> [] then Qp_obs.counter "cip.lp_failures" (List.length !errors);
-  (* Degradation: only when every attempted welfare LP failed does the
-     zero pricing misrepresent CIP — fall back to UBP (the guarantee CIP
-     is built on) and mark it. An all-skipped grid (time budget hit
-     before the first capacity) keeps the legacy zero pricing: nothing
-     failed, the sweep just never ran. *)
-  let pricing, degraded =
-    if !solved = 0 && failures <> [] then
-      ( Ubp.solve h,
-        Some
-          (Degrade.record
-             (Degrade.make ~algorithm:"cip" ~fallback:"ubp"
-                ~reason:("all welfare LPs failed: " ^ Degrade.pp_tally failures))) )
-    else (!best, None)
-  in
-  (* The closing annotation must describe the pricing actually returned:
-     on a degraded run that is the UBP fallback's revenue, not the
-     abandoned zero/best pricing's. *)
-  let reported_revenue =
-    match degraded with
-    | None -> !best_revenue
-    | Some _ -> Pricing.revenue pricing h
-  in
-  Qp_obs.annotate (fun () ->
-      [
-        ("solved", Qp_obs.Int !solved);
-        ("failed", Qp_obs.Int (List.length !errors));
-        ("best_revenue", Qp_obs.Float reported_revenue);
-      ]
-      @
-      match degraded with
-      | None -> []
-      | Some _ -> [ ("fallback", Qp_obs.Str "ubp") ]);
-  {
-    pricing;
-    solved = !solved;
-    attempted = Array.length solutions;
-    failures;
-    degraded;
-  }
-
-let solve_with_trace ?options h =
-  let r = solve_report ?options h in
-  (r.pricing, r.solved)
+  Lp_sweep.run ?jobs:options.jobs ~algorithm:"cip"
+    ~member_span:"cip.capacity"
+    ~member_args:(fun k -> [ ("k", Qp_obs.Float k) ])
+    ~skip:over_budget
+    ~family:(welfare_family ~max_pivots:options.max_pivots h)
+    ~fallback:("ubp", Ubp.solve) ~all_failed:"all welfare LPs failed" h
+    (Array.of_list grid)
 
 let solve ?options h = (solve_report ?options h).pricing

@@ -33,17 +33,15 @@ val default_options : options
 val capacity_grid : epsilon:float -> max_degree:int -> float list
 (** [1, (1+ε), (1+ε)^2, ..., B] (deduplicated, always ends at [B]). *)
 
-type report = {
+type report = Lp_sweep.report = {
   pricing : Pricing.t;
-  solved : int;  (** welfare LPs that reached an optimum *)
-  attempted : int;  (** grid points attempted (including skipped) *)
+  solved : int;
+  attempted : int;
   failures : (string * int) list;
-      (** LP failures by {!Qp_lp.Lp.error_tag}, sorted *)
   degraded : Degrade.marker option;
-      (** set iff every attempted welfare LP failed and the result is
-          the UBP fallback pricing instead of an LP-derived one *)
 }
-(** Outcome of the capacity sweep with its health attached. *)
+(** The capacity sweep's {!Lp_sweep.report}; its members are the grid
+    points, and [attempted] counts skipped ones. *)
 
 val solve : ?options:options -> Hypergraph.t -> Pricing.t
 (** Best item pricing over the capacity grid; each grid point is
@@ -51,13 +49,9 @@ val solve : ?options:options -> Hypergraph.t -> Pricing.t
     event once over budget) under a [cip.solve] span when {!Qp_obs}
     tracing is enabled. *)
 
-val solve_with_trace : ?options:options -> Hypergraph.t -> Pricing.t * int
-(** Also reports how many welfare LPs were solved. *)
-
 val solve_report : ?options:options -> Hypergraph.t -> report
-(** Like {!solve}, returning the full sweep health. When every
-    attempted welfare LP fails ([solved = 0], [failures] non-empty) the
-    pricing degrades to {!Ubp.solve} with a recorded {!Degrade.marker};
-    partial failures keep the best solved capacity and only populate
-    [failures] (plus the ["cip.lp_failures"] counter). An all-skipped
-    grid (time budget exhausted up front) is not a degradation. *)
+(** Like {!solve}, returning the full sweep health ({!Lp_sweep.run}):
+    when every attempted welfare LP fails the pricing degrades to
+    {!Ubp.solve}; failures bump the ["cip.lp_failures"] counter. An
+    all-skipped grid (time budget exhausted up front) is not a
+    degradation. *)

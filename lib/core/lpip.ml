@@ -6,7 +6,7 @@ type options = {
 
 let default_options = { max_candidates = None; max_pivots = 200_000; jobs = None }
 
-type report = {
+type report = Lp_sweep.report = {
   pricing : Pricing.t;
   solved : int;
   attempted : int;
@@ -68,103 +68,21 @@ let solve_report ?(options = default_options) h =
     | None -> candidates
     | Some n -> evenly_spaced n candidates
   in
-  (* Force the shared class cache before fanning out: workers would
-     otherwise race to fill it (harmless but redundant work). *)
-  ignore (Hypergraph.classes h);
-  (* The candidates share one constraint matrix (only which rows bind
-     changes between nested prefixes), so the sweep runs in fixed-size
-     chunks, each chunk warm-starting through its own must-sell family.
-     The chunk size is deliberately independent of the job count: warm
-     chains alter which optimal vertex an LP reports (alternate optima),
-     so job-count-dependent chunking would break bit-identical results
-     across QP_JOBS. Each worker also evaluates its candidates' revenue;
-     the index-ordered merge with a strict [>] keeps the earliest
-     (highest-valuation) candidate on ties, exactly like the sequential
-     sweep. *)
   Qp_obs.annotate (fun () ->
       [ ("candidates", Qp_obs.Int (List.length candidates)) ]);
-  let chunk_size = 8 in
-  let cands = Array.of_list candidates in
-  let chunks =
-    Array.init
-      ((Array.length cands + chunk_size - 1) / chunk_size)
-      (fun i ->
-        Array.sub cands (i * chunk_size)
-          (min chunk_size (Array.length cands - (i * chunk_size))))
-  in
-  let solutions =
-    Array.concat
-      (Array.to_list
-         (Qp_util.Parallel.map ?jobs:options.jobs
-            (fun chunk ->
-              let fam =
-                Class_lp.prepare_family ~max_pivots:options.max_pivots h
-              in
-              Array.map
-                (fun (_, must_sell) ->
-                  Qp_obs.with_span "lpip.candidate"
-                    ~args:(fun () ->
-                      [ ("must_sell", Qp_obs.Int (List.length must_sell)) ])
-                  @@ fun () ->
-                  match Class_lp.family_must_sell fam ~edge_ids:must_sell with
-                  | Error e ->
-                      Qp_obs.annotate (fun () ->
-                          [ ("lp_failure", Qp_obs.Str (Qp_lp.Lp.error_tag e)) ]);
-                      `Failed e
-                  | Ok w ->
-                      let pricing = Pricing.Item w in
-                      let revenue = Pricing.revenue pricing h in
-                      Qp_obs.annotate (fun () ->
-                          [ ("revenue", Qp_obs.Float revenue) ]);
-                      `Solved (pricing, revenue))
-                chunk)
-            chunks))
-  in
-  let zero = Pricing.Item (Array.make (Hypergraph.n_items h) 0.0) in
-  let best = ref zero and best_revenue = ref (Pricing.revenue zero h) in
-  let solved = ref 0 and errors = ref [] in
-  Array.iter
-    (function
-      | `Failed e -> errors := e :: !errors
-      | `Solved (pricing, revenue) ->
-          incr solved;
-          if revenue > !best_revenue then begin
-            best := pricing;
-            best_revenue := revenue
-          end)
-    solutions;
-  let failures = Degrade.tally_failures (List.rev !errors) in
-  if !errors <> [] then Qp_obs.counter "lpip.lp_failures" (List.length !errors);
-  (* Degradation: the candidate sweep is only meaningless when {e no} LP
-     solved at all — then the zero pricing would misread as "LPIP earns
-     nothing", so fall back to UIP (the combinatorial item pricing LPIP
-     dominates when healthy) and say so. Partial failures keep the
-     best-of-solved result, reported in [failures]. *)
-  let pricing, degraded =
-    if !solved = 0 && failures <> [] then
-      ( Uip.solve h,
-        Some
-          (Degrade.record
-             (Degrade.make ~algorithm:"lpip" ~fallback:"uip"
-                ~reason:("all candidate LPs failed: " ^ Degrade.pp_tally failures))) )
-    else (!best, None)
-  in
-  Qp_obs.annotate (fun () ->
-      [
-        ("solved", Qp_obs.Int !solved);
-        ("failed", Qp_obs.Int (List.length !errors));
-        ("best_revenue", Qp_obs.Float !best_revenue);
-      ]);
-  {
-    pricing;
-    solved = !solved;
-    attempted = Array.length solutions;
-    failures;
-    degraded;
-  }
-
-let solve_with_trace ?options h =
-  let r = solve_report ?options h in
-  (r.pricing, r.solved)
+  (* The candidates share one constraint matrix (only which rows bind
+     changes between nested prefixes), so each chunk warm-starts through
+     its own must-sell family; ties keep the highest-valuation
+     candidate. The fallback is UIP, the combinatorial item pricing LPIP
+     dominates when healthy. *)
+  Lp_sweep.run ?jobs:options.jobs ~algorithm:"lpip"
+    ~member_span:"lpip.candidate"
+    ~member_args:(fun must_sell ->
+      [ ("must_sell", Qp_obs.Int (List.length must_sell)) ])
+    ~family:(fun () ->
+      let fam = Class_lp.prepare_family ~max_pivots:options.max_pivots h in
+      fun must_sell -> Class_lp.family_must_sell fam ~edge_ids:must_sell)
+    ~fallback:("uip", Uip.solve) ~all_failed:"all candidate LPs failed" h
+    (Array.of_list (List.map snd candidates))
 
 let solve ?options h = (solve_report ?options h).pricing

@@ -24,29 +24,22 @@ type options = {
 val default_options : options
 (** No candidate cap, 200k pivots per LP, pool size from [QP_JOBS]. *)
 
-type report = {
+type report = Lp_sweep.report = {
   pricing : Pricing.t;
-  solved : int;  (** candidate LPs that reached an optimum *)
-  attempted : int;  (** candidate LPs attempted *)
+  solved : int;
+  attempted : int;
   failures : (string * int) list;
-      (** LP failures by {!Qp_lp.Lp.error_tag}, sorted *)
   degraded : Degrade.marker option;
-      (** set iff every candidate LP failed and the result is the UIP
-          fallback pricing instead of an LP-derived one *)
 }
-(** Outcome of the candidate sweep with its health attached. *)
+(** The candidate sweep's {!Lp_sweep.report}; its members are the
+    candidate LPs. *)
 
 val solve : ?options:options -> Hypergraph.t -> Pricing.t
 (** Best item pricing over the candidate sweep; each candidate is
     recorded as an [lpip.candidate] span under an [lpip.solve] span
     when {!Qp_obs} tracing is enabled. *)
 
-val solve_with_trace : ?options:options -> Hypergraph.t -> Pricing.t * int
-(** Also reports how many LPs were solved. *)
-
 val solve_report : ?options:options -> Hypergraph.t -> report
-(** Like {!solve}, returning the full sweep health. When every
-    candidate LP fails ([solved = 0], [failures] non-empty) the pricing
-    degrades to {!Uip.solve} with a recorded {!Degrade.marker}; partial
-    failures keep the best solved candidate and only populate
-    [failures] (plus the ["lpip.lp_failures"] counter). *)
+(** Like {!solve}, returning the full sweep health ({!Lp_sweep.run}):
+    when every candidate LP fails the pricing degrades to {!Uip.solve};
+    failures bump the ["lpip.lp_failures"] counter. *)

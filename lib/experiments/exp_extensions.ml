@@ -72,16 +72,16 @@ let run_cip_epsilon fmt ctx =
   let total = Float.max 1e-9 (H.sum_valuations h) in
   List.iter
     (fun epsilon ->
-      let (pricing, lps), seconds =
+      let r, seconds =
         Timing.time (fun () ->
-            Qp_core.Cip.solve_with_trace
+            Qp_core.Cip.solve_report
               ~options:{ Qp_core.Cip.epsilon; max_pivots = 200_000;
                          time_budget = Some 120.0; jobs = None }
               h)
       in
       Format.fprintf fmt "  ε=%-5g  LPs=%-3d  revenue=%.3f  time=%.2fs@." epsilon
-        lps
-        (P.revenue pricing h /. total)
+        r.Qp_core.Lp_sweep.solved
+        (P.revenue r.Qp_core.Lp_sweep.pricing h /. total)
         seconds)
     [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
 
@@ -91,17 +91,17 @@ let run_lpip_candidates fmt ctx =
   let total = Float.max 1e-9 (H.sum_valuations h) in
   List.iter
     (fun cap ->
-      let (pricing, lps), seconds =
+      let r, seconds =
         Timing.time (fun () ->
-            Qp_core.Lpip.solve_with_trace
+            Qp_core.Lpip.solve_report
               ~options:{ Qp_core.Lpip.max_candidates = cap; max_pivots = 200_000;
                          jobs = None }
               h)
       in
       Format.fprintf fmt "  cap=%-6s LPs=%-4d revenue=%.3f  time=%.2fs@."
         (match cap with None -> "all" | Some c -> string_of_int c)
-        lps
-        (P.revenue pricing h /. total)
+        r.Qp_core.Lp_sweep.solved
+        (P.revenue r.Qp_core.Lp_sweep.pricing h /. total)
         seconds)
     [ Some 4; Some 12; Some 48 ]
 

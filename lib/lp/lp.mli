@@ -46,14 +46,20 @@ val add_var : t -> ?name:string -> obj:float -> unit -> var
 (** A new non-negative variable with the given objective coefficient. *)
 
 val var_count : t -> int
+(** Variables added so far; the next {!add_var} gets this index. *)
+
 val constr_count : t -> int
+(** Constraints added so far, in every sense. *)
 
 val add_le : t -> (float * var) list -> float -> constr
 (** [add_le p terms b] adds [sum terms <= b]. Repeated variables in
     [terms] are summed. *)
 
 val add_ge : t -> (float * var) list -> float -> constr
+(** [add_ge p terms b] adds [sum terms >= b], like {!add_le}. *)
+
 val add_eq : t -> (float * var) list -> float -> constr
+(** [add_eq p terms b] adds [sum terms = b], like {!add_le}. *)
 
 val solve :
   ?max_pivots:int -> ?stall_threshold:int -> t -> (solution, error) result
@@ -96,6 +102,8 @@ module Batch : sig
 end
 
 val objective_value : solution -> float
+(** The optimal objective, in the problem's own sense (a minimization
+    reports its minimum). *)
 
 val value : solution -> var -> float
 (** Optimal primal value of a variable. *)

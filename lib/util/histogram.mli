@@ -8,6 +8,7 @@ val create : ?buckets:int -> int array -> t
     [buckets] (default 20) equal-width bins spanning the data range. *)
 
 val bucket_count : t -> int
+(** Number of bins; valid {!bucket} indices are [0 .. bucket_count - 1]. *)
 
 val bucket : t -> int -> int * int * int
 (** [bucket t i] is [(lo, hi, count)]: the inclusive-exclusive value

@@ -27,11 +27,13 @@ val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
 val bool : t -> bool
+(** A fair coin flip. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t arr] draws a uniform element. Requires a non-empty array. *)
 
 val pick_list : t -> 'a list -> 'a
+(** {!pick} over a list. Requires a non-empty list. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

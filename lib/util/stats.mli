@@ -19,5 +19,10 @@ val percentile_nearest : float array -> float -> float
     [percentile_nearest xs 100.] the maximum. *)
 
 val minimum : float array -> float
+(** Smallest element; requires a non-empty array. *)
+
 val maximum : float array -> float
+(** Largest element; requires a non-empty array. *)
+
 val sum : float array -> float
+(** Left-to-right sum; 0 for the empty array. *)

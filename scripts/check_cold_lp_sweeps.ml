@@ -9,8 +9,10 @@
    exists to catch, but only when someone runs it.
 
    Run as:  ocaml scripts/check_cold_lp_sweeps.ml lib/core
-   Heuristic: a file that both fans work out ([Parallel.map]) and calls
-   a one-shot [Lp.solve] (the token outside comments, excluding
+   Heuristic: a file that sweeps — fans work out itself
+   ([Parallel.map]) or hands its members to the shared LP sweep
+   ([Lp_sweep.run], whose per-member solver LPIP and CIP supply) — and
+   calls a one-shot [Lp.solve] (the token outside comments, excluding
    [Lp.Batch.*]) is flagged; one-shot solvers with no sweep (e.g. a
    single bounding LP) pass. Exits 1 on any hit outside the allowlist.
    Wired into `make check` as check-cold-lp. *)
@@ -74,7 +76,8 @@ let check_file path =
   Array.iteri
     (fun i line ->
       let code = strip_comments depth line in
-      if contains "Parallel.map" code then sweeps := true;
+      if contains "Parallel.map" code || contains "Lp_sweep.run" code then
+        sweeps := true;
       if cold_solve code && not (allowlisted path line) then
         solves := (i + 1, String.trim line) :: !solves)
     lines;

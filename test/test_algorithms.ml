@@ -285,10 +285,11 @@ let test_lpip_candidate_cap () =
       h
   in
   Alcotest.(check bool) "capped <= full" true (capped <= full +. 1e-6);
-  let _, lps =
-    Lpip.solve_with_trace
-      ~options:{ Lpip.max_candidates = Some 2; max_pivots = 100_000; jobs = None }
-      h
+  let lps =
+    (Lpip.solve_report
+       ~options:{ Lpip.max_candidates = Some 2; max_pivots = 100_000; jobs = None }
+       h)
+      .Lpip.solved
   in
   Alcotest.(check bool) "at most 2 LPs" true (lps <= 2)
 
@@ -448,6 +449,71 @@ let test_layering_layers_cover () =
       (Layering.layers h)
   done
 
+(* Bit-exact pins of the LP sweeps on one seeded Tiny instance: each
+   revenue as its [Int64.bits_of_float] and each price vector as the MD5
+   of its prices' bit patterns. Chunk boundaries fix the warm chains and
+   the chains fix which optimal vertex each member reports, so a change
+   to chunking, warm starting or the merge order that moves a single ulp
+   fails here. jobs = 2 puts the chunks on both workers; LPIP's 23
+   candidates and CIP's 15 capacities span several chunks each. *)
+let sweep_pin_instance =
+  lazy
+    (let inst =
+       Qp_experiments.Workload_instances.skewed
+         ~scale:Qp_experiments.Workload_instances.Tiny ~support:60 ~seed:9 ()
+     in
+     Qp_workloads.Valuations.apply ~rng:(Qp_util.Rng.create 3)
+       (Qp_workloads.Valuations.Uniform_val 100.0)
+       inst.Qp_experiments.Workload_instances.hypergraph)
+
+let price_bits_md5 ws =
+  let b = Buffer.create 4096 in
+  List.iter
+    (Array.iter (fun x ->
+         Buffer.add_string b (Int64.to_string (Int64.bits_of_float x));
+         Buffer.add_char b ','))
+    ws;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let sweep_fingerprint h pricing =
+  let ws =
+    match pricing with
+    | P.Item w -> [ w ]
+    | P.Xos ws -> ws
+    | P.Uniform_bundle _ | P.Capped_item _ -> Alcotest.fail "not additive"
+  in
+  (Int64.bits_of_float (P.revenue pricing h), price_bits_md5 ws)
+
+let test_sweep_pins () =
+  let h = Lazy.force sweep_pin_instance in
+  let lpip_options =
+    { Lpip.max_candidates = Some 24; max_pivots = 200_000; jobs = Some 2 }
+  in
+  let cip_options =
+    { Cip.epsilon = 0.25; max_pivots = 200_000; time_budget = None;
+      jobs = Some 2 }
+  in
+  let got =
+    [
+      ("lpip", sweep_fingerprint h (Lpip.solve ~options:lpip_options h));
+      ("cip", sweep_fingerprint h (Cip.solve ~options:cip_options h));
+      ("xos", sweep_fingerprint h (Xos.solve ~lpip_options ~cip_options h));
+    ]
+  in
+  let expected =
+    [
+      ("lpip", (4654041287961538970L, "a153da55d69e2fd4f7c357c93f7dbc68"));
+      ("cip", (4657923834047330053L, "20bc239fdfb075f0ded9389729dc6cb3"));
+      ("xos", (4657923834047330053L, "7396248a355a1a6d342427a61b5c9216"));
+    ]
+  in
+  List.iter2
+    (fun (name, (rev, md5)) (_, (rev', md5')) ->
+      Alcotest.(check int64) (name ^ " revenue bits") rev rev';
+      Alcotest.(check string) (name ^ " price bits md5") md5 md5')
+    expected got
+
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "algorithms",
@@ -475,4 +541,5 @@ let suite =
       t "layering: matches the set-based reference (300 random)"
         test_layering_matches_reference;
       t "layering: each layer covers the remaining items" test_layering_layers_cover;
+      t "LP sweeps: bit-exact pins on a Tiny instance" test_sweep_pins;
     ] )

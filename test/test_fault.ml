@@ -368,6 +368,46 @@ let test_runner_healthy_unchanged () =
         m.Runner.degraded)
     direct.Runner.measurements
 
+(* A degraded sweep's span must describe the pricing it returns: under a
+   stall on every pivot each sweep closes with its fallback's revenue and
+   names the fallback, for LPIP (UIP) as for CIP (UBP). *)
+let test_degraded_sweeps_close_with_fallback () =
+  with_faults "simplex.pivot:stall" @@ fun () ->
+  let h = Lazy.force small_h in
+  List.iter
+    (fun (label, solve, fallback, fallback_solve) ->
+      Qp_obs.set_enabled true;
+      Qp_obs.reset ();
+      let closing =
+        Fun.protect
+          ~finally:(fun () ->
+            Qp_obs.set_enabled false;
+            Qp_obs.reset ())
+          (fun () ->
+            ignore (solve h);
+            (* The sweep span is the only top-level span, so its closing
+               args are the only [end] line at depth 1. *)
+            List.filter
+              (String.starts_with ~prefix:"  end [")
+              (String.split_on_char '\n' (Qp_obs.structure ())))
+      in
+      match closing with
+      | [ line ] ->
+          let expect key value =
+            if not (Astring_contains.contains line (" " ^ key ^ "=" ^ value))
+            then Alcotest.failf "%s closed without %s=%s: %s" label key value line
+          in
+          expect "best_revenue"
+            (Printf.sprintf "%.17g" (P.revenue (fallback_solve h) h));
+          expect "fallback" fallback
+      | lines ->
+          Alcotest.failf "%s: expected one closing line, got %d" label
+            (List.length lines))
+    [
+      ("lpip.solve", (fun h -> Lpip.solve h), "uip", Qp_core.Uip.solve);
+      ("cip.solve", (fun h -> Cip.solve h), "ubp", Qp_core.Ubp.solve);
+    ]
+
 let suite =
   ( "fault",
     [
@@ -401,4 +441,6 @@ let suite =
         test_runner_sweep_partial_and_deterministic;
       Alcotest.test_case "runner healthy unchanged" `Quick
         test_runner_healthy_unchanged;
+      Alcotest.test_case "degraded sweeps close with the fallback" `Quick
+        test_degraded_sweeps_close_with_fallback;
     ] )

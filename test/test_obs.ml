@@ -363,12 +363,12 @@ let test_hist_sums_match_trace () =
   in
   with_tracing @@ fun () ->
   ignore
-    (Qp_core.Lpip.solve_with_trace
+    (Qp_core.Lpip.solve_report
        ~options:
          { (Runner.lpip_options Runner.Quick) with Qp_core.Lpip.jobs = Some 1 }
        h);
   ignore
-    (Qp_core.Cip.solve_with_trace
+    (Qp_core.Cip.solve_report
        ~options:
          { (Runner.cip_options Runner.Quick) with
            Qp_core.Cip.jobs = Some 1;

@@ -87,11 +87,14 @@ let valued () =
 let test_lpip_bit_identical () =
   let _, h = valued () in
   let solve jobs =
-    Qp_core.Lpip.solve_with_trace
-      ~options:
-        { Qp_core.Lpip.max_candidates = Some 8; max_pivots = 200_000;
-          jobs = Some jobs }
-      h
+    let r =
+      Qp_core.Lpip.solve_report
+        ~options:
+          { Qp_core.Lpip.max_candidates = Some 8; max_pivots = 200_000;
+            jobs = Some jobs }
+        h
+    in
+    (r.Qp_core.Lpip.pricing, r.Qp_core.Lpip.solved)
   in
   let (p1, lps1) = solve 1 in
   List.iter
