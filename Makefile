@@ -43,10 +43,9 @@ soak:
 docs:
 	dune build @doc
 
-# Every exported value in the lib/ interfaces (all but lib/workloads)
-# must carry a doc comment.
+# Every exported value in the lib/ interfaces must carry a doc comment.
 check-docs:
-	ocaml scripts/check_mli_docs.ml lib/lp lib/util lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve
+	ocaml scripts/check_mli_docs.ml lib/lp lib/util lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/workloads
 
 # No stringly failures (failwith / Failure catches) in the solver and
 # algorithm layers — see docs/ROBUSTNESS.md.
@@ -64,12 +63,14 @@ check-float-sort:
 check-cold-lp:
 	ocaml scripts/check_cold_lp_sweeps.ml lib/core
 
-# The dense-tableau LP oracle (test/lp_oracle) is for tests and benches
-# only: no dune file under lib/ or bin/ may name qp_lp_oracle.
+# The reference oracles — the dense-tableau LP (test/lp_oracle) and the
+# row-at-a-time delta join (test/rel_oracle) — are for tests, benches
+# and scripts only: no dune file under lib/ or bin/ may name
+# qp_lp_oracle or qp_rel_oracle.
 check-lp-oracle:
-	@if grep -rn --include=dune qp_lp_oracle lib bin; then \
-	  echo "lp-oracle lint: qp_lp_oracle is test/bench-only"; exit 1; \
-	else echo "lp-oracle lint: lib/ and bin/ do not link qp_lp_oracle"; fi
+	@if grep -rnE --include=dune 'qp_(lp|rel)_oracle' lib bin; then \
+	  echo "oracle lint: qp_lp_oracle and qp_rel_oracle are test/bench-only"; exit 1; \
+	else echo "oracle lint: lib/ and bin/ link neither qp_lp_oracle nor qp_rel_oracle"; fi
 
 # One clock: every timer reads Qp_util.Timing (Qp_obs, below qp_util,
 # reads the same monotonic clock itself). No other file under lib/,
@@ -94,9 +95,10 @@ check-obs-labels:
 check-snapshot-version:
 	ocaml scripts/check_snapshot_version.ml
 
-# Build every workload's conflict hypergraph at Tiny scale on the row
-# and the columnar engine, and fail on any (query, delta) pair where
-# their conflict sets disagree.
+# Build every workload's conflict hypergraph at Tiny scale on the
+# columnar engine and on the row-at-a-time reference (qp_rel_oracle),
+# and fail on any (query, delta) pair where their conflict sets
+# disagree.
 check-rel-engines:
 	dune exec scripts/check_rel_engines.exe
 

@@ -167,15 +167,15 @@ let microbenchmarks ctx =
 (* --- conflict-set construction benchmark ----------------------------- *)
 
 (* Times Conflict.hypergraph per workload across the engine dimension —
-   row jobs=1, columnar jobs=1, columnar jobs=N — verifies every build
-   is bit-identical and the row and columnar jobs=1 conflict sets have
+   the row-at-a-time reference (Qp_rel_oracle) at jobs=1, the columnar
+   default at jobs=1 and at jobs=N — verifies every build is
+   bit-identical and the row and columnar jobs=1 conflict sets have
    zero disagreements, and writes BENCH_conflict.json. The headline
    metric is the same-run per-query-mean ratio row/columnar at jobs=1
    ("speedup_columnar"), which is robust on a 1-CPU container where
    absolute times drift. *)
 let conflict_bench ~meta ctx =
   let module C = Qp_market.Conflict in
-  let module DE = Qp_relational.Delta_eval in
   let jobs_n = max 2 (Qp_util.Parallel.default_jobs ()) in
   print_newline ();
   print_endline "==================================================";
@@ -197,12 +197,12 @@ let conflict_bench ~meta ctx =
       (fun key ->
         let inst = Context.instance ctx key in
         let valued = List.map (fun q -> (q, 1.0)) inst.WI.queries in
-        let build ~jobs engine =
-          C.hypergraph ~jobs ~engine inst.WI.db valued inst.WI.deltas
+        let build ?prepare ~jobs () =
+          C.hypergraph ~jobs ?prepare inst.WI.db valued inst.WI.deltas
         in
-        let h_row, s_row = build ~jobs:1 DE.Row in
-        let h_col1, s_col1 = build ~jobs:1 DE.Columnar in
-        let h_coln, s_coln = build ~jobs:jobs_n DE.Columnar in
+        let h_row, s_row = build ~prepare:Qp_rel_oracle.prepare ~jobs:1 () in
+        let h_col1, s_col1 = build ~jobs:1 () in
+        let h_coln, s_coln = build ~jobs:jobs_n () in
         let check_mismatches = List.length (C.disagreements h_row h_col1) in
         if check_mismatches > 0 then begin
           Printf.eprintf "BUG: %s row and columnar disagree on %d conflicts\n"

@@ -1,6 +1,7 @@
-(* One-workload cost breakdown for the conflict-set build: per engine,
-   how much of a query's time is prepare (selection vectors, indexes,
-   base strategy state) vs the per-delta differs scan, and — on the
+(* One-workload cost breakdown for the conflict-set build: per engine
+   (the row-at-a-time reference in Qp_rel_oracle, then the columnar
+   default), how much of a query's time is prepare (selection vectors,
+   indexes, base strategy state) vs the per-delta differs scan, and — on the
    columnar pass — how the scan splits across delta target tables and
    between "provably no change" deltas and real conflict edges. Used to
    aim the columnar engine's optimizations; not part of the gate. *)
@@ -29,7 +30,7 @@ let () =
         time (fun () -> Qp_relational.Col_eval.prepare plan inst.WI.db)
       in
       t_build := !t_build +. d;
-      let _, d = time (fun () -> Qp_relational.Col_eval.join_prejoined col) in
+      let _, d = time (fun () -> Qp_relational.Col_eval.join_all col) in
       t_envs := !t_envs +. d)
     inst.WI.queries;
   Printf.printf "prep parts: plan %.3fs  col build %.3fs  col envs %.3fs\n%!"
@@ -47,13 +48,14 @@ let () =
         Hashtbl.add by_table name s;
         s
   in
-  let profile engine q =
-    let prep, t_prep = time (fun () -> DE.prepare ~engine inst.WI.db q) in
+  let profile ~columnar q =
+    let prepare = if columnar then DE.prepare else Qp_rel_oracle.prepare in
+    let prep, t_prep = time (fun () -> prepare inst.WI.db q) in
     let _, t_scan =
       time (fun () ->
           Array.iter
             (fun d ->
-              if engine = DE.Columnar then begin
+              if columnar then begin
                 let tf, tt, cnt, th =
                   table_stats (Qp_relational.Delta.relation d)
                 in
@@ -74,8 +76,8 @@ let () =
   let rows =
     List.map
       (fun q ->
-        let rp, rs, _ = profile DE.Row q in
-        let cp, cs, strat = profile DE.Columnar q in
+        let rp, rs, _ = profile ~columnar:false q in
+        let cp, cs, strat = profile ~columnar:true q in
         (q.Qp_relational.Query.name, strat, rp, rs, cp, cs))
       inst.WI.queries
   in

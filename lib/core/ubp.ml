@@ -20,12 +20,15 @@ let optimal_price h =
         best_price := v
       end)
     vals;
+  (* The sweep scores a price as price × buyers; report what the chosen
+     pricing actually earns, summed edge by edge as every caller does. *)
+  let revenue = Pricing.revenue (Pricing.Uniform_bundle !best_price) h in
   Qp_obs.annotate (fun () ->
       [
         ("sweep", Qp_obs.Int (Array.length vals));
         ("best_price", Qp_obs.Float !best_price);
-        ("best_revenue", Qp_obs.Float !best_revenue);
+        ("best_revenue", Qp_obs.Float revenue);
       ]);
-  (!best_price, !best_revenue)
+  (!best_price, revenue)
 
 let solve h = Pricing.Uniform_bundle (fst (optimal_price h))

@@ -5,7 +5,9 @@
 
 val optimal_price : Hypergraph.t -> float * float
 (** [(price, revenue)] of the optimal uniform bundle price (price 0 and
-    revenue 0 on the empty instance). *)
+    revenue 0 on the empty instance). [revenue] is {!Pricing.revenue}
+    of the [Uniform_bundle price] pricing, bit for bit; the sweep's
+    own price × buyers score only picks the price. *)
 
 val solve : Hypergraph.t -> Pricing.t
 (** [Uniform_bundle] pricing at {!optimal_price}. Recorded as a

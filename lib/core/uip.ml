@@ -1,3 +1,5 @@
+let pricing h w = Pricing.Item (Array.make (Hypergraph.n_items h) w)
+
 let optimal_weight h =
   Qp_obs.with_span "uip.solve" @@ fun () ->
   let sized =
@@ -22,14 +24,15 @@ let optimal_weight h =
         prefix)
       0 sorted
   in
+  (* The sweep scores a weight as weight × sold size; report what the
+     chosen pricing actually earns, summed edge by edge. *)
+  let revenue = Pricing.revenue (pricing h !best_w) h in
   Qp_obs.annotate (fun () ->
       [
         ("sweep", Qp_obs.Int (List.length sorted));
         ("best_weight", Qp_obs.Float !best_w);
-        ("best_revenue", Qp_obs.Float !best_revenue);
+        ("best_revenue", Qp_obs.Float revenue);
       ]);
-  (!best_w, !best_revenue)
+  (!best_w, revenue)
 
-let solve h =
-  let w, _ = optimal_weight h in
-  Pricing.Item (Array.make (Hypergraph.n_items h) w)
+let solve h = pricing h (fst (optimal_weight h))

@@ -6,7 +6,9 @@
 
 val optimal_weight : Hypergraph.t -> float * float
 (** [(weight, revenue)]. Edges with empty conflict sets always sell at
-    price 0 and contribute nothing, so they are not candidates. *)
+    price 0 and contribute nothing, so they are not candidates.
+    [revenue] is {!Pricing.revenue} of {!solve}'s pricing, bit for
+    bit; the sweep's own weight × size score only picks the weight. *)
 
 val solve : Hypergraph.t -> Pricing.t
 (** [Item] pricing with every weight at {!optimal_weight}. Recorded as

@@ -119,14 +119,14 @@ module Batch = struct
     fam : Simplex.family;
   }
 
-  let prepare ?max_pivots ?stall_threshold (p : problem) =
+  let prepare ?max_pivots (p : problem) =
     let sign, c, rows, origin, nuser = expand p in
     {
       sign;
       nvars = p.nvars;
       nuser;
       origin;
-      fam = Simplex.prepare ?max_pivots ?stall_threshold ~c ~rows ();
+      fam = Simplex.prepare ?max_pivots ~c ~rows ();
     }
 
   let resolve ?obj ?bounds bt =
@@ -157,8 +157,7 @@ module Batch = struct
         Ok (solution_of_optimal ~sign:bt.sign ~origin:bt.origin ~nuser:bt.nuser sol)
 end
 
-let solve ?max_pivots ?stall_threshold p =
-  Batch.resolve (Batch.prepare ?max_pivots ?stall_threshold p)
+let solve ?max_pivots p = Batch.resolve (Batch.prepare ?max_pivots p)
 
 let objective_value s = s.objective
 let value s v = s.primal.(v)

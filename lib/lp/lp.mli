@@ -61,13 +61,12 @@ val add_ge : t -> (float * var) list -> float -> constr
 val add_eq : t -> (float * var) list -> float -> constr
 (** [add_eq p terms b] adds [sum terms = b], like {!add_le}. *)
 
-val solve :
-  ?max_pivots:int -> ?stall_threshold:int -> t -> (solution, error) result
+val solve : ?max_pivots:int -> t -> (solution, error) result
 (** Solve the problem as built so far: the first resolve of a fresh
-    family, [Batch.resolve (Batch.prepare ?max_pivots ?stall_threshold
-    p)], so it reports the same outcomes and trace as any sweep member.
-    [max_pivots] and [stall_threshold] mean the same as in
-    {!Simplex.solve}. Solver give-ups surface as
+    family, [Batch.resolve (Batch.prepare ?max_pivots p)], so it reports
+    the same outcomes and trace as any sweep member. [max_pivots] means
+    the same as in {!Simplex.solve}; the stall threshold is
+    {!Simplex.prepare}'s default. Solver give-ups surface as
     [Error (Budget_exhausted _ | Numerical_error _)] — never as an
     exception — so callers must not conflate them with [Infeasible]. *)
 
@@ -84,7 +83,7 @@ module Batch : sig
   (** A prepared family: the expanded [<=]-form matrix plus the warm
       state. Not thread-safe; use one batch per worker. *)
 
-  val prepare : ?max_pivots:int -> ?stall_threshold:int -> problem -> t
+  val prepare : ?max_pivots:int -> problem -> t
   (** Snapshot the problem as built so far (later [add_var]/[add_*] calls
       on the source problem are not reflected). No solve happens yet. *)
 

@@ -9,7 +9,6 @@ type stats = {
   fallback_queries : int;
   failed_queries : (string * string) list;
   strategies : (string * int) list;
-  engine : string;
   jobs : int;
   query_seconds : float array;
   worker_busy : float array;
@@ -30,14 +29,14 @@ let conflict_set db q deltas =
    query, so no Delta_eval state is shared across domains; [db] and
    [deltas] are only read. The task's return value is a pure function
    of (db, query, deltas) — scheduling cannot influence it. *)
-let build_row ?attempt ?engine db deltas index (q, valuation) =
+let build_row ?attempt ~prepare db deltas index (q, valuation) =
   if Qp_fault.enabled () then
     Qp_fault.maybe_fail ?attempt ~key:index "conflict.query";
   Qp_obs.with_span "conflict.query"
     ~args:(fun () -> [ ("query", Qp_obs.Str q.Query.name) ])
   @@ fun () ->
   let t0 = Qp_util.Timing.now_ns () in
-  let prep = Delta_eval.prepare ?engine db q in
+  let prep = prepare db q in
   let items = conflict_set_prepared prep deltas in
   Qp_obs.annotate (fun () ->
       [
@@ -48,7 +47,8 @@ let build_row ?attempt ?engine db deltas index (q, valuation) =
     Delta_eval.strategy_name prep,
     Qp_util.Timing.seconds_since t0 )
 
-let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
+let hypergraph ?on_progress ?jobs ?(prepare = Delta_eval.prepare) db
+    valued_queries deltas =
   Qp_obs.with_span "conflict.build"
     ~args:(fun () ->
       [
@@ -57,12 +57,11 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
       ])
   @@ fun () ->
   let t0 = Qp_util.Timing.now_ns () in
-  let engine = Option.value engine ~default:Delta_eval.Columnar in
   let rows = Array.mapi (fun i r -> (i, r)) (Array.of_list valued_queries) in
   let total = Array.length rows in
   let results, pool =
     Qp_util.Parallel.map_result_stats ?jobs
-      (fun (i, row) -> build_row ~engine db deltas i row)
+      (fun (i, row) -> build_row ~prepare db deltas i row)
       rows
   in
   (* Sequential index-ordered merge: specs come out in workload order
@@ -85,7 +84,7 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
         | Error { Qp_util.Parallel.message; _ } -> (
             Qp_obs.counter "conflict.query_retries" 1;
             let i, row = rows.(i) in
-            match build_row ~attempt:1 ~engine db deltas i row with
+            match build_row ~attempt:1 ~prepare db deltas i row with
             | r -> Ok r
             | exception e -> Error (message, Printexc.to_string e))
       in
@@ -125,7 +124,6 @@ let hypergraph ?on_progress ?jobs ?engine db valued_queries deltas =
         Option.value (Hashtbl.find_opt by_strategy "fallback") ~default:0;
       failed_queries;
       strategies;
-      engine = Delta_eval.engine_name engine;
       jobs = pool.Qp_util.Parallel.jobs;
       query_seconds;
       worker_busy = pool.Qp_util.Parallel.busy;
@@ -184,10 +182,9 @@ let query_time_histogram ?buckets stats =
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "%d queries x %d support deltas in %.2fs (%d job%s, %s engine)@."
-    s.queries s.support s.elapsed s.jobs
-    (if s.jobs = 1 then "" else "s")
-    s.engine;
+    "%d queries x %d support deltas in %.2fs (%d job%s)@." s.queries s.support
+    s.elapsed s.jobs
+    (if s.jobs = 1 then "" else "s");
   Format.fprintf fmt "  strategies: %s@."
     (String.concat ", "
        (List.map (fun (name, n) -> Printf.sprintf "%s %d" name n) s.strategies));

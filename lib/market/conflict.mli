@@ -28,9 +28,6 @@ type stats = {
   strategies : (string * int) list;
       (** query count per {!Qp_relational.Delta_eval.strategy_name},
           sorted by name — the delta-eval vs fallback split *)
-  engine : string;
-      (** {!Qp_relational.Delta_eval.engine_name} of the engine the
-          build ran on ("row" or "columnar") *)
   jobs : int;  (** worker-pool size actually used for the build *)
   query_seconds : float array;
       (** per-query prepare+scan seconds (monotonic clock), in workload order *)
@@ -46,7 +43,7 @@ val conflict_set : Database.t -> Query.t -> Delta.t array -> int array
 val hypergraph :
   ?on_progress:(done_:int -> total:int -> unit) ->
   ?jobs:int ->
-  ?engine:Qp_relational.Delta_eval.engine ->
+  ?prepare:(Database.t -> Query.t -> Qp_relational.Delta_eval.t) ->
   Database.t ->
   (Query.t * float) list ->
   Delta.t array ->
@@ -58,10 +55,11 @@ val hypergraph :
     Queries are distributed over the {!Qp_util.Parallel} pool ([jobs]
     overrides [QP_JOBS]); the merge is sequential in workload order, so
     the hypergraph (edge order, items, valuations) is bit-identical at
-    any job count. [engine] selects the relational engine every worker
-    prepares its queries on (default [Columnar], see
-    {!Qp_relational.Delta_eval.prepare}); compare a [Row] and a
-    [Columnar] build with {!disagreements}. [on_progress] fires from
+    any job count. Every worker prepares its queries with [prepare]
+    (default {!Qp_relational.Delta_eval.prepare}, the columnar engine);
+    a test or bench passes a reference preparation (built with
+    {!Qp_relational.Delta_eval.prepare_with}) and compares the two
+    builds with {!disagreements}. [on_progress] fires from
     the merge side only — once per query with [done_] strictly
     increasing from 1 to [total] — never from a worker domain.
 
@@ -79,9 +77,9 @@ val disagreements :
     one hypergraph has and the other lacks: per edge, the symmetric
     difference of the two item sets, in edge order then item order. Its
     length is [sum_q |E_a(q) Δ E_b(q)|], the number of (query, delta)
-    pairs on which two builds of one workload (say [~engine:Row] and
-    [~engine:Columnar]) disagree; [[]] means the conflict sets are
-    identical. Valuations are not compared. Raises [Invalid_argument]
+    pairs on which two builds of one workload (say the default build
+    and one with a reference [~prepare]) disagree; [[]] means the
+    conflict sets are identical. Valuations are not compared. Raises [Invalid_argument]
     if the edge counts differ or the edges at some position carry
     different names. *)
 

@@ -1,7 +1,8 @@
-(* Columnar join enumeration.
+(* Columnar join enumeration: the one engine behind Delta_eval's
+   per-delta probes.
 
-   Reuses the row engine's plan (column resolution, predicate
-   classification, equi detection) and replaces the data access layer:
+   Reuses Eval's plan (column resolution, predicate classification,
+   equi detection) and replaces Eval's row-at-a-time data access:
 
    - per-level candidate sets come from vectorized predicate kernels
      over typed columns (Bitset masks combined word-wise), falling back
@@ -13,10 +14,11 @@
      row tuples (late materialization), so projection, grouping and
      aggregation share the row engine's code and values verbatim.
 
-   Both engines therefore enumerate the same multiset of environments
-   and construct answers with the same code — bit-identical results by
-   construction, enforced empirically by comparing row and columnar
-   conflict hypergraphs (make check-rel-engines, bench conflict). *)
+   "The row engine" below is Eval.join_all (behind Eval.run and the
+   fallback strategy): both enumerate the same multiset of environments
+   and build answers with the same code, so results agree bit for bit.
+   make check-rel-engines and bench conflict compare this engine's
+   conflict hypergraphs with the test-only qp_rel_oracle's. *)
 
 module B = Bitset
 
@@ -39,8 +41,8 @@ type t = {
   levels : level array;
   cross : Expr.compiled array array;
   rev0 : (int, (Value.t, int list) Hashtbl.t) Hashtbl.t;
-      (* lazily-built per-column bucket index over level 0's candidates,
-         the columnar analogue of the row engine's rev0 *)
+      (* lazily-built per-column bucket index over level 0's candidates:
+         a pinned level joined to a level-0 column scans one bucket *)
   star : bool;
       (* every equi probe reads level 0 only (a bare column, an
          expression over level-0 columns, or a constant) and no cross
@@ -537,7 +539,7 @@ let enumerate t fixed =
   let env = Array.make n [||] in
   let out = ref [] in
   (* The pinned tuple must pass its level's single conjuncts, exactly
-     as the row engine's one-tuple level rebuild applies them. *)
+     as a one-tuple candidate set would. *)
   let fixed_ok =
     match fixed with
     | None -> true
@@ -627,9 +629,9 @@ let enumerate t fixed =
     !out
   end
 
-let join_prejoined t = enumerate t None
+let join_all t = enumerate t None
 let join_fixed t fixed = enumerate t (Some fixed)
-let run t = Eval.result_of_envs t.plan (join_prejoined t)
+let run t = Eval.result_of_envs t.plan (join_all t)
 
 (* --- per-delta emptiness pre-checks --------------------------------- *)
 

@@ -1,17 +1,18 @@
-(** Columnar join enumeration — the vectorized engine behind
-    [Delta_eval]'s default [Columnar] engine.
+(** Columnar join enumeration — the one engine behind {!Delta_eval}'s
+    per-delta probes.
 
     Shares {!Eval}'s plan (resolution, predicate classification, equi
     detection) and its output construction ({!Eval.result_of_envs});
     replaces candidate filtering with vectorized kernels over
     {!Col_table} columns and equi probes with unboxed int / dictionary
     hash indexes. Environments materialize as pointers to the source
-    relations' row tuples, so both engines enumerate the same multiset
-    of environments and build answers through the same code. *)
+    relations' row tuples, so this engine and {!Eval.join_all}
+    enumerate the same multiset of environments and build answers
+    through the same code. *)
 
 type t
 (** Per-instance prepared state: per-level selection vectors and join
-    indexes (the columnar analogue of {!Eval.prejoined}). *)
+    indexes. *)
 
 val prepare : Eval.plan -> Database.t -> t
 (** Build selection vectors and indexes for one instance (columnar
@@ -21,13 +22,17 @@ val prepare : Eval.plan -> Database.t -> t
 val plan : t -> Eval.plan
 (** The plan this state was prepared from. *)
 
-val join_prejoined : t -> Expr.env list
-(** Every [WHERE]-satisfying join environment (as {!Eval.join_prejoined}). *)
+val join_all : t -> Expr.env list
+(** Every [WHERE]-satisfying join environment (as {!Eval.join_all},
+    reusing the prepared indexes). *)
 
 val join_fixed : t -> int * Relation.tuple -> Expr.env list
-(** Environments with one [FROM] position pinned to a given tuple (as
-    {!Eval.join_fixed}, including the reverse level-0 bucket
-    restriction). *)
+(** [join_fixed t (pos, tup)] is every [WHERE]-satisfying join
+    environment in which [FROM] position [pos] is bound to [tup] (which
+    need not occur in the instance — this is how {!Delta_eval} probes a
+    changed tuple for its contribution to the answer). When the pinned
+    level joins a level-0 column directly, the level-0 scan shrinks to
+    that value's bucket of a lazily built reverse index. *)
 
 val run : t -> Result_set.t
 (** The full query answer from this engine — used by the cross-engine
@@ -41,7 +46,7 @@ val run : t -> Result_set.t
     skipping {!join_fixed} entirely. *)
 
 val seed_participating : t -> Expr.env list -> unit
-(** Record the satisfying envs (as returned by {!join_prejoined}) so
+(** Record the satisfying envs (as returned by {!join_all}) so
     {!tuple_participates} need not re-enumerate. A no-op if already
     seeded, and for star plans, which never consult the table: their
     pins are decided directly from indexes and per-level masks. *)

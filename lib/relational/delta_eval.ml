@@ -1,9 +1,3 @@
-(* --- engine selection ------------------------------------------------ *)
-
-type engine = Row | Columnar
-
-let engine_name = function Row -> "row" | Columnar -> "columnar"
-
 (* --- strategies ------------------------------------------------------ *)
 
 type group = { acc : Agg_state.acc; mutable base_out : Value.t array option }
@@ -22,18 +16,24 @@ type strategy =
          delta changes the answer iff it changes the first k rows *)
   | Fallback
 
-type backend = B_row of Eval.prejoined | B_col of Col_eval.t
+type joins = {
+  all : unit -> Expr.env list;
+  fixed : int * Relation.tuple -> Expr.env list;
+}
 
 type t = {
   db : Database.t;
   q : Query.t;
   plan : Eval.plan;
-  backend : backend;
+  joins : joins;
+  col : Col_eval.t option;
+      (** the columnar state behind [joins], whose pre-checks answer
+          most deltas without a join; [None] under {!prepare_with} *)
   positions : (string, int list) Hashtbl.t;  (** table name -> FROM levels *)
   strategy : strategy;
   referenced : bool array array;
       (** per level, per column: does the query read this column?
-          Powers the columnar engine's unreferenced-cell short circuit. *)
+          Powers the unreferenced-cell short circuit. *)
   rels : (string, Relation.t) Hashtbl.t;
       (** per-delta relation resolution cache (skips the lowercasing
           name lookup inside {!Database.relation} on every delta) *)
@@ -173,14 +173,8 @@ let choose_strategy plan q envs positions =
         end
         else Rowwise
 
-let prepare ?(engine = Columnar) db q =
-  let plan = Eval.prepare db q in
+let make db q plan joins col =
   let positions = table_positions q in
-  let backend =
-    match engine with
-    | Columnar -> B_col (Col_eval.prepare plan db)
-    | Row -> B_row (Eval.precompute_levels plan db)
-  in
   let self_join =
     Hashtbl.fold (fun _ ps b -> b || List.length ps > 1) positions false
   in
@@ -190,24 +184,19 @@ let prepare ?(engine = Columnar) db q =
         && q.Query.limit = None
        || (is_plain q && q.Query.limit <> None))
   in
-  let envs =
-    if not needs_envs then []
-    else
-      match backend with
-      | B_row prejoined -> Eval.join_prejoined plan prejoined
-      | B_col col -> Col_eval.join_prejoined col
-  in
+  let envs = if needs_envs then joins.all () else [] in
   let strategy = choose_strategy plan q envs positions in
   (* The envs were just enumerated; hand them to the columnar engine so
      its per-delta emptiness pre-check needn't enumerate them again. *)
-  (match backend with
-  | B_col col when needs_envs -> Col_eval.seed_participating col envs
+  (match col with
+  | Some col when needs_envs -> Col_eval.seed_participating col envs
   | _ -> ());
   {
     db;
     q;
     plan;
-    backend;
+    joins;
+    col;
     positions;
     strategy;
     referenced = referenced_columns plan q;
@@ -215,15 +204,22 @@ let prepare ?(engine = Columnar) db q =
     base = None;
   }
 
+let prepare db q =
+  let plan = Eval.prepare db q in
+  let col = Col_eval.prepare plan db in
+  let joins =
+    { all = (fun () -> Col_eval.join_all col); fixed = Col_eval.join_fixed col }
+  in
+  make db q plan joins (Some col)
+
+let prepare_with joins_of db q =
+  let plan = Eval.prepare db q in
+  make db q plan (joins_of plan db) None
+
 (* --- per-delta contribution ----------------------------------------- *)
 
 let contributions core level tup_opt =
-  match tup_opt with
-  | None -> []
-  | Some tup -> (
-      match core.backend with
-      | B_row prejoined -> Eval.join_fixed core.plan prejoined (level, tup)
-      | B_col col -> Col_eval.join_fixed col (level, tup))
+  match tup_opt with None -> [] | Some tup -> core.joins.fixed (level, tup)
 
 let multiset_equal rows_a rows_b =
   List.length rows_a = List.length rows_b
@@ -373,10 +369,11 @@ let fallback_differs core delta =
   not
     (Result_set.equal (Eval.run_plan core.plan perturbed) (base_result core))
 
-(* The columnar engine short-circuits cell changes on columns the query
+(* The columnar path short-circuits cell changes on columns the query
    never reads: the answer is a function of the referenced cells and
-   the row multiset, and a Cell_change alters neither. The row engine
-   stays free of this shortcut so comparing the engines exercises it. *)
+   the row multiset, and a Cell_change alters neither. A prepare_with
+   preparation stays free of this shortcut, so comparing it with the
+   columnar path exercises it. *)
 let unreferenced_cell core levels delta =
   match delta with
   | Delta.Row_drop _ -> false
@@ -414,10 +411,7 @@ let differs core delta =
   match find_positions core (Delta.relation delta) with
   | None -> false
   | Some levels -> (
-      if
-        (match core.backend with B_col _ -> true | B_row _ -> false)
-        && unreferenced_cell core levels delta
-      then false
+      if Option.is_some core.col && unreferenced_cell core levels delta then false
       else
         match core.strategy with
         | Fallback -> fallback_differs core delta
@@ -430,9 +424,9 @@ let differs core delta =
                    contribution sets are empty and every incremental
                    strategy answers "no change" on empty deltas. *)
                 let provably_empty =
-                  match core.backend with
-                  | B_row _ -> false
-                  | B_col col ->
+                  match core.col with
+                  | None -> false
+                  | Some col ->
                       (not (Col_eval.tuple_participates col level old_tup))
                       && (match new_tup with
                          | None -> true

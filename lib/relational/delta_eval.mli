@@ -22,10 +22,8 @@
       merge.
     - {b fallback}: anything else (DISTINCT+GROUP BY, self-joins,
       grouped queries selecting non-key fields) — full re-evaluation
-      with the compiled plan. Always runs on the row engine: a full
-      re-evaluation has no per-delta kernel to vectorize, and using one
-      code path keeps the oracle and the columnar mode trivially
-      identical there.
+      with the compiled plan ({!Eval.run_plan}): a full re-evaluation
+      has no per-delta kernel to vectorize.
 
     Every strategy is observationally equivalent to
     [not (Result_set.equal (Eval.run d' q) (Eval.run d q))]; the test
@@ -33,27 +31,37 @@
 
     {2 Engines}
 
-    Join enumeration behind the strategies runs on one of two engines:
-    the vectorized {!Col_eval} engine over {!Col_table} columnar images
-    ([Columnar], the default and the only one production builds use),
-    or the original row-at-a-time {!Eval} engine ([Row]), kept as the
-    reference that tests and benches name explicitly. The columnar
-    engine additionally short-circuits [Cell_change] deltas on columns
-    the query never references; the row engine does not, so comparing
-    the two engines' answers (for conflict sets,
-    [Qp_market.Conflict.disagreements]) exercises that shortcut too. *)
-
-type engine = Row | Columnar
-
-val engine_name : engine -> string
-(** ["row"] or ["columnar"]. *)
+    Join enumeration behind the strategies runs on the vectorized
+    {!Col_eval} engine over {!Col_table} columnar images. Before any
+    join it tries two pre-checks: a [Cell_change] on a column the query
+    never reads cannot change the answer, and {!Col_eval.tuple_participates}
+    / {!Col_eval.may_extend} prove most changed tuples contribute
+    nothing. {!prepare_with} swaps in another join enumerator and runs
+    neither pre-check; the test-only [qp_rel_oracle] library uses it
+    for a row-at-a-time reference, so comparing its conflict sets with
+    {!prepare}'s ([Qp_market.Conflict.disagreements]) exercises the
+    pre-checks as well as the kernels. *)
 
 type t
 
-val prepare : ?engine:engine -> Database.t -> Query.t -> t
-(** Compiles the query, enumerates its pre-aggregation rows once, and
-    builds the per-strategy base state on [engine] (default
-    [Columnar]). *)
+val prepare : Database.t -> Query.t -> t
+(** Compiles the query, builds its columnar state, enumerates its
+    pre-aggregation rows once when the strategy needs them, and builds
+    the per-strategy base state. *)
+
+type joins = {
+  all : unit -> Expr.env list;
+      (** every [WHERE]-satisfying environment, as {!Eval.join_all} *)
+  fixed : int * Relation.tuple -> Expr.env list;
+      (** environments with one [FROM] position pinned to a tuple, as
+          {!Col_eval.join_fixed} *)
+}
+(** A join enumerator over one prepared instance. *)
+
+val prepare_with : (Eval.plan -> Database.t -> joins) -> Database.t -> Query.t -> t
+(** [prepare] with the join enumerator built by [joins_of plan db] in
+    place of the columnar engine, and without its pre-checks — the
+    seam for a reference enumerator in tests and benches. *)
 
 val query : t -> Query.t
 (** The query this preparation was built for. *)

@@ -9,7 +9,8 @@ type equi = {
   probe : Expr.compiled;  (** expression over earlier levels (or constant) *)
   probe_col0 : int option;
       (** when the probe is exactly a column of FROM position 0, its
-          column index — enables the reverse index of [join_fixed] *)
+          column index — enables the columnar engine's reverse level-0
+          bucket *)
 }
 
 type compiled_item =
@@ -149,14 +150,6 @@ type level_plan =
   | Scan of Relation.tuple array
   | Probe of (Value.t list, Relation.tuple) Hashtbl.t * equi list
 
-type prejoined = {
-  plans : level_plan array;
-  rev0 : (int, (Value.t, Relation.tuple list) Hashtbl.t) Hashtbl.t;
-      (** lazily-built indexes of level 0's (filtered) candidates by
-          column, used to shrink the level-0 scan when [join_fixed]
-          pins a later level *)
-}
-
 let cross_filters plan =
   Array.mapi
     (fun lvl fs ->
@@ -180,7 +173,10 @@ let cross_compiled plan =
 let level_equis plan lvl =
   List.map (fun e -> (e.key_col, e.probe, e.probe_col0)) plan.equis.(lvl)
 
-let build_level_plan plan lvl raw =
+(* One level's candidates (its tuples passing the single conjuncts),
+   hash-indexed on its equi keys when it has any. *)
+let build_level_plan plan db lvl =
+  let raw = Relation.tuples (Database.relation db plan.table_names.(lvl)) in
   let n = Array.length plan.env_schemas in
   let scratch = Array.make n [||] in
   let singles =
@@ -205,36 +201,9 @@ let build_level_plan plan lvl raw =
         cands;
       Probe (index, equis)
 
-let precompute_levels plan db =
-  let plans =
-    Array.init
-      (Array.length plan.env_schemas)
-      (fun lvl ->
-        build_level_plan plan lvl
-          (Relation.tuples (Database.relation db plan.table_names.(lvl))))
-  in
-  { plans; rev0 = Hashtbl.create 4 }
-
-let level0_candidates prejoined =
-  match prejoined.plans.(0) with
-  | Scan cands -> cands
-  | Probe _ -> assert false (* level 0 never has equi probes *)
-
-let rev0_index prejoined col =
-  match Hashtbl.find_opt prejoined.rev0 col with
-  | Some idx -> idx
-  | None ->
-      let idx = Hashtbl.create 256 in
-      Array.iter
-        (fun tup ->
-          let cur = Option.value (Hashtbl.find_opt idx tup.(col)) ~default:[] in
-          Hashtbl.replace idx tup.(col) (tup :: cur))
-        (level0_candidates prejoined);
-      Hashtbl.replace prejoined.rev0 col idx;
-      idx
-
-let run_levels plan level_plans =
+let join_all plan db =
   let n = Array.length plan.env_schemas in
+  let level_plans = Array.init n (build_level_plan plan db) in
   let env = Array.make n [||] in
   let cross = cross_filters plan in
   let out = ref [] in
@@ -254,34 +223,6 @@ let run_levels plan level_plans =
   in
   extend 0;
   !out
-
-let join_fixed plan prejoined (flvl, tup) =
-  let level_plans =
-    Array.mapi
-      (fun lvl cached ->
-        if lvl = flvl then build_level_plan plan lvl [| tup |] else cached)
-      prejoined.plans
-  in
-  (* When the pinned level joins level 0 directly on a column, restrict
-     the level-0 scan to the matching bucket instead of a full pass. *)
-  if flvl > 0 then begin
-    let direct =
-      List.find_opt (fun e -> e.probe_col0 <> None) plan.equis.(flvl)
-    in
-    match direct with
-    | Some { key_col; probe_col0 = Some c0; _ } ->
-        let bucket =
-          Option.value
-            (Hashtbl.find_opt (rev0_index prejoined c0) tup.(key_col))
-            ~default:[]
-        in
-        level_plans.(0) <- Scan (Array.of_list bucket)
-    | _ -> ()
-  end;
-  run_levels plan level_plans
-
-let join_prejoined plan prejoined = run_levels plan prejoined.plans
-let join_all plan db = run_levels plan (precompute_levels plan db).plans
 
 (* --- output construction ------------------------------------------- *)
 

@@ -30,24 +30,6 @@ val from_env : plan -> (string * Schema.t) array
 val join_all : plan -> Database.t -> Expr.env list
 (** Every [WHERE]-satisfying environment (the pre-aggregation rows). *)
 
-type prejoined
-(** Per-level candidate sets and hash indexes precomputed against one
-    instance, so that repeated [join_fixed] probes (one per support
-    delta) do not rebuild them. *)
-
-val precompute_levels : plan -> Database.t -> prejoined
-(** Build the {!type:prejoined} state for one instance. *)
-
-val join_fixed : plan -> prejoined -> int * Relation.tuple -> Expr.env list
-(** [join_fixed plan pj (pos, tup)] is every [WHERE]-satisfying join
-    environment in which [FROM] position [pos] is bound to [tup] (which
-    need not occur in the instance — this is how the delta evaluator
-    probes a changed tuple for its contribution to the answer), reusing
-    the precomputation for every level other than the fixed one. *)
-
-val join_prejoined : plan -> prejoined -> Expr.env list
-(** {!join_all} over already-precomputed levels. *)
-
 val project : plan -> Expr.env -> Value.t array
 (** The output row for one environment. Only valid for plans without
     aggregates. *)
@@ -67,7 +49,9 @@ val agg_kinds : plan -> Agg_state.kind array
     The columnar engine reuses this module's plan — column resolution,
     predicate classification, equi-join detection — and swaps only the
     data access layer. These accessors expose the classified plan
-    pieces it drives its kernels and indexes from. *)
+    pieces it drives its kernels and indexes from; a reference join
+    enumerator for {!Delta_eval.prepare_with} builds on the same
+    pieces. *)
 
 val table_names : plan -> string array
 (** The relation name bound at each [FROM] position. *)
@@ -91,7 +75,7 @@ val level_equis : plan -> int -> (int * Expr.compiled * int option) list
     [(key_col, probe, probe_col0)]: the level's key column, the
     compiled probe expression over earlier levels, and — when the probe
     is exactly a level-0 column — that column's index (enables the
-    reverse level-0 bucket of {!join_fixed}). *)
+    reverse level-0 bucket of {!Col_eval.join_fixed}). *)
 
 val result_of_envs : plan -> Expr.env list -> Result_set.t
 (** Output construction (projection or grouping, DISTINCT, LIMIT) from

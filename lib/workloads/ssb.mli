@@ -14,15 +14,23 @@ type config = {
 }
 
 val default_config : config
-(** 300 customers, 80 suppliers, 150 parts, 2500 lineorders, one date
-    row per week over 1992-1998 (~365 rows). *)
+(** 500 customers, 100 suppliers, 200 parts, 6000 lineorders, one date
+    row per week over 1992-1998 (364 rows). *)
 
 val tiny_config : config
+(** 60 customers, 15 suppliers, 30 parts, 250 lineorders — for fast
+    unit tests (the date dimension is the same). *)
 
 val generate : rng:Qp_util.Rng.t -> ?config:config -> unit -> Database.t
+(** The five SSB tables ([date], [customer], [supplier], [part],
+    [lineorder]) at [config] (default {!default_config}); deterministic
+    in [rng]. *)
 
 val regions : string array
+(** The 5 SSB regions (the TPC-H ones, {!Tpch.regions}). *)
+
 val nations : (string * string) array
+(** The 25 [(nation, region)] pairs (the TPC-H ones, {!Tpch.nations}). *)
 
 val cities : string array
 (** All 250 SSB cities. *)

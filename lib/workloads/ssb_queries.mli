@@ -7,3 +7,5 @@
 module Query = Qp_relational.Query
 
 val workload : unit -> Query.t list
+(** The 701 expanded queries, flight by flight in the order listed
+    above. *)

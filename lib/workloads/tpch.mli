@@ -25,10 +25,15 @@ val default_config : config
     lineitems), 4 partsupp rows per part. *)
 
 val tiny_config : config
+(** 5 suppliers, 30 parts, 20 customers, 60 orders (~120 lineitems),
+    2 partsupp rows per part — for fast unit tests. *)
 
 val generate : rng:Qp_util.Rng.t -> ?config:config -> unit -> Database.t
+(** The eight TPC-H tables at [config] (default {!default_config});
+    deterministic in [rng]. *)
 
 val regions : string array
+(** The 5 TPC-H region names. *)
 
 val nations : (string * string) array
 (** [(nation, region)] pairs. *)
@@ -40,3 +45,4 @@ val containers : string array
 (** The 40 TPC-H [p_container] strings. *)
 
 val date : year:int -> month:int -> day:int -> int
+(** The integer [YYYYMMDD] encoding dates are stored in. *)

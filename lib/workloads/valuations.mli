@@ -20,6 +20,8 @@ type model =
   | Additive of { k : int; dtilde : dtilde }
 
 val describe : model -> string
+(** Short label for reports, e.g. ["uniform[1,100]"] or
+    ["additive(k=5,D~=binomial)"]. *)
 
 val draw :
   rng:Qp_util.Rng.t -> model -> Qp_core.Hypergraph.t -> float array

@@ -24,11 +24,21 @@ val tiny_config : config
 (** 30 countries — for fast unit tests. *)
 
 val generate : rng:Qp_util.Rng.t -> ?config:config -> unit -> Database.t
+(** Country, City and CountryLanguage at [config] (default
+    {!default_config}), with the pinned rows above; deterministic in
+    [rng]. Requires [countries >= 8]. *)
 
 val continents : string array
+(** The 7 values of [Country.Continent] (each region maps to one); the
+    query templates range over them. *)
+
 val country_codes : Database.t -> string list
+(** Distinct [Country.Code] values, in first-occurrence order — an
+    active domain used to expand the query templates. *)
+
 val language_names : Database.t -> string list
-(** Active domains used to expand the query templates. *)
+(** Distinct [CountryLanguage.Language] values, in first-occurrence
+    order — likewise. *)
 
 val code_of_name : (string, unit) Hashtbl.t -> string -> string
 (** 3-character country code for a name, unique against (and recorded

@@ -1,13 +1,13 @@
 (* Cross-engine identity gate for the relational layer, run by `make
    check`: build every workload's conflict hypergraph at Tiny scale on
-   the row engine and on the columnar engine, and fail on any (query,
-   delta) pair where their conflict sets disagree. The bench gate pins
-   the same property at Default scale; this catches divergence in
-   seconds, before the benches run. *)
+   the columnar engine (the default) and on the row-at-a-time reference
+   in qp_rel_oracle, and fail on any (query, delta) pair where their
+   conflict sets disagree. The bench gate pins the same property at
+   Default scale; this catches divergence in seconds, before the
+   benches run. *)
 
 module WI = Qp_experiments.Workload_instances
 module C = Qp_market.Conflict
-module DE = Qp_relational.Delta_eval
 
 let () =
   let failures = ref 0 in
@@ -15,10 +15,12 @@ let () =
     (fun key ->
       let inst = WI.build key ~scale:WI.Tiny ~seed:42 () in
       let valued = List.map (fun q -> (q, 1.0)) inst.WI.queries in
-      let build engine =
-        fst (C.hypergraph ~engine inst.WI.db valued inst.WI.deltas)
+      let build ?prepare () =
+        fst (C.hypergraph ?prepare inst.WI.db valued inst.WI.deltas)
       in
-      match C.disagreements (build DE.Row) (build DE.Columnar) with
+      match
+        C.disagreements (build ~prepare:Qp_rel_oracle.prepare ()) (build ())
+      with
       | [] ->
           Printf.printf "check-rel-engines: %-8s ok (%d queries, %d edges)\n"
             key

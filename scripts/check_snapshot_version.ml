@@ -19,8 +19,8 @@
 (* The pinned state of the world. After intentionally changing any
    payload-reachable type: bump [format_version] in
    lib/serve/snapshot.ml, then set these two from [--print]. *)
-let expected_version = 3
-let expected_fingerprint = "2e02b8ec34fbcbf42d955eb168fbbf53"
+let expected_version = 4
+let expected_fingerprint = "b1c52d10d8d19940e2f7cd4030c5a2b9"
 
 (* Every file whose toplevel type declarations the marshalled payload
    representation can reach ([Broker.frozen] -> Workload_instances.t

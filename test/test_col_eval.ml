@@ -1,6 +1,8 @@
 (* Cross-engine identity: the columnar engine must enumerate exactly
    the environments the row engine does, so full answers, conflict sets
-   and whole hypergraphs are bit-identical between engines. *)
+   and whole hypergraphs are bit-identical between engines. Full answers
+   compare with Eval.run; delta answers with the row-at-a-time
+   reference in Qp_rel_oracle. *)
 
 open Fixtures
 module Col_eval = R.Col_eval
@@ -58,16 +60,16 @@ let test_like_kernel_matches_row () =
   done
 
 (* The row engine is the reference: on the big random property, a
-   columnar preparation must answer every delta exactly as a row
-   preparation of the same query does. *)
+   columnar preparation must answer every delta exactly as the row
+   oracle's preparation of the same query does. *)
 let test_engines_agree_per_delta () =
   let rand = Random.State.make [| 9001 |] in
   for round = 1 to 60 do
     let database = random_db rand in
     for qi = 1 to 8 do
       let query = random_query rand ((round * 10) + qi) in
-      let prep engine = Delta_eval.prepare ~engine database query in
-      let row = prep Delta_eval.Row and col = prep Delta_eval.Columnar in
+      let row = Qp_rel_oracle.prepare database query in
+      let col = Delta_eval.prepare database query in
       for _ = 1 to 10 do
         let delta = random_delta rand database in
         if Delta_eval.differs row delta <> Delta_eval.differs col delta then
@@ -88,11 +90,13 @@ let test_workload_hypergraph_identity () =
     (fun key ->
       let inst = WI.build key ~scale:WI.Tiny ~seed:7 () in
       let valued = List.map (fun q -> (q, 1.0)) inst.WI.queries in
-      let build engine =
-        Conflict.hypergraph ~jobs:1 ~engine inst.WI.db valued inst.WI.deltas
+      let build ?prepare () =
+        fst
+          (Conflict.hypergraph ~jobs:1 ?prepare inst.WI.db valued
+             inst.WI.deltas)
       in
-      let h_row, row_stats = build Delta_eval.Row in
-      let h_col, col_stats = build Delta_eval.Columnar in
+      let h_row = build ~prepare:Qp_rel_oracle.prepare () in
+      let h_col = build () in
       Alcotest.(check bool)
         (key ^ ": row = columnar")
         true
@@ -100,11 +104,7 @@ let test_workload_hypergraph_identity () =
       Alcotest.(check int)
         (key ^ ": disagreements")
         0
-        (List.length (Conflict.disagreements h_row h_col));
-      Alcotest.(check (pair string string))
-        (key ^ ": stats engine")
-        ("row", "columnar")
-        (row_stats.Conflict.engine, col_stats.Conflict.engine))
+        (List.length (Conflict.disagreements h_row h_col)))
     WI.keys
 
 (* Satellite of ISSUE 10: Q16 (plain LIMIT 2 over Country) used to be
@@ -153,19 +153,14 @@ let test_limited_boundary () =
   List.iter
     (fun (name, query, delta) ->
       List.iter
-        (fun engine ->
-          let prep = Delta_eval.prepare ~engine db query in
+        (fun (engine, prepare) ->
+          let prep = prepare db query in
           Alcotest.(check bool)
-            (Printf.sprintf "%s (%s)" name (Delta_eval.engine_name engine))
+            (Printf.sprintf "%s (%s)" name engine)
             (reference query delta)
             (Delta_eval.differs prep delta))
-        [ Delta_eval.Row; Delta_eval.Columnar ])
+        [ ("row", Qp_rel_oracle.prepare); ("columnar", Delta_eval.prepare) ])
     cases
-
-let test_engine_name () =
-  Alcotest.(check string) "row" "row" (Delta_eval.engine_name Delta_eval.Row);
-  Alcotest.(check string) "columnar" "columnar"
-    (Delta_eval.engine_name Delta_eval.Columnar)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -177,5 +172,4 @@ let suite =
       t "workload hypergraphs engine-identical" test_workload_hypergraph_identity;
       t "skewed workload has no fallback" test_skewed_has_no_fallback;
       t "limited strategy boundary cases" test_limited_boundary;
-      t "engine_of_string" test_engine_name;
     ] )

@@ -118,6 +118,45 @@ let test_disagreements () =
   raises "edge names"
     (h [ ("a", [| 0; 2; 4 |], 1.0); ("c", [| 1 |], 2.0); ("b", [||], 1.0) ])
 
+(* The default build pinned to recorded digests: for each Tiny
+   workload, the MD5 of every edge's name, items and valuation (as
+   int64 bits), with per-query valuations so the pin covers them too.
+   Any change to the production delta path that moves one membership
+   or reorders one edge changes a digest. *)
+let pinned_digests =
+  [
+    ("skewed", "f8d971ea849a9acdd520cf595220bc5c");
+    ("uniform", "bdcd0196429a3c9b9db738abaeab30f3");
+    ("tpch", "1bb84f76cfca2843d668402a493955e7");
+    ("ssb", "ca5b7af991a2e3c848269b63c776c37b");
+  ]
+
+let hypergraph_digest h =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (e : H.edge) ->
+      Buffer.add_string b e.H.name;
+      Array.iter (fun i -> Buffer.add_string b (Printf.sprintf " %d" i)) e.H.items;
+      Buffer.add_string b
+        (Printf.sprintf " %Lx\n" (Int64.bits_of_float e.H.valuation)))
+    (H.edges h);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pinned_digests () =
+  let got =
+    List.map
+      (fun key ->
+        let inst = WI.build key ~scale:WI.Tiny ~seed:7 () in
+        let valued =
+          List.mapi (fun i q -> (q, float_of_int (i + 1) /. 7.0)) inst.WI.queries
+        in
+        let h, _ = C.hypergraph ~jobs:1 inst.WI.db valued inst.WI.deltas in
+        (key, hypergraph_digest h))
+      WI.keys
+  in
+  Alcotest.(check (list (pair string string)))
+    "default build digests" pinned_digests got
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "conflict",
@@ -128,4 +167,5 @@ let suite =
       t "stats partition queries and workers" test_stats_sanity;
       t "sequential pool stats" test_stats_sequential_pool;
       t "disagreements count differing memberships" test_disagreements;
+      t "default build pinned on the Tiny workloads" test_pinned_digests;
     ] )

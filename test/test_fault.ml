@@ -408,6 +408,68 @@ let test_degraded_sweeps_close_with_fallback () =
       ("cip.solve", (fun h -> Cip.solve h), "ubp", Qp_core.Ubp.solve);
     ]
 
+(* Under a stall on every pivot CIP falls back to UBP, and the two
+   spans must report the same revenue for that one pricing: the
+   [ubp.solve] span used to close with its sweep score (price × buyers)
+   while [cip.solve] closed with [Pricing.revenue], and on the skewed
+   Tiny instance the two differed in the last digits. *)
+let test_ubp_and_cip_close_with_one_revenue () =
+  let inst = Lazy.force tiny in
+  let h =
+    V.apply ~rng:(Qp_util.Rng.create 3) (V.Uniform_val 100.0)
+      inst.WI.hypergraph
+  in
+  with_faults "simplex.pivot:stall" @@ fun () ->
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
+  let lines =
+    Fun.protect
+      ~finally:(fun () ->
+        Qp_obs.set_enabled false;
+        Qp_obs.reset ())
+      (fun () ->
+        ignore (Cip.solve h);
+        Array.of_list (String.split_on_char '\n' (Qp_obs.structure ())))
+  in
+  let indent l = String.length l - String.length (String.trim l) in
+  (* The [best_revenue] of a span's closing line: the first [end] line
+     one level deeper than the span's opening line. *)
+  let closing_revenue label =
+    let rec find_open i =
+      if i >= Array.length lines then Alcotest.failf "no %s span" label
+      else if String.starts_with ~prefix:("span " ^ label) (String.trim lines.(i))
+      then i
+      else find_open (i + 1)
+    in
+    let o = find_open 0 in
+    let rec find_end i =
+      if i >= Array.length lines then Alcotest.failf "%s never closed" label
+      else if
+        indent lines.(i) = indent lines.(o) + 2
+        && String.starts_with ~prefix:"end [" (String.trim lines.(i))
+      then lines.(i)
+      else find_end (i + 1)
+    in
+    let line = String.trim (find_end (o + 1)) in
+    let args = String.sub line 5 (String.length line - 6) in
+    match
+      List.find_map
+        (fun tok ->
+          match String.split_on_char '=' tok with
+          | [ "best_revenue"; v ] -> Some v
+          | _ -> None)
+        (String.split_on_char ' ' args)
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "%s closed without best_revenue: %s" label line
+  in
+  let cip = closing_revenue "cip.solve" in
+  Alcotest.(check string) "ubp.solve best_revenue = cip.solve best_revenue"
+    cip (closing_revenue "ubp.solve");
+  Alcotest.(check string) "both are Pricing.revenue of the UBP pricing"
+    (Printf.sprintf "%.17g" (P.revenue (Qp_core.Ubp.solve h) h))
+    cip
+
 let suite =
   ( "fault",
     [
@@ -443,4 +505,6 @@ let suite =
         test_runner_healthy_unchanged;
       Alcotest.test_case "degraded sweeps close with the fallback" `Quick
         test_degraded_sweeps_close_with_fallback;
+      Alcotest.test_case "ubp and cip close with one revenue" `Quick
+        test_ubp_and_cip_close_with_one_revenue;
     ] )

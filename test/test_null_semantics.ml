@@ -219,16 +219,15 @@ let test_null_deltas () =
   List.iter
     (fun q ->
       List.iter
-        (fun engine ->
-          let prep = Delta_eval.prepare ~engine db q in
+        (fun (engine, prepare) ->
+          let prep = prepare db q in
           List.iter
             (fun d ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s/%s" q.Query.name
-                   (Delta_eval.engine_name engine))
+                (Printf.sprintf "%s/%s" q.Query.name engine)
                 (reference q d) (Delta_eval.differs prep d))
             deltas)
-        [ Delta_eval.Row; Delta_eval.Columnar ])
+        [ ("row", Qp_rel_oracle.prepare); ("columnar", Delta_eval.prepare) ])
     queries
 
 let suite =
