@@ -2,7 +2,7 @@ module Database = Qp_relational.Database
 module Query = Qp_relational.Query
 module Result_set = Qp_relational.Result_set
 module Delta = Qp_relational.Delta
-module Eval = Qp_relational.Eval
+module Col_eval = Qp_relational.Col_eval
 module Hypergraph = Qp_core.Hypergraph
 module Pricing = Qp_core.Pricing
 module Algorithms = Qp_core.Algorithms
@@ -121,7 +121,7 @@ let purchase t ~budget q =
   let price = quote t q in
   if price <= budget then begin
     t.collected <- t.collected +. price;
-    `Sold (price, Eval.run t.db q)
+    `Sold (price, Col_eval.run t.db q)
   end
   else `Declined price
 
@@ -155,7 +155,7 @@ let purchase_as t ~account:name ~budget q =
     acc.history <- combined;
     acc.spent <- acc.spent +. marginal;
     t.collected <- t.collected +. marginal;
-    `Sold (marginal, Eval.run t.db q)
+    `Sold (marginal, Col_eval.run t.db q)
   end
   else `Declined marginal
 

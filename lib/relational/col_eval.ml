@@ -1,8 +1,8 @@
-(* Columnar join enumeration: the one engine behind Delta_eval's
-   per-delta probes.
+(* Columnar join enumeration: the library's one join engine, behind
+   every full answer (run) and every Delta_eval probe.
 
    Reuses Eval's plan (column resolution, predicate classification,
-   equi detection) and replaces Eval's row-at-a-time data access:
+   equi detection) and replaces the row engine's data access:
 
    - per-level candidate sets come from vectorized predicate kernels
      over typed columns (Bitset masks combined word-wise), falling back
@@ -14,11 +14,10 @@
      row tuples (late materialization), so projection, grouping and
      aggregation share the row engine's code and values verbatim.
 
-   "The row engine" below is Eval.join_all (behind Eval.run and the
-   fallback strategy): both enumerate the same multiset of environments
-   and build answers with the same code, so results agree bit for bit.
-   make check-rel-engines and bench conflict compare this engine's
-   conflict hypergraphs with the test-only qp_rel_oracle's. *)
+   "The row engine" below is the test-only qp_rel_oracle enumerator:
+   both enumerate the same multiset of environments and build answers
+   with Eval.result_of_envs, so results agree bit for bit. make
+   check-rel-engines and bench conflict compare their hypergraphs. *)
 
 module B = Bitset
 
@@ -631,7 +630,10 @@ let enumerate t fixed =
 
 let join_all t = enumerate t None
 let join_fixed t fixed = enumerate t (Some fixed)
-let run t = Eval.result_of_envs t.plan (join_all t)
+
+let run db q =
+  let plan = Eval.prepare db q in
+  Eval.result_of_envs plan (join_all (prepare plan db))
 
 (* --- per-delta emptiness pre-checks --------------------------------- *)
 

@@ -1,13 +1,13 @@
-(** Columnar join enumeration — the one engine behind {!Delta_eval}'s
-    per-delta probes.
+(** Columnar join enumeration — the library's one join engine, behind
+    every full answer ({!run}) and every {!Delta_eval} probe.
 
     Shares {!Eval}'s plan (resolution, predicate classification, equi
     detection) and its output construction ({!Eval.result_of_envs});
-    replaces candidate filtering with vectorized kernels over
-    {!Col_table} columns and equi probes with unboxed int / dictionary
-    hash indexes. Environments materialize as pointers to the source
-    relations' row tuples, so this engine and {!Eval.join_all}
-    enumerate the same multiset of environments and build answers
+    filters candidates with vectorized kernels over {!Col_table}
+    columns and probes equi-joins through unboxed int / dictionary hash
+    indexes. Environments materialize as pointers to the source
+    relations' row tuples, so the test-only row-at-a-time reference
+    enumerates the same multiset of environments and builds answers
     through the same code. *)
 
 type t
@@ -23,8 +23,8 @@ val plan : t -> Eval.plan
 (** The plan this state was prepared from. *)
 
 val join_all : t -> Expr.env list
-(** Every [WHERE]-satisfying join environment (as {!Eval.join_all},
-    reusing the prepared indexes). *)
+(** Every [WHERE]-satisfying join environment (the pre-aggregation
+    rows), reusing the prepared indexes. *)
 
 val join_fixed : t -> int * Relation.tuple -> Expr.env list
 (** [join_fixed t (pos, tup)] is every [WHERE]-satisfying join
@@ -34,9 +34,10 @@ val join_fixed : t -> int * Relation.tuple -> Expr.env list
     level joins a level-0 column directly, the level-0 scan shrinks to
     that value's bucket of a lazily built reverse index. *)
 
-val run : t -> Result_set.t
-(** The full query answer from this engine — used by the cross-engine
-    identity tests. *)
+val run : Database.t -> Query.t -> Result_set.t
+(** [run db q] is the full answer [Q(D)] — the library's one
+    full-answer entry point. Raises [Invalid_argument] as
+    {!Eval.prepare} does. *)
 
 (** {2 Per-delta emptiness pre-checks}
 

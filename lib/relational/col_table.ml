@@ -113,7 +113,7 @@ let of_relation rel =
 (* Per-domain cache keyed by physical equality on the relation value.
    Databases are immutable and deltas are applied functionally, so a
    physically-equal relation always has the same columnar image. A
-   small association list is enough: a build touches a handful of
+   small FIFO association list is enough: a build touches a handful of
    relations, and scanning a few entries with (==) is cheaper than any
    hashing scheme that would have to be safe under a moving GC. *)
 let cache_cap = 32

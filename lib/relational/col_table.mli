@@ -26,8 +26,11 @@ val of_relation : Relation.t -> t
 val of_relation_cached : Relation.t -> t
 (** {!of_relation} memoized per domain on physical equality of the
     relation — repeated prepares against the same instance reuse one
-    image. Bounded (small LRU-ish cap), safe under the moving GC
-    because keys are compared with [==], never hashed by address. *)
+    image. Bounded and FIFO: a miss enters at the front and evicts the
+    oldest entry past the cap, a hit does not move. Every delta of a
+    columnar fallback preparation ({!Delta_eval}) adds one entry, the
+    image of its perturbed relation. Safe under the moving GC because
+    keys are compared with [==], never hashed by address. *)
 
 val relation : t -> Relation.t
 (** The source relation. *)

@@ -25,7 +25,9 @@ type t = {
   db : Database.t;
   q : Query.t;
   plan : Eval.plan;
-  joins : joins;
+  joins_of : Eval.plan -> Database.t -> joins;
+      (** builds the enumerator over any instance (the fallback's) *)
+  joins : joins;  (** [joins_of plan db] *)
   col : Col_eval.t option;
       (** the columnar state behind [joins], whose pre-checks answer
           most deltas without a join; [None] under {!prepare_with} *)
@@ -46,7 +48,7 @@ let base_result core =
   match core.base with
   | Some r -> r
   | None ->
-      let r = Eval.run_plan core.plan core.db in
+      let r = Eval.result_of_envs core.plan (core.joins.all ()) in
       core.base <- Some r;
       r
 
@@ -173,7 +175,7 @@ let choose_strategy plan q envs positions =
         end
         else Rowwise
 
-let make db q plan joins col =
+let make db q plan joins_of joins col =
   let positions = table_positions q in
   let self_join =
     Hashtbl.fold (fun _ ps b -> b || List.length ps > 1) positions false
@@ -195,6 +197,7 @@ let make db q plan joins col =
     db;
     q;
     plan;
+    joins_of;
     joins;
     col;
     positions;
@@ -204,17 +207,19 @@ let make db q plan joins col =
     base = None;
   }
 
+let col_joins col =
+  { all = (fun () -> Col_eval.join_all col); fixed = Col_eval.join_fixed col }
+
 let prepare db q =
   let plan = Eval.prepare db q in
   let col = Col_eval.prepare plan db in
-  let joins =
-    { all = (fun () -> Col_eval.join_all col); fixed = Col_eval.join_fixed col }
-  in
-  make db q plan joins (Some col)
+  make db q plan
+    (fun plan db -> col_joins (Col_eval.prepare plan db))
+    (col_joins col) (Some col)
 
 let prepare_with joins_of db q =
   let plan = Eval.prepare db q in
-  make db q plan (joins_of plan db) None
+  make db q plan joins_of (joins_of plan db) None
 
 (* --- per-delta contribution ----------------------------------------- *)
 
@@ -364,10 +369,14 @@ let limited_differs core k base_rows removed added =
     !differs
   end
 
+(* The definition itself: Q(D ⊕ δ) <> Q(D), both answers from this
+   preparation's own enumerator. *)
 let fallback_differs core delta =
-  let perturbed = Delta.apply core.db delta in
+  let perturbed = core.joins_of core.plan (Delta.apply core.db delta) in
   not
-    (Result_set.equal (Eval.run_plan core.plan perturbed) (base_result core))
+    (Result_set.equal
+       (Eval.result_of_envs core.plan (perturbed.all ()))
+       (base_result core))
 
 (* The columnar path short-circuits cell changes on columns the query
    never reads: the answer is a function of the referenced cells and

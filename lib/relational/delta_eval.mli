@@ -21,13 +21,14 @@
       and compare only its first [k] rows against the delta-adjusted
       merge.
     - {b fallback}: anything else (DISTINCT+GROUP BY, self-joins,
-      grouped queries selecting non-key fields) — full re-evaluation
-      with the compiled plan ({!Eval.run_plan}): a full re-evaluation
-      has no per-delta kernel to vectorize.
+      grouped queries selecting non-key fields) — the definition
+      itself: the preparation's own enumerator, rebuilt over [d ⊕ δ],
+      answers in full and that answer is compared with {!base_result}.
 
-    Every strategy is observationally equivalent to
-    [not (Result_set.equal (Eval.run d' q) (Eval.run d q))]; the test
-    suite checks this by property.
+    Every strategy is observationally equivalent to comparing the full
+    answers ({!Eval.result_of_envs} of [joins.all]) of the
+    preparation's own enumerator on [d ⊕ δ] and on [d]; the test suite
+    checks this by property.
 
     {2 Engines}
 
@@ -51,7 +52,8 @@ val prepare : Database.t -> Query.t -> t
 
 type joins = {
   all : unit -> Expr.env list;
-      (** every [WHERE]-satisfying environment, as {!Eval.join_all} *)
+      (** every [WHERE]-satisfying environment, as
+          {!Col_eval.join_all}: the rows behind every full answer *)
   fixed : int * Relation.tuple -> Expr.env list;
       (** environments with one [FROM] position pinned to a tuple, as
           {!Col_eval.join_fixed} *)
@@ -61,13 +63,14 @@ type joins = {
 val prepare_with : (Eval.plan -> Database.t -> joins) -> Database.t -> Query.t -> t
 (** [prepare] with the join enumerator built by [joins_of plan db] in
     place of the columnar engine, and without its pre-checks — the
-    seam for a reference enumerator in tests and benches. *)
+    seam for a reference enumerator in tests and benches. Its base
+    answer and fallback re-evaluations run on [joins_of] too. *)
 
 val query : t -> Query.t
 (** The query this preparation was built for. *)
 
 val base_result : t -> Result_set.t
-(** [Q(D)], computed lazily from the same plan. *)
+(** [Q(D)], computed lazily on the preparation's own enumerator. *)
 
 val strategy_name : t -> string
 (** ["rowwise"], ["rowwise-distinct"], ["grouped"], ["limited"] or

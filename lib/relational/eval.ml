@@ -89,6 +89,15 @@ let classify env_schemas conjuncts =
   filters.(0) <- !const_filters @ filters.(0);
   (Array.map Array.of_list filters, equis)
 
+(* SUM/AVG accumulate integers; a string column or literal argument
+   would only fail later, inside the accumulator, on the first row. *)
+let is_string_valued env_schemas = function
+  | Expr.Col cr ->
+      let lvl, col = Expr.resolve env_schemas cr in
+      Schema.attr_type (snd env_schemas.(lvl)) col = Schema.T_string
+  | Expr.Const (Value.Str _) -> true
+  | _ -> false
+
 let prepare db q =
   let from = Array.of_list q.Query.from in
   let env_schemas =
@@ -112,6 +121,10 @@ let prepare db q =
   let agg_arg fn =
     match fn with
     | Query.Count_star -> Expr.compile env_schemas (Expr.Const Value.Null)
+    | Query.Sum e | Query.Avg e when is_string_valued env_schemas e ->
+        invalid_arg
+          (Printf.sprintf "Eval.prepare: SUM/AVG over the string %s"
+             (Expr.to_sql e))
     | Query.Count e | Query.Count_distinct e | Query.Sum e | Query.Avg e
     | Query.Min e | Query.Max e ->
         Expr.compile env_schemas e
@@ -135,29 +148,13 @@ let prepare db q =
   { query = q; env_schemas; table_names; filters; equis; items; agg_kinds;
     agg_args; group_by }
 
-(* --- join enumeration ---------------------------------------------- *)
-
-let passes env filters =
-  Array.for_all (fun { comp; _ } -> Expr.is_true (comp.Expr.eval env)) filters
+(* --- introspection for the join enumerators ------------------------ *)
 
 (* A conjunct at level [lvl] is "single" when it reads only that level's
    tuple; single conjuncts are applied once while building the level's
    candidate set, cross conjuncts inside the join recursion. *)
 let is_single lvl { comp; _ } =
   match comp.Expr.tables with [] -> true | [ t ] -> t = lvl | _ -> false
-
-type level_plan =
-  | Scan of Relation.tuple array
-  | Probe of (Value.t list, Relation.tuple) Hashtbl.t * equi list
-
-let cross_filters plan =
-  Array.mapi
-    (fun lvl fs ->
-      Array.of_list
-        (List.filter (fun f -> not (is_single lvl f)) (Array.to_list fs)))
-    plan.filters
-
-(* --- introspection for the columnar engine ------------------------- *)
 
 type filter_info = { f_ast : Expr.t; f_comp : Expr.compiled }
 
@@ -168,61 +165,16 @@ let single_filters plan lvl =
     (Array.to_list plan.filters.(lvl))
 
 let cross_compiled plan =
-  Array.map (Array.map (fun c -> c.comp)) (cross_filters plan)
+  Array.mapi
+    (fun lvl fs ->
+      Array.of_list
+        (List.filter_map
+           (fun c -> if is_single lvl c then None else Some c.comp)
+           (Array.to_list fs)))
+    plan.filters
 
 let level_equis plan lvl =
   List.map (fun e -> (e.key_col, e.probe, e.probe_col0)) plan.equis.(lvl)
-
-(* One level's candidates (its tuples passing the single conjuncts),
-   hash-indexed on its equi keys when it has any. *)
-let build_level_plan plan db lvl =
-  let raw = Relation.tuples (Database.relation db plan.table_names.(lvl)) in
-  let n = Array.length plan.env_schemas in
-  let scratch = Array.make n [||] in
-  let singles =
-    Array.of_list (List.filter (is_single lvl) (Array.to_list plan.filters.(lvl)))
-  in
-  let keep tup =
-    scratch.(lvl) <- tup;
-    passes scratch singles
-  in
-  let cands =
-    if Array.length singles = 0 then raw
-    else Array.of_list (List.filter keep (Array.to_list raw))
-  in
-  match plan.equis.(lvl) with
-  | [] -> Scan cands
-  | equis ->
-      let index = Hashtbl.create (max 16 (Array.length cands)) in
-      Array.iter
-        (fun tup ->
-          let key = List.map (fun { key_col; _ } -> tup.(key_col)) equis in
-          Hashtbl.add index key tup)
-        cands;
-      Probe (index, equis)
-
-let join_all plan db =
-  let n = Array.length plan.env_schemas in
-  let level_plans = Array.init n (build_level_plan plan db) in
-  let env = Array.make n [||] in
-  let cross = cross_filters plan in
-  let out = ref [] in
-  let rec extend lvl =
-    if lvl = n then out := Array.copy env :: !out
-    else
-      let filters = cross.(lvl) in
-      let visit tup =
-        env.(lvl) <- tup;
-        if passes env filters then extend (lvl + 1)
-      in
-      match level_plans.(lvl) with
-      | Scan cands -> Array.iter visit cands
-      | Probe (index, equis) ->
-          let key = List.map (fun { probe; _ } -> probe.Expr.eval env) equis in
-          List.iter visit (Hashtbl.find_all index key)
-  in
-  extend 0;
-  !out
 
 (* --- output construction ------------------------------------------- *)
 
@@ -321,6 +273,3 @@ let result_of_envs plan envs =
   match plan.query.Query.limit with
   | Some k -> Result_set.truncated_to k result
   | None -> result
-
-let run_plan plan db = result_of_envs plan (join_all plan db)
-let run db q = run_plan (prepare db q) db

@@ -1,23 +1,21 @@
-(** Full query evaluation.
+(** Query plans: compilation and answer construction, no join.
 
     A query is compiled once against the database's schemas into a
     {!plan} (column resolution, predicate pushdown, equi-join detection)
-    and can then be run against any instance with the same schemas —
-    which is exactly what conflict-set computation needs, since every
-    support instance shares the seller instance's schemas. *)
+    that any instance with the same schemas can run — which is exactly
+    what conflict-set computation needs, since every support instance
+    shares the seller instance's schemas. This module owns no join
+    enumerator: {!Col_eval} is the one engine that enumerates a plan's
+    join environments (and {!Col_eval.run} the one full-answer entry
+    point), and {!result_of_envs} turns any enumerator's environments
+    into the answer. *)
 
 type plan
 
 val prepare : Database.t -> Query.t -> plan
 (** Resolves and compiles. Raises [Invalid_argument] on unknown tables
-    or columns, ill-typed aggregates, etc. *)
-
-val run_plan : plan -> Database.t -> Result_set.t
-(** Evaluates on an instance schema-compatible with the one the plan
-    was prepared on. *)
-
-val run : Database.t -> Query.t -> Result_set.t
-(** [prepare] + [run_plan] in one step. *)
+    or columns, ill-typed aggregates ([SUM]/[AVG] over a string column
+    or literal), etc. *)
 
 (** {2 Introspection used by {!Delta_eval}} *)
 
@@ -26,9 +24,6 @@ val query : plan -> Query.t
 
 val from_env : plan -> (string * Schema.t) array
 (** The alias/schema environment the plan compiled against. *)
-
-val join_all : plan -> Database.t -> Expr.env list
-(** Every [WHERE]-satisfying environment (the pre-aggregation rows). *)
 
 val project : plan -> Expr.env -> Value.t array
 (** The output row for one environment. Only valid for plans without
@@ -44,14 +39,13 @@ val agg_row : plan -> Expr.env -> Value.t array
 val agg_kinds : plan -> Agg_state.kind array
 (** Accumulator kinds for the plan's aggregates, positionally. *)
 
-(** {2 Introspection used by {!Col_eval}}
+(** {2 Introspection used by the join enumerators}
 
-    The columnar engine reuses this module's plan — column resolution,
-    predicate classification, equi-join detection — and swaps only the
-    data access layer. These accessors expose the classified plan
-    pieces it drives its kernels and indexes from; a reference join
-    enumerator for {!Delta_eval.prepare_with} builds on the same
-    pieces. *)
+    {!Col_eval} drives its kernels and indexes from this module's
+    classified plan — column resolution, predicate classification,
+    equi-join detection. The test-only row-at-a-time reference
+    enumerator (plugged in through {!Delta_eval.prepare_with}) builds
+    on the same accessors. *)
 
 val table_names : plan -> string array
 (** The relation name bound at each [FROM] position. *)
@@ -79,6 +73,6 @@ val level_equis : plan -> int -> (int * Expr.compiled * int option) list
 
 val result_of_envs : plan -> Expr.env list -> Result_set.t
 (** Output construction (projection or grouping, DISTINCT, LIMIT) from
-    already-enumerated join environments; {!run_plan} is
-    {!join_all} composed with this. Both engines share it, so answer
-    construction is engine-independent by construction. *)
+    already-enumerated join environments — the pre-aggregation rows.
+    Every enumerator shares it, so answer construction is
+    engine-independent by construction. *)

@@ -395,7 +395,11 @@ let parse ?name ~db sql =
   let name = Option.value name ~default:(truncate sql 60) in
   match
     let st = { tokens = lex sql; pos = 0 } in
-    parse_tokens st ~db ~name
+    let q = parse_tokens st ~db ~name in
+    (* Compiling resolves every column and types the aggregates, so a
+       parsed query is one the engine can run. *)
+    ignore (Eval.prepare db q);
+    q
   with
   | q -> Ok q
   | exception Error msg -> Stdlib.Error msg

@@ -16,7 +16,9 @@ val parse :
   string ->
   (Query.t, string) Stdlib.result
 (** [parse ~db sql] returns the query or a message pinpointing the
-    first offending token. The query [name] defaults to the SQL text
+    first offending token. The query is also compiled
+    ({!Eval.prepare}), so an unresolved column or an ill-typed
+    aggregate is an [Error] too. The query [name] defaults to the SQL text
     itself (truncated). *)
 
 val parse_exn : ?name:string -> db:Database.t -> string -> Query.t

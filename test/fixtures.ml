@@ -39,7 +39,7 @@ let db =
           order 13 3 75 "desk"; order 14 4 60 "book" ];
     ]
 
-let run q = R.Eval.run db q
+let run q = R.Col_eval.run db q
 let rows q = R.Result_set.rows (run q)
 
 (* --- random database / query / delta generators ----------------------- *)

@@ -1,4 +1,4 @@
-(* The row-at-a-time delta join enumerator, the reference the columnar
+(* The row-at-a-time join enumerator, the reference the columnar
    engine is checked against. It reads Eval's classified plan through
    the same accessors Col_eval uses. `bench conflict` times it for the
    gated row/columnar speedup (speedup_columnar), so a change to its
@@ -117,3 +117,7 @@ let joins plan db =
   { Delta_eval.all = (fun () -> run_levels plan plans); fixed }
 
 let prepare db q = Delta_eval.prepare_with joins db q
+
+let run db q =
+  let plan = Eval.prepare db q in
+  Eval.result_of_envs plan ((joins plan db).all ())

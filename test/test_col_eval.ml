@@ -1,22 +1,17 @@
 (* Cross-engine identity: the columnar engine must enumerate exactly
    the environments the row engine does, so full answers, conflict sets
-   and whole hypergraphs are bit-identical between engines. Full answers
-   compare with Eval.run; delta answers with the row-at-a-time
-   reference in Qp_rel_oracle. *)
+   and whole hypergraphs are bit-identical between engines. Both full
+   answers (Qp_rel_oracle.run) and delta answers (Qp_rel_oracle.prepare)
+   compare with the row-at-a-time reference in Qp_rel_oracle. *)
 
 open Fixtures
 module Col_eval = R.Col_eval
-module Eval = R.Eval
 module Delta_eval = R.Delta_eval
 module Delta = R.Delta
 module Result_set = R.Result_set
 module WI = Qp_experiments.Workload_instances
 module Conflict = Qp_market.Conflict
 module H = Qp_core.Hypergraph
-
-let columnar_run database query =
-  let plan = Eval.prepare database query in
-  Col_eval.run (Col_eval.prepare plan database)
 
 (* 120 random databases x 8 query shapes: the full answers agree. *)
 let test_run_matches_row () =
@@ -25,8 +20,8 @@ let test_run_matches_row () =
     let database = random_db rand in
     for qi = 1 to 8 do
       let query = random_query rand ((round * 10) + qi) in
-      let row = Eval.run database query in
-      let col = columnar_run database query in
+      let row = Qp_rel_oracle.run database query in
+      let col = Col_eval.run database query in
       if not (Result_set.equal row col) then
         Alcotest.failf "round %d: engines disagree on %s" round
           (Query.to_sql query)
@@ -52,8 +47,8 @@ let test_like_kernel_matches_row () =
         ~where:(Expr.Like (Expr.col "name", pattern ()))
         [ Query.Field (Expr.col "name", "name") ]
     in
-    let row = Eval.run database query in
-    let col = columnar_run database query in
+    let row = Qp_rel_oracle.run database query in
+    let col = Col_eval.run database query in
     if not (Result_set.equal row col) then
       Alcotest.failf "round %d: LIKE kernel diverges on %s" round
         (Query.to_sql query)
@@ -124,8 +119,8 @@ let test_skewed_has_no_fallback () =
 (* Directed limited-strategy cases around the truncation boundary. *)
 let test_limited_boundary () =
   let reference query delta =
-    let before = R.Eval.run db query in
-    let after = R.Eval.run (Delta.apply db delta) query in
+    let before = Qp_rel_oracle.run db query in
+    let after = Qp_rel_oracle.run (Delta.apply db delta) query in
     not (Result_set.equal before after)
   in
   let q k =
@@ -162,6 +157,70 @@ let test_limited_boundary () =
         [ ("row", Qp_rel_oracle.prepare); ("columnar", Delta_eval.prepare) ])
     cases
 
+(* The fallback strategy re-evaluates Q(D ⊕ δ) on the preparation's own
+   enumerator, so a columnar and a row preparation of the same
+   fallback-shaped query must answer every delta alike, and the
+   columnar base answer must equal the row engine's full answer. *)
+let test_fallback_across_engines () =
+  let open Expr in
+  let users_ab = [ "Users A"; "Users B" ] in
+  let queries =
+    [
+      Query.make ~name:"self-join" ~from:users_ab
+        ~where:
+          (eq (col ~table:"A" "gender") (col ~table:"B" "gender")
+          && Cmp (Lt, col ~table:"A" "uid", col ~table:"B" "uid"))
+        [ Query.Field (col ~table:"A" "name", "a");
+          Query.Field (col ~table:"B" "name", "b") ];
+      Query.make ~name:"global-agg-field" ~from:[ "Users" ]
+        [ Query.Field (col "gender", "g");
+          Query.Aggregate (Query.Count_star, "c") ];
+      Query.make ~name:"grouped-nonkey" ~from:[ "Users" ]
+        ~group_by:[ col "gender" ]
+        [ Query.Field (col "name", "n");
+          Query.Aggregate (Query.Sum (col "age"), "s") ];
+      Query.make ~name:"distinct-group" ~distinct:true
+        ~from:[ "Users"; "Orders" ]
+        ~where:(eq (col ~table:"Users" "uid") (col ~table:"Orders" "uid"))
+        ~group_by:[ col ~table:"Users" "uid" ]
+        [ Query.Aggregate (Query.Count_star, "c") ];
+      Query.make ~name:"distinct-limit" ~distinct:true ~from:[ "Orders" ]
+        ~where:(Cmp (Gt, col "amount", int 30))
+        ~limit:2
+        [ Query.Field (col "item", "item") ];
+    ]
+  in
+  let rand = Random.State.make [| 2718 |] in
+  for round = 1 to 40 do
+    let database = random_db rand in
+    let deltas = List.init 15 (fun _ -> random_delta rand database) in
+    List.iter
+      (fun query ->
+        let row = Qp_rel_oracle.prepare database query in
+        let col = Delta_eval.prepare database query in
+        List.iter
+          (fun prep ->
+            Alcotest.(check string)
+              (query.Query.name ^ " strategy")
+              "fallback"
+              (Delta_eval.strategy_name prep))
+          [ row; col ];
+        if
+          not
+            (Result_set.equal (Delta_eval.base_result col)
+               (Qp_rel_oracle.run database query))
+        then
+          Alcotest.failf "round %d: columnar base answer of %s diverges" round
+            query.Query.name;
+        List.iter
+          (fun delta ->
+            if Delta_eval.differs row delta <> Delta_eval.differs col delta then
+              Alcotest.failf "round %d: engines disagree on a delta for %s"
+                round query.Query.name)
+          deltas)
+      queries
+  done
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "col-eval",
@@ -172,4 +231,5 @@ let suite =
       t "workload hypergraphs engine-identical" test_workload_hypergraph_identity;
       t "skewed workload has no fallback" test_skewed_has_no_fallback;
       t "limited strategy boundary cases" test_limited_boundary;
+      t "fallback agrees across engines" test_fallback_across_engines;
     ] )

@@ -3,7 +3,7 @@
 
 open Fixtures
 module Result_set = Qp_relational.Result_set
-module Eval = Qp_relational.Eval
+module Col_eval = Qp_relational.Col_eval
 
 let field ?name e =
   Query.Field (e, match name with Some n -> n | None -> Expr.to_sql e)
@@ -118,7 +118,7 @@ let test_count_nonnull_vs_star () =
       ]
   in
   let res =
-    Eval.run with_null
+    Col_eval.run with_null
       (q ~from:[ "Users" ]
          [
            Query.Aggregate (Query.Count_star, "star");
@@ -234,7 +234,7 @@ let test_null_comparison_false () =
       ]
   in
   let res =
-    Eval.run with_null
+    Col_eval.run with_null
       (q ~from:[ "Users" ]
          ~where:(Expr.Cmp (Expr.Le, Expr.col "age", Expr.int 100))
          [ field (Expr.col "name") ])

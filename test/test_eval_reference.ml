@@ -4,7 +4,7 @@
    Any divergence exposes a planner bug. *)
 
 open Fixtures
-module Eval = Qp_relational.Eval
+module Col_eval = Qp_relational.Col_eval
 module Result_set = Qp_relational.Result_set
 module Agg_state = Qp_relational.Agg_state
 
@@ -143,7 +143,7 @@ let test_reference_crosscheck () =
   for round = 1 to 200 do
     let database = random_db rand in
     let q = random_query rand round in
-    let fast = Eval.run database q in
+    let fast = Col_eval.run database q in
     let slow = reference_run database q in
     if not (Result_set.equal fast slow) then
       Alcotest.failf "divergence on %s:\nfast:\n%s\nreference:\n%s"

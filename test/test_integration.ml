@@ -11,11 +11,11 @@ module P = Qp_core.Pricing
 module Rng = Qp_util.Rng
 
 let brute_conflict_set db q deltas =
-  let base = R.Eval.run db q in
+  let base = Qp_rel_oracle.run db q in
   Array.to_list deltas
   |> List.mapi (fun i d -> (i, d))
   |> List.filter_map (fun (i, d) ->
-         if R.Result_set.equal base (R.Eval.run (R.Delta.apply db d) q) then
+         if R.Result_set.equal base (Qp_rel_oracle.run (R.Delta.apply db d) q) then
            None
          else Some i)
 

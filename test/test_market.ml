@@ -5,7 +5,6 @@ module Support = Qp_market.Support
 module Conflict = Qp_market.Conflict
 module Broker = Qp_market.Broker
 module Delta = Qp_relational.Delta
-module Eval = Qp_relational.Eval
 module Result_set = Qp_relational.Result_set
 module Rng = Qp_util.Rng
 module H = Qp_core.Hypergraph
@@ -83,11 +82,11 @@ let test_support_query_aware_flips_empty_footprint () =
 (* --- conflict sets --- *)
 
 let brute_conflict_set q deltas =
-  let base = Eval.run db q in
+  let base = Qp_rel_oracle.run db q in
   Array.to_list deltas
   |> List.mapi (fun i d -> (i, d))
   |> List.filter_map (fun (i, d) ->
-         if Result_set.equal base (Eval.run (Delta.apply db d) q) then None
+         if Result_set.equal base (Qp_rel_oracle.run (Delta.apply db d) q) then None
          else Some i)
 
 let test_conflict_matches_brute_force () =
@@ -186,7 +185,7 @@ let test_broker_purchase () =
   | `Sold (price, answer) ->
       Alcotest.(check (float 1e-9)) "sold price" 5.0 price;
       Alcotest.(check bool) "answer correct" true
-        (Result_set.equal answer (Eval.run db (List.hd workload_queries)))
+        (Result_set.equal answer (Qp_rel_oracle.run db (List.hd workload_queries)))
   | `Declined _ -> Alcotest.fail "should sell");
   Alcotest.(check (float 1e-9)) "collected" 5.0 (Broker.revenue_collected broker)
 

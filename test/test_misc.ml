@@ -89,13 +89,13 @@ let test_conflict_set_row_drop_only () =
   for i = 1 to 10 do
     let q = random_query rand i in
     let expected =
-      let base = Qp_relational.Eval.run db q in
+      let base = Qp_rel_oracle.run db q in
       Array.to_list deltas
       |> List.mapi (fun ix d -> (ix, d))
       |> List.filter_map (fun (ix, d) ->
              if
                Result_set.equal base
-                 (Qp_relational.Eval.run (Delta.apply db d) q)
+                 (Qp_rel_oracle.run (Delta.apply db d) q)
              then None
              else Some ix)
     in

@@ -11,7 +11,6 @@ module Relation = R.Relation
 module Database = R.Database
 module Query = R.Query
 module Expr = R.Expr
-module Eval = R.Eval
 module Col_eval = R.Col_eval
 module Delta_eval = R.Delta_eval
 module Delta = R.Delta
@@ -60,9 +59,8 @@ let db =
 let select_pid = [ Query.Field (Expr.col "pid", "pid") ]
 
 let check_engines name query =
-  let row = Eval.run db query in
-  let plan = Eval.prepare db query in
-  let col = Col_eval.run (Col_eval.prepare plan db) in
+  let row = Qp_rel_oracle.run db query in
+  let col = Col_eval.run db query in
   Alcotest.(check bool) (name ^ ": engines agree") true
     (Result_set.equal row col)
 
@@ -71,7 +69,7 @@ let pids name query expected =
   let got =
     List.map
       (fun r -> match r.(0) with Value.Int i -> i | _ -> -1)
-      (Array.to_list (Result_set.rows (Eval.run db query)))
+      (Array.to_list (Result_set.rows (Col_eval.run db query)))
   in
   Alcotest.(check (list int)) name expected (List.sort compare got)
 
@@ -141,7 +139,7 @@ let test_group_by_null () =
       ]
   in
   check_engines "group by nullable" q;
-  let rows = Array.to_list (Result_set.rows (Eval.run db q)) in
+  let rows = Array.to_list (Result_set.rows (Col_eval.run db q)) in
   Alcotest.(check int) "three groups incl. NULL" 3 (List.length rows);
   let null_group =
     List.find (fun r -> Value.equal r.(0) Value.Null) rows
@@ -166,7 +164,7 @@ let test_null_equi_probe () =
   in
   check_engines "equi join over nullable key" q;
   Alcotest.(check int) "matched visits" 2
-    (Array.length (Result_set.rows (Eval.run db q)));
+    (Array.length (Result_set.rows (Col_eval.run db q)));
   (* and with NULLs on the build side too *)
   let nullable_people =
     Database.make
@@ -178,9 +176,8 @@ let test_null_equi_probe () =
           [ [| Value.Int 100; Value.Int 1 |]; [| Value.Int 101; Value.Null |] ];
       ]
   in
-  let row = Eval.run nullable_people q in
-  let plan = Eval.prepare nullable_people q in
-  let col = Col_eval.run (Col_eval.prepare plan nullable_people) in
+  let row = Qp_rel_oracle.run nullable_people q in
+  let col = Col_eval.run nullable_people q in
   Alcotest.(check bool) "engines agree with build-side NULL key" true
     (Result_set.equal row col)
 
@@ -188,8 +185,8 @@ let test_null_equi_probe () =
    re-evaluation on every engine. *)
 let test_null_deltas () =
   let reference query delta =
-    let before = Eval.run db query in
-    let after = Eval.run (Delta.apply db delta) query in
+    let before = Col_eval.run db query in
+    let after = Col_eval.run (Delta.apply db delta) query in
     not (Result_set.equal before after)
   in
   let queries =

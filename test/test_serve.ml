@@ -940,6 +940,23 @@ let test_faulted_socket_loop_completes () =
   Alcotest.(check int) "every request answered" 40 (!ok + !faulted);
   Alcotest.(check bool) "faults actually fired" true (!faulted > 0)
 
+(* A QUOTE naming an unknown column or summing a string is the client's
+   SQL error: both reply [ERR sql] (never [ERR internal]) and count as
+   errors in STATS. *)
+let test_quote_compile_errors_are_sql () =
+  let b = Lazy.force broker in
+  let errors () =
+    match SB.handle b "STATS" with
+    | SP.Stats_reply kvs -> List.assoc "errors" kvs
+    | r -> Alcotest.failf "STATS: %s" (SP.print_response r)
+  in
+  let before = errors () in
+  List.iter
+    (fun line ->
+      Alcotest.(check (option string)) line (Some "sql") (handle_tag b line))
+    [ "QUOTE SELECT Foo FROM Country"; "QUOTE SELECT SUM(Name) FROM Country" ];
+  Alcotest.(check int) "errors rise by 2" (before + 2) (errors ())
+
 let suite =
   ( "serve",
     [
@@ -998,4 +1015,6 @@ let suite =
         test_faulted_nan_poisons_price;
       Alcotest.test_case "fault: socket loop completes" `Quick
         test_faulted_socket_loop_completes;
+      Alcotest.test_case "broker: QUOTE compile errors are sql" `Quick
+        test_quote_compile_errors_are_sql;
     ] )

@@ -3,14 +3,14 @@
 
 open Fixtures
 module Sql = Qp_relational.Sql
-module Eval = Qp_relational.Eval
+module Col_eval = Qp_relational.Col_eval
 module Result_set = Qp_relational.Result_set
 
 let parse sql = Sql.parse_exn ~db sql
 
 let check_same_answer msg sql built =
   Alcotest.(check bool) msg true
-    (Result_set.equal (Eval.run db (parse sql)) (Eval.run db built))
+    (Result_set.equal (Col_eval.run db (parse sql)) (Col_eval.run db built))
 
 let field ?name e =
   Query.Field (e, match name with Some n -> n | None -> Expr.to_sql e)
@@ -25,11 +25,11 @@ let test_simple_select () =
 let test_star () =
   let q = parse "select * from Users" in
   Alcotest.(check int) "4 columns" 4 (List.length q.Query.select);
-  Alcotest.(check int) "4 rows" 4 (Result_set.row_count (Eval.run db q))
+  Alcotest.(check int) "4 rows" 4 (Result_set.row_count (Col_eval.run db q))
 
 let test_keywords_any_case () =
   let q = parse "SeLeCt NAME FrOm users WHERE Gender = 'm'" in
-  Alcotest.(check int) "2 rows" 2 (Result_set.row_count (Eval.run db q))
+  Alcotest.(check int) "2 rows" 2 (Result_set.row_count (Col_eval.run db q))
 
 let test_aggregates () =
   check_same_answer "aggregate row"
@@ -113,11 +113,11 @@ let test_distinct_limit () =
   Alcotest.(check bool) "distinct flag" true q.Query.distinct;
   let q = parse "select uid from Users limit 2" in
   Alcotest.(check (option int)) "limit" (Some 2) q.Query.limit;
-  Alcotest.(check int) "2 rows" 2 (Result_set.row_count (Eval.run db q))
+  Alcotest.(check int) "2 rows" 2 (Result_set.row_count (Col_eval.run db q))
 
 let test_string_escape () =
   let q = parse "select name from Users where name = 'O''Brien'" in
-  Alcotest.(check int) "0 rows" 0 (Result_set.row_count (Eval.run db q))
+  Alcotest.(check int) "0 rows" 0 (Result_set.row_count (Col_eval.run db q))
 
 let test_paper_queries_parse () =
   (* Table 7 templates, pasted as printed (over the world schema). *)
@@ -128,7 +128,7 @@ let test_paper_queries_parse () =
   List.iter
     (fun sql ->
       match Sql.parse ~db:world sql with
-      | Ok q -> ignore (Eval.run world q)
+      | Ok q -> ignore (Col_eval.run world q)
       | Error msg -> Alcotest.failf "%S: %s" sql msg)
     [
       "select count(Name) from Country where Continent = 'Asia'";
@@ -187,7 +187,7 @@ let test_roundtrip_property () =
     | Ok q' ->
         if
           not
-            (Result_set.equal (Eval.run database q) (Eval.run database q'))
+            (Result_set.equal (Col_eval.run database q) (Col_eval.run database q'))
         then
           Alcotest.failf "roundtrip changed the answer: %S" sql
   done
@@ -200,6 +200,35 @@ let test_as_aliases () =
       q.Query.select
   in
   Alcotest.(check (list string)) "aliases" [ "who"; "years" ] names
+
+(* Parsing compiles the query, so an unknown column or a SUM/AVG over a
+   string is a parse error, not an exception from the evaluator later. *)
+let test_compile_errors () =
+  let expect_error sql fragment =
+    match Sql.parse ~db sql with
+    | Ok _ -> Alcotest.failf "%S should not parse" sql
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S error mentions %s (got: %s)" sql fragment msg)
+          true
+          (Astring_contains.contains (String.lowercase_ascii msg)
+             (String.lowercase_ascii fragment))
+  in
+  expect_error "select foo from Users" "unresolved column foo";
+  expect_error "select name from Users where bogus > 1" "unresolved column bogus";
+  expect_error "select sum(name) from Users" "SUM/AVG";
+  expect_error "select gender, avg(gender) from Users group by gender" "SUM/AVG";
+  expect_error "select sum('x') from Users" "SUM/AVG";
+  (* MIN/MAX/COUNT over strings stay well-typed *)
+  List.iter
+    (fun sql ->
+      match Sql.parse ~db sql with
+      | Ok q -> ignore (Col_eval.run db q)
+      | Error msg -> Alcotest.failf "%S: %s" sql msg)
+    [
+      "select min(name), max(gender), count(distinct name) from Users";
+      "select sum(age), avg(uid + age) from Users";
+    ]
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -221,4 +250,5 @@ let suite =
       t "error reporting" test_errors;
       t "to_sql/parse roundtrip (300 random queries)" test_roundtrip_property;
       t "AS aliases" test_as_aliases;
+      t "unknown columns and ill-typed aggregates" test_compile_errors;
     ] )

@@ -47,7 +47,7 @@ let test_world_pinned_rows () =
       [ R.Query.Field (R.Expr.col "Percentage", "p") ]
   in
   Alcotest.(check bool) "USA English >= 50" true
-    (R.Result_set.row_count (R.Eval.run world q) > 0)
+    (R.Result_set.row_count (R.Col_eval.run world q) > 0)
 
 let test_world_caribbean () =
   let q =
@@ -56,7 +56,7 @@ let test_world_caribbean () =
       [ R.Query.Field (R.Expr.col "Name", "n") ]
   in
   Alcotest.(check bool) "caribbean non-empty" true
-    (R.Result_set.row_count (R.Eval.run world q) > 0)
+    (R.Result_set.row_count (R.Col_eval.run world q) > 0)
 
 let test_world_deterministic () =
   let w2 = World.generate ~rng:(rng ()) ~config:World.tiny_config () in
@@ -91,7 +91,7 @@ let test_world_queries_count () =
 let run_all_queries db queries =
   List.iter
     (fun q ->
-      match R.Eval.run db q with
+      match R.Col_eval.run db q with
       | _ -> ()
       | exception exn ->
           Alcotest.failf "query %s failed: %s" q.R.Query.name
@@ -163,7 +163,7 @@ let test_uniform_workload () =
   let selectivities =
     List.map
       (fun q ->
-        let n = R.Result_set.row_count (R.Eval.run world q) in
+        let n = R.Result_set.row_count (R.Col_eval.run world q) in
         let table = List.hd (R.Query.tables q) in
         let total = R.Relation.cardinality (R.Database.relation world table) in
         Float.of_int n /. Float.of_int (max 1 total))
@@ -210,7 +210,7 @@ let test_ssb_dates_cover_december () =
       ~where:R.Expr.(eq (col "d_yearmonthnum") (int 199712))
       [ R.Query.Aggregate (R.Query.Count_star, "c") ]
   in
-  let rows = R.Result_set.rows (R.Eval.run ssb q) in
+  let rows = R.Result_set.rows (R.Col_eval.run ssb q) in
   Alcotest.(check bool) "december rows exist" true
     (R.Value.compare rows.(0).(0) (R.Value.Int 0) > 0)
 
