@@ -139,11 +139,11 @@ let build_instance workload scale support seed =
 
 let list_cmd =
   let run () =
-    print_endline "Algorithms (§5):";
+    print_endline "Pricing families (§5, plus the capped extension):";
     List.iter
       (fun (s : Qp_core.Algorithms.spec) ->
         Printf.printf "  %-10s %s\n" s.key s.label)
-      (Qp_core.Algorithms.all ());
+      (Qp_core.Algorithms.registry ());
     print_endline "\nWorkloads (§6.2): skewed, uniform, tpch, ssb";
     print_endline "\nValuation models (§6.3):";
     print_endline "  uniform:K  zipf:A  exp:K  normal:K  additive:K  additive-binomial:K";
@@ -201,11 +201,12 @@ let price_cmd =
     let h = V.apply ~rng:(Rng.create seed) model inst.WI.hypergraph in
     let total = Float.max 1e-9 (H.sum_valuations h) in
     let specs =
-      let all =
-        Runner.algorithms profile
-      in
-      if algorithm = "all" then all
-      else List.filter (fun (s : Qp_core.Algorithms.spec) -> s.key = algorithm) all
+      if algorithm = "all" then Runner.algorithms profile
+      else
+        [
+          Qp_core.Algorithms.find ~lpip_options:(Runner.lpip_options profile)
+            ~cip_options:(Runner.cip_options profile) algorithm;
+        ]
     in
     Printf.printf "%s under %s (sum of valuations %.1f):\n" inst.WI.label
       (V.describe model) total;
@@ -369,7 +370,7 @@ let serve_cmd =
   let module SS = Qp_serve.Server in
   let module SP = Qp_serve.Protocol in
   let pricing_arg =
-    let keys = List.map (fun k -> (k, k)) SB.pricing_keys in
+    let keys = List.map (fun k -> (k, k)) Qp_core.Algorithms.keys in
     Arg.(value & opt (enum keys) "lpip"
          & info [ "pricing" ]
              ~doc:

@@ -13,10 +13,12 @@ let swept solve_report h =
   let r : Lp_sweep.report = solve_report h in
   (r.pricing, r.degraded)
 
+let combinatorial key label solve = { key; label; solve; solve_report = total solve }
+
 let all ?lpip_options ?cip_options () =
   [
-    { key = "ubp"; label = "UBP"; solve = Ubp.solve; solve_report = total Ubp.solve };
-    { key = "uip"; label = "UIP"; solve = Uip.solve; solve_report = total Uip.solve };
+    combinatorial "ubp" "UBP" Ubp.solve;
+    combinatorial "uip" "UIP" Uip.solve;
     {
       key = "lpip";
       label = "LPIP";
@@ -29,12 +31,7 @@ let all ?lpip_options ?cip_options () =
       solve = (fun h -> Cip.solve ?options:cip_options h);
       solve_report = swept (Cip.solve_report ?options:cip_options);
     };
-    {
-      key = "layering";
-      label = "Layering";
-      solve = Layering.solve;
-      solve_report = total Layering.solve;
-    };
+    combinatorial "layering" "Layering" Layering.solve;
     {
       key = "xos";
       label = "XOS-LPIP+CIP";
@@ -46,8 +43,12 @@ let all ?lpip_options ?cip_options () =
     };
   ]
 
-let keys = List.map (fun s -> s.key) (all ())
+let registry ?lpip_options ?cip_options () =
+  all ?lpip_options ?cip_options ()
+  @ [ combinatorial "capped" "Capped" (fun h -> Capped.solve h) ]
+
+let keys = List.map (fun s -> s.key) (registry ())
 
 let find ?lpip_options ?cip_options key =
   let key = String.lowercase_ascii key in
-  List.find (fun s -> s.key = key) (all ?lpip_options ?cip_options ())
+  List.find (fun s -> s.key = key) (registry ?lpip_options ?cip_options ())

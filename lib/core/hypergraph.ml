@@ -19,14 +19,20 @@ type t = {
   mutable cached_classes : classes option;
 }
 
+(* [v < 0.0] alone lets NaN through. *)
+let valid_valuation v = Float.is_finite v && v >= 0.0
+
 let create ~n_items specs =
   if n_items < 0 then invalid_arg "Hypergraph.create: negative n_items";
   let edges =
     Array.mapi
       (fun id (name, items, valuation) ->
-        if valuation < 0.0 then
+        if not (valid_valuation valuation) then
           invalid_arg
-            (Printf.sprintf "Hypergraph.create: negative valuation for %s" name);
+            (Printf.sprintf
+               "Hypergraph.create: valuation for %s must be finite and \
+                non-negative"
+               name);
         let items = Array.copy items in
         Array.sort Int.compare items;
         let items =
@@ -53,10 +59,9 @@ let valuations t = Array.map (fun e -> e.valuation) t.edges
 let with_valuations t vals =
   if Array.length vals <> Array.length t.edges then
     invalid_arg "Hypergraph.with_valuations: arity mismatch";
-  Array.iter
-    (fun v ->
-      if v < 0.0 then invalid_arg "Hypergraph.with_valuations: negative valuation")
-    vals;
+  if not (Array.for_all valid_valuation vals) then
+    invalid_arg
+      "Hypergraph.with_valuations: valuations must be finite and non-negative";
   (* Classes depend only on structure, so the cache carries over. *)
   {
     t with

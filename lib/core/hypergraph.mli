@@ -8,7 +8,7 @@ type edge = {
   id : int;
   name : string;  (** buyer/query identifier for reports *)
   items : int array;  (** sorted, duplicate-free item indices *)
-  valuation : float;  (** [v_e >= 0] *)
+  valuation : float;  (** finite, [v_e >= 0] *)
 }
 
 type t
@@ -16,7 +16,8 @@ type t
 val create : n_items:int -> (string * int array * float) array -> t
 (** [create ~n_items specs] with one [(name, items, valuation)] per
     buyer. Item indices must lie in [0, n_items); item arrays are sorted
-    and deduplicated; valuations must be non-negative. *)
+    and deduplicated; valuations must be finite and non-negative
+    ([Invalid_argument] otherwise, NaN and infinities included). *)
 
 val n_items : t -> int
 (** [n] — the support size. *)
@@ -37,7 +38,8 @@ val valuations : t -> float array
 
 val with_valuations : t -> float array -> t
 (** Same structure, new valuations (the experiments redraw valuations
-    over a fixed workload hypergraph). *)
+    over a fixed workload hypergraph). Raises [Invalid_argument] on an
+    arity mismatch or a valuation that is not finite and non-negative. *)
 
 val degree : t -> int -> int
 (** [degree h j] — the number of edges item [j] belongs to. *)

@@ -25,7 +25,7 @@ let subset a b =
   Array.for_all (fun x -> List.mem x sb) a
 
 let union a b =
-  Array.of_list (List.sort_uniq compare (Array.to_list a @ Array.to_list b))
+  Array.of_list (List.sort_uniq Int.compare (Array.to_list a @ Array.to_list b))
 
 let check_pair p a b =
   let pa = Pricing.price_items p a

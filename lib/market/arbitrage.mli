@@ -13,6 +13,9 @@ type violation =
   | Not_subadditive of { parts : int array list; whole : int array }
       (** the union priced strictly above the sum of its parts *)
 
+val union : int array -> int array -> int array
+(** Sorted, duplicate-free union of two item bundles. *)
+
 val pp_violation : Format.formatter -> violation -> unit
 (** Human-readable rendering of a violation witness. *)
 

@@ -39,6 +39,27 @@ let create ?(seed = 42) ?(support_size = 256) ?support_config db =
     accounts = Hashtbl.create 8;
   }
 
+(* An adopted broker's buyers are the queries that kept an edge: a
+   build drops a query that fails twice, so edges and queries align by
+   name in workload order, with the dropped queries skipped. *)
+let adopt ~db ~support ~queries ~stats h =
+  if Hypergraph.n_items h <> Array.length support then
+    invalid_arg "Broker.adopt: hypergraph items differ from the support size";
+  let m = Hypergraph.m h in
+  let rec align i acc = function
+    | q :: rest when i < m && (Hypergraph.edge h i).name = q.Query.name ->
+        align (i + 1) ((q, (Hypergraph.edge h i).valuation) :: acc) rest
+    | _ :: rest -> align i acc rest
+    | [] when i = m -> acc
+    | [] -> invalid_arg "Broker.adopt: an edge matches no query"
+  in
+  {
+    (create ~support_size:(Array.length support) db) with
+    deltas = Some support;
+    buyers = align 0 [] queries;
+    built = Some { hypergraph = h; stats };
+  }
+
 let database t = t.db
 
 (* The support is sampled lazily so that it can be query-aware: if the
@@ -63,7 +84,8 @@ let support t =
       deltas
 
 let add_buyer t ~valuation q =
-  if valuation < 0.0 then invalid_arg "Broker.add_buyer: negative valuation";
+  if not (Float.is_finite valuation && valuation >= 0.0) then
+    invalid_arg "Broker.add_buyer: valuation must be finite and non-negative";
   t.buyers <- (q, valuation) :: t.buyers;
   t.built <- None;
   t.pricing <- None
@@ -87,10 +109,10 @@ let require_built t =
 let hypergraph t = (require_built t).hypergraph
 let build_stats t = (require_built t).stats
 
-let price t ~algorithm =
+let price ?lpip_options ?cip_options t ~algorithm =
   let h = (require_built t).hypergraph in
   let spec =
-    match Algorithms.find algorithm with
+    match Algorithms.find ?lpip_options ?cip_options algorithm with
     | spec -> spec
     | exception Not_found ->
         invalid_arg
@@ -112,10 +134,14 @@ let active_pricing t =
 let expected_revenue t =
   Pricing.revenue (active_pricing t) (require_built t).hypergraph
 
-let quote t q =
+(* The one fresh-query pricing path: every quote, sale and served QUOTE
+   prices f(CS(Q, D)) here. *)
+let quote_items t q =
   let p = active_pricing t in
   let items = Conflict.conflict_set t.db q (support t) in
-  Pricing.price_items p items
+  (Pricing.price_items p items, items)
+
+let quote t q = fst (quote_items t q)
 
 let purchase t ~budget q =
   let price = quote t q in
@@ -137,15 +163,11 @@ let account t name =
       Hashtbl.replace t.accounts name a;
       a
 
-let union_sorted a b =
-  Array.of_list
-    (List.sort_uniq compare (Array.to_list a @ Array.to_list b))
-
 let purchase_as t ~account:name ~budget q =
+  let _, items = quote_items t q in
   let pricing = active_pricing t in
   let acc = account t name in
-  let items = Conflict.conflict_set t.db q (support t) in
-  let combined = union_sorted acc.history items in
+  let combined = Arbitrage.union acc.history items in
   let marginal =
     Float.max 0.0
       (Pricing.price_items pricing combined

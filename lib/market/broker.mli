@@ -12,7 +12,11 @@
       collecting revenue.
 
     Out-of-order calls raise [Invalid_argument] with a description of
-    the missing step. *)
+    the missing step.
+
+    {!adopt} skips the first three steps for an instance built
+    elsewhere; the serving broker ({!Qp_serve.Broker}) stands on an
+    adopted, priced broker and answers every request through it. *)
 
 module Database = Qp_relational.Database
 module Query = Qp_relational.Query
@@ -32,6 +36,22 @@ val create :
     registered by then, sampling is query-aware
     ({!Support.generate_query_aware}), otherwise uniform. *)
 
+val adopt :
+  db:Database.t ->
+  support:Delta.t array ->
+  queries:Query.t list ->
+  stats:Conflict.stats ->
+  Qp_core.Hypergraph.t ->
+  t
+(** A built broker over an instance computed elsewhere, without
+    recomputing any conflict set: the hypergraph must be
+    {!Conflict.hypergraph} of [queries] against [support] (its edge
+    valuations become the buyers' valuations, and queries the build
+    dropped, which have no edge, are not buyers), and [stats] that
+    build's instrumentation. Raises [Invalid_argument] when the
+    hypergraph's item count differs from the support size or an edge
+    name matches no query in order. *)
+
 val database : t -> Database.t
 (** The seller's instance [D]. *)
 
@@ -39,8 +59,9 @@ val support : t -> Delta.t array
 (** Forces the sampling if it has not happened yet. *)
 
 val add_buyer : t -> valuation:float -> Query.t -> unit
-(** Register one buyer query with its (non-negative) valuation;
-    invalidates any previous {!build} and pricing. *)
+(** Register one buyer query with its valuation; invalidates any
+    previous {!build} and pricing. Raises [Invalid_argument] unless the
+    valuation is finite and non-negative. *)
 
 val buyers : t -> (Query.t * float) list
 (** Registered buyers, in registration order. *)
@@ -58,10 +79,16 @@ val hypergraph : t -> Qp_core.Hypergraph.t
 val build_stats : t -> Conflict.stats
 (** Requires {!build}. *)
 
-val price : t -> algorithm:string -> Qp_core.Pricing.t
-(** Runs the named algorithm (a {!Qp_core.Algorithms} key) on the built
-    hypergraph, stores the result as the active pricing, and returns
-    it. Requires {!build}. *)
+val price :
+  ?lpip_options:Qp_core.Lpip.options ->
+  ?cip_options:Qp_core.Cip.options ->
+  t ->
+  algorithm:string ->
+  Qp_core.Pricing.t
+(** Runs the named family (a {!Qp_core.Algorithms.keys} entry, with the
+    given LPIP/CIP options) on the built hypergraph, stores the result
+    as the active pricing, and returns it. Requires {!build}; raises
+    [Invalid_argument] on an unknown key. *)
 
 val set_pricing : t -> Qp_core.Pricing.t -> unit
 (** Install a pricing computed elsewhere. *)
@@ -72,12 +99,17 @@ val active_pricing : t -> Qp_core.Pricing.t
 val expected_revenue : t -> float
 (** Revenue of the active pricing over the registered buyers. *)
 
+val quote_items : t -> Query.t -> float * int array
+(** The broker's one pricing path for a fresh query: its conflict set
+    against the support (sorted item indices), computed on the fly, and
+    that set's price under the active pricing. Arbitrage-freeness
+    extends to queries outside the workload because the price is still
+    [f(CS(Q, D))] for the same monotone subadditive [f]. {!quote},
+    {!purchase}, {!purchase_as} and a served [QUOTE] all go through
+    it. *)
+
 val quote : t -> Query.t -> float
-(** Price for an arbitrary query: its conflict set against the support
-    is computed on the fly and priced with the active pricing —
-    arbitrage-freeness extends to queries outside the workload because
-    the price is still [f(CS(Q, D))] for the same monotone subadditive
-    [f]. *)
+(** The price half of {!quote_items}. *)
 
 val purchase :
   t -> budget:float -> Query.t -> [ `Sold of float * Result_set.t | `Declined of float ]

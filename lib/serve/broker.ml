@@ -1,13 +1,13 @@
-(* The standing broker: build the expensive state once (dataset,
-   support, conflict hypergraph, pricing function), then answer quote
-   requests from cached state. The identity contract with one-shot
+(* The standing broker: a priced Qp_market.Broker over one workload
+   instance, plus serving counters. The identity contract with one-shot
    `qpricing price` is structural: both paths call the same
    Workload_instances.build, the same Valuations.apply with the same
-   Rng.create seed, and the same Runner.algorithms spec — so there is
-   nothing to drift. *)
+   Rng.create seed, and the same Qp_core.Algorithms solver — so there
+   is nothing to drift. *)
 
 module WI = Qp_experiments.Workload_instances
 module Runner = Qp_experiments.Runner
+module Market = Qp_market.Broker
 module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module V = Qp_workloads.Valuations
@@ -18,10 +18,7 @@ type t = {
   workload : string;
   seed : int;
   pricing_key : string;
-  instance : WI.t;
-  hypergraph : H.t;
-  edges : H.edge array;
-  pricing : P.t;
+  market : Market.t;  (* built and priced; never mutated while serving *)
   (* Counters and latency histograms only; mutated from the serving
      domain, read by STATS/METRICS replies on that same domain (and by
      callers after the loop has drained). [requests] counts *completed*
@@ -47,35 +44,16 @@ type t = {
   started_ns : int64;  (* monotonic clock, like every latency read *)
 }
 
-let pricing_keys = Qp_core.Algorithms.keys @ [ "capped" ]
-
-let solve_pricing ~profile key h =
-  if key = "capped" then Qp_core.Capped.solve h
-  else
-    match
-      List.find_opt
-        (fun (s : Qp_core.Algorithms.spec) -> s.key = key)
-        (Runner.algorithms profile)
-    with
-    | Some spec -> spec.solve h
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" key
-             (String.concat ", " pricing_keys))
-
-(* Fresh serving wrapper around precomputed state — shared by the
-   compute path (of_instance) and the snapshot path (load_snapshot).
-   Counters always start at zero: a restored broker is a new serving
-   session over old state, not a resumed one. *)
-let make ~workload ~seed ~pricing_key ~instance ~hypergraph ~pricing =
+(* Fresh serving wrapper around a priced market — shared by the compute
+   path (of_instance) and the snapshot path (load_snapshot). Counters
+   always start at zero: a restored broker is a new serving session
+   over old state, not a resumed one. *)
+let make ~workload ~seed ~pricing_key market =
   {
     workload;
     seed;
     pricing_key;
-    instance;
-    hypergraph;
-    edges = H.edges hypergraph;
-    pricing;
+    market;
     connections = 0;
     requests = 0;
     quotes = 0;
@@ -89,30 +67,36 @@ let make ~workload ~seed ~pricing_key ~instance ~hypergraph ~pricing =
     started_ns = Timing.now_ns ();
   }
 
-let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed instance =
+let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed
+    (instance : WI.t) =
   Qp_obs.with_span "serve.precompute"
     ~args:(fun () ->
       [
-        ("workload", Qp_obs.Str instance.WI.key);
+        ("workload", Qp_obs.Str instance.key);
         ("pricing", Qp_obs.Str pricing);
         ("seed", Qp_obs.Int seed);
       ])
   @@ fun () ->
-  let hypergraph = V.apply ~rng:(Rng.create seed) model instance.WI.hypergraph in
+  let market =
+    Market.adopt ~db:instance.db ~support:instance.deltas
+      ~queries:instance.queries ~stats:instance.build_stats
+      (V.apply ~rng:(Rng.create seed) model instance.hypergraph)
+  in
   (* Force the membership-class cache before the request loop starts:
      classes are computed lazily and every LP-based family needs them —
      a standing broker should pay this at load, not on request 1. *)
-  ignore (H.classes hypergraph);
-  let p = solve_pricing ~profile pricing hypergraph in
-  make ~workload:instance.WI.key ~seed ~pricing_key:pricing ~instance
-    ~hypergraph ~pricing:p
+  ignore (H.classes (Market.hypergraph market));
+  ignore
+    (Market.price market ~lpip_options:(Runner.lpip_options profile)
+       ~cip_options:(Runner.cip_options profile) ~algorithm:pricing);
+  make ~workload:instance.key ~seed ~pricing_key:pricing market
 
 let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
   (* Validate the pricing key before paying for the instance build. *)
-  if not (List.mem pricing pricing_keys) then
+  if not (List.mem pricing Qp_core.Algorithms.keys) then
     invalid_arg
       (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" pricing
-         (String.concat ", " pricing_keys));
+         (String.concat ", " Qp_core.Algorithms.keys));
   let instance =
     Qp_obs.with_span "serve.load"
       ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
@@ -122,20 +106,20 @@ let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
 
 (* --- snapshots -------------------------------------------------------- *)
 
-(* The marshaled payload: exactly the expensive immutable state, and
-   nothing mutable. Everything reachable from here is pure data (ADTs,
-   records, arrays, the dataset Hashtbl) — no closures, which Marshal's
-   default flags reject, so accidentally capturing one fails at save
-   time, not on some later load. Any shape change to this record or the
-   types it reaches must bump Snapshot.format_version (enforced by
+(* The marshaled payload: exactly the expensive immutable state — the
+   priced market (database, support, buyers, valued hypergraph with its
+   class cache, pricing) — and no serving counter. Everything reachable
+   from here is pure data (ADTs, records, arrays, the dataset and
+   account Hashtbls) — no closures, which Marshal's default flags
+   reject, so accidentally capturing one fails at save time, not on
+   some later load. Any shape change to this record or the types it
+   reaches must bump Snapshot.format_version (enforced by
    scripts/check_snapshot_version.ml). *)
 type frozen = {
   f_workload : string;
   f_seed : int;
   f_pricing_key : string;
-  f_instance : WI.t;
-  f_hypergraph : H.t;  (* with valuations applied and classes forced *)
-  f_pricing : P.t;
+  f_market : Market.t;
 }
 
 let save_snapshot ~file ~config t =
@@ -150,9 +134,7 @@ let save_snapshot ~file ~config t =
         f_workload = t.workload;
         f_seed = t.seed;
         f_pricing_key = t.pricing_key;
-        f_instance = t.instance;
-        f_hypergraph = t.hypergraph;
-        f_pricing = t.pricing;
+        f_market = t.market;
       }
     in
     match Marshal.to_string frozen [] with
@@ -179,49 +161,39 @@ let load_snapshot ~file config =
             (* The class cache marshals with the hypergraph; forcing it
                is a no-op then, and a correctness net if it ever did
                not. *)
-            ignore (H.classes fz.f_hypergraph);
+            ignore (H.classes (Market.hypergraph fz.f_market));
             Ok
               (make ~workload:fz.f_workload ~seed:fz.f_seed
-                 ~pricing_key:fz.f_pricing_key ~instance:fz.f_instance
-                 ~hypergraph:fz.f_hypergraph ~pricing:fz.f_pricing)
+                 ~pricing_key:fz.f_pricing_key fz.f_market)
           end)
 
 let workload t = t.workload
 let pricing_key t = t.pricing_key
-let pricing t = t.pricing
+let market t = t.market
+let pricing t = Market.active_pricing t.market
 let seed t = t.seed
-let queries t = Array.length t.edges
-let items t = H.n_items t.hypergraph
+let queries t = H.m (Market.hypergraph t.market)
+let items t = H.n_items (Market.hypergraph t.market)
 
 let quote_index t i =
-  if i < 0 || i >= Array.length t.edges then
+  let h = Market.hypergraph t.market in
+  if i < 0 || i >= H.m h then
     invalid_arg (Printf.sprintf "Qp_serve.Broker.quote_index: %d" i);
-  let e = t.edges.(i) in
+  let e = H.edge h i and p = Market.active_pricing t.market in
   {
-    Protocol.price = P.price t.pricing e;
+    Protocol.price = P.price p e;
     size = Array.length e.H.items;
-    sold = Some (P.sells t.pricing e);
+    sold = Some (P.sells p e);
   }
 
+(* The only per-request relational work is the market's conflict set
+   for the parsed query. *)
 let quote_sql t sql =
-  match Qp_relational.Sql.parse ~db:t.instance.WI.db sql with
+  match Qp_relational.Sql.parse ~db:(Market.database t.market) sql with
   | Error msg -> Error msg
   | Ok query ->
-      (* The only per-request relational work: one conflict set against
-         the standing support. The pricing itself is a cached set
-         function — arbitrage-freeness extends to fresh queries because
-         the price is still f(CS(Q, D)) for the same monotone
-         subadditive f. *)
-      let cs =
-        Qp_market.Conflict.conflict_set t.instance.WI.db query
-          t.instance.WI.deltas
-      in
-      Ok
-        {
-          Protocol.price = P.price_items t.pricing cs;
-          size = Array.length cs;
-          sold = None;
-        }
+      let price, items = Market.quote_items t.market query in
+      Ok { Protocol.price; size = Array.length items; sold = None }
 
 let note_connection t =
   t.connections <- t.connections + 1;
@@ -259,81 +231,38 @@ let stats t =
 let request_hist t = Qp_obs.Hist.snapshot t.request_hist
 let quote_hist t = Qp_obs.Hist.snapshot t.quote_hist
 
+let counter name help v = Metrics.Counter { name; help; value = float_of_int v }
+let gauge name help value = Metrics.Gauge { name; help; value }
+let histogram name help hist = Metrics.Histogram { name; help; hist }
+
 let metrics_text t =
   let base =
     [
-      Metrics.Counter
-        {
-          name = "qp_serve_connections_total";
-          help = "Connections accepted by the broker";
-          value = float_of_int t.connections;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_requests_total";
-          help = "Request lines completed (equals qp_serve_request_seconds_count)";
-          value = float_of_int t.requests;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_quotes_total";
-          help = "Successful PRICE/QUOTE replies";
-          value = float_of_int t.quotes;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_errors_total";
-          help = "Typed ERR replies";
-          value = float_of_int t.errors;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_shed_total";
-          help = "PRICE/QUOTE requests shed by admission control (ERR overloaded)";
-          value = float_of_int t.shed;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_timeouts_total";
-          help = "Connections reaped by the idle/write deadline (ERR timeout)";
-          value = float_of_int t.timeouts;
-        };
-      Metrics.Counter
-        {
-          name = "qp_serve_client_gone_total";
-          help = "Clients that disconnected with a reply or request in flight";
-          value = float_of_int t.client_gone;
-        };
-      Metrics.Gauge
-        {
-          name = "qp_serve_queries";
-          help = "Standing workload queries (valid PRICE index range)";
-          value = float_of_int (Array.length t.edges);
-        };
-      Metrics.Gauge
-        {
-          name = "qp_serve_items";
-          help = "Support-set size of the standing instance";
-          value = float_of_int (H.n_items t.hypergraph);
-        };
-      Metrics.Gauge
-        {
-          name = "qp_serve_uptime_seconds";
-          help = "Seconds since the broker finished precompute";
-          value = Timing.seconds_since t.started_ns;
-        };
-      Metrics.Histogram
-        {
-          name = "qp_serve_request_seconds";
-          help = "Server-side latency of completed requests";
-          hist = Qp_obs.Hist.snapshot t.request_hist;
-        };
-      Metrics.Histogram
-        {
-          name = "qp_serve_quote_seconds";
-          help = "Server-side latency of successful PRICE/QUOTE replies";
-          hist = Qp_obs.Hist.snapshot t.quote_hist;
-        };
+      counter "qp_serve_connections_total" "Connections accepted by the broker"
+        t.connections;
+      counter "qp_serve_requests_total"
+        "Request lines completed (equals qp_serve_request_seconds_count)"
+        t.requests;
+      counter "qp_serve_quotes_total" "Successful PRICE/QUOTE replies" t.quotes;
+      counter "qp_serve_errors_total" "Typed ERR replies" t.errors;
+      counter "qp_serve_shed_total"
+        "PRICE/QUOTE requests shed by admission control (ERR overloaded)" t.shed;
+      counter "qp_serve_timeouts_total"
+        "Connections reaped by the idle/write deadline (ERR timeout)" t.timeouts;
+      counter "qp_serve_client_gone_total"
+        "Clients that disconnected with a reply or request in flight"
+        t.client_gone;
+      gauge "qp_serve_queries" "Standing workload queries (valid PRICE index range)"
+        (float_of_int (queries t));
+      gauge "qp_serve_items" "Support-set size of the standing instance"
+        (float_of_int (items t));
+      gauge "qp_serve_uptime_seconds" "Seconds since the broker finished precompute"
+        (Timing.seconds_since t.started_ns);
+      histogram "qp_serve_request_seconds" "Server-side latency of completed requests"
+        (Qp_obs.Hist.snapshot t.request_hist);
+      histogram "qp_serve_quote_seconds"
+        "Server-side latency of successful PRICE/QUOTE replies"
+        (Qp_obs.Hist.snapshot t.quote_hist);
     ]
   in
   (* With tracing on, the whole Qp_obs registry rides along under a
@@ -348,47 +277,27 @@ let metrics_text t =
       in
       List.map
         (fun (label, v) ->
-          Metrics.Counter
-            {
-              name = obs_name label ^ "_total";
-              help = "Qp_obs counter " ^ label;
-              value = float_of_int v;
-            })
+          counter (obs_name label ^ "_total") ("Qp_obs counter " ^ label) v)
         (Qp_obs.counters ())
       @ List.map
           (fun (label, v) ->
-            Metrics.Gauge
-              {
-                name = obs_name label;
-                help = "Qp_obs gauge (high-water) " ^ label;
-                value = v;
-              })
+            gauge (obs_name label) ("Qp_obs gauge (high-water) " ^ label) v)
           (Qp_obs.gauges ())
       @ List.concat_map
-          (fun (label, h) ->
-            Metrics.Histogram
-              {
-                name = obs_name label ^ "_seconds";
-                help = "Qp_obs span durations for " ^ label;
-                hist = h;
-              }
+          (fun (label, (h : Qp_obs.Hist.snapshot)) ->
+            histogram (obs_name label ^ "_seconds")
+              ("Qp_obs span durations for " ^ label)
+              h
             ::
-            (if h.Qp_obs.Hist.gc_minor_words = 0 && h.Qp_obs.Hist.gc_major_words = 0
-             then []
+            (if h.gc_minor_words = 0 && h.gc_major_words = 0 then []
              else
                [
-                 Metrics.Counter
-                   {
-                     name = obs_name label ^ "_gc_minor_words_total";
-                     help = "Minor-heap words allocated inside " ^ label ^ " spans";
-                     value = float_of_int h.Qp_obs.Hist.gc_minor_words;
-                   };
-                 Metrics.Counter
-                   {
-                     name = obs_name label ^ "_gc_major_words_total";
-                     help = "Major-heap words allocated inside " ^ label ^ " spans";
-                     value = float_of_int h.Qp_obs.Hist.gc_major_words;
-                   };
+                 counter (obs_name label ^ "_gc_minor_words_total")
+                   ("Minor-heap words allocated inside " ^ label ^ " spans")
+                   h.gc_minor_words;
+                 counter (obs_name label ^ "_gc_major_words_total")
+                   ("Major-heap words allocated inside " ^ label ^ " spans")
+                   h.gc_major_words;
                ]))
           (Qp_obs.histograms ())
   in
@@ -451,25 +360,23 @@ let dispatch ~overloaded t line =
           else None
         in
         let quote_of req =
-          match req with
-          | Protocol.Price i ->
-              if i < 0 || i >= Array.length t.edges then
-                err Protocol.Bad_index
-                  (Printf.sprintf "index %d outside [0, %d)" i
-                     (Array.length t.edges))
-              else begin
-                t.quotes <- t.quotes + 1;
-                Qp_obs.counter "serve.quotes" 1;
-                Protocol.Quote_reply (quote_index t i)
-              end
-          | Protocol.Quote sql -> (
-              match quote_sql t sql with
-              | Ok q ->
-                  t.quotes <- t.quotes + 1;
-                  Qp_obs.counter "serve.quotes" 1;
-                  Protocol.Quote_reply q
-              | Error msg -> err Protocol.Sql msg)
-          | _ -> assert false
+          let quoted =
+            match req with
+            | Protocol.Price i when i < 0 || i >= queries t ->
+                Error
+                  ( Protocol.Bad_index,
+                    Printf.sprintf "index %d outside [0, %d)" i (queries t) )
+            | Protocol.Price i -> Ok (quote_index t i)
+            | Protocol.Quote sql ->
+                Result.map_error (fun msg -> (Protocol.Sql, msg)) (quote_sql t sql)
+            | _ -> assert false
+          in
+          match quoted with
+          | Ok q ->
+              t.quotes <- t.quotes + 1;
+              Qp_obs.counter "serve.quotes" 1;
+              Protocol.Quote_reply q
+          | Error (tag, msg) -> err tag msg
         in
         match (fault, req) with
         | Some Qp_fault.Nan, (Protocol.Price _ | Protocol.Quote _) -> (

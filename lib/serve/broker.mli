@@ -3,32 +3,29 @@
     hypergraph and one pricing function, then answer any number of
     quote requests against that cached state.
 
-    This is the serving-layer counterpart of {!Qp_market.Broker}: where
-    that module walks a market session step by step, this one freezes a
-    fully-priced instance (the expensive part — see
-    [docs/ARCHITECTURE.md], "Where the time goes") and exposes a
-    request dispatcher {!handle} for the {!Server} loop. What is
-    standing vs recomputed per request is spelled out in
-    [docs/SERVING.md] ("Caching semantics").
+    This broker stands on {!Qp_market.Broker}: it adopts a built
+    workload instance into one market broker ({!Qp_market.Broker.adopt}),
+    prices it once, and keeps only serving state (counters, latency
+    histograms, lifecycle) of its own. [PRICE i] reads the market's
+    hyperedge [i] and active pricing; [QUOTE] parses the SQL and goes
+    through the market's one fresh-query path
+    ({!Qp_market.Broker.quote_items}). What is standing vs recomputed
+    per request is spelled out in [docs/SERVING.md] ("Caching
+    semantics").
 
     Quote identity: {!quote_index} prices workload query [i] by
     applying the cached pricing to the cached hyperedge — bit-identical
     to what a one-shot [qpricing price] run with the same (workload,
     scale, support, seed, model, profile) computes for that query,
     because both paths build the identical instance and run the
-    identical solver ([test/test_serve.ml] pins this for all five
-    pricing families; [make serve-smoke] re-checks it over a live
+    identical {!Qp_core.Algorithms} solver ([test/test_serve.ml] pins
+    this for every family; [make serve-smoke] re-checks it over a live
     socket). *)
 
-val pricing_keys : string list
-(** Accepted [~pricing] keys: every {!Qp_core.Algorithms.keys} entry
-    (ubp, uip, lpip, cip, layering, xos) plus ["capped"]
-    ({!Qp_core.Capped}). *)
-
 type t
-(** A standing broker. The cached instance, hypergraph and pricing are
-    immutable after {!create}; only request counters mutate, and only
-    from the serving domain. *)
+(** A standing broker. The priced market it stands on is never mutated
+    after {!create}; only request counters mutate, and only from the
+    serving domain. *)
 
 val create :
   ?scale:Qp_experiments.Workload_instances.scale ->
@@ -45,8 +42,8 @@ val create :
     valuations and solve the pricing family (span ["serve.precompute"]).
     [profile] (default [Quick]) selects the LPIP/CIP sweep options, as
     in {!Qp_experiments.Runner.algorithms}. Raises [Invalid_argument]
-    on a [pricing] key outside {!pricing_keys} and [Not_found] on an
-    unknown workload key. *)
+    on a [pricing] key outside {!Qp_core.Algorithms.keys} and
+    [Not_found] on an unknown workload key. *)
 
 val of_instance :
   ?profile:Qp_experiments.Runner.profile ->
@@ -55,13 +52,15 @@ val of_instance :
   seed:int ->
   Qp_experiments.Workload_instances.t ->
   t
-(** {!create} over an instance that is already built — the bench and
-    tests reuse {!Qp_experiments.Context}'s cached instances. *)
+(** {!create} over an instance that is already built, adopted without
+    recomputing its conflict sets — the bench and tests reuse
+    {!Qp_experiments.Context}'s cached instances. *)
 
 val save_snapshot :
   file:string -> config:Snapshot.config -> t -> (unit, string) result
-(** Checkpoint the precomputed state (instance, valuation-applied
-    hypergraph with its class cache, pricing function) to a versioned
+(** Checkpoint the priced market (database, support, buyers,
+    valuation-applied hypergraph with its class cache, pricing
+    function) to a versioned
     snapshot file via {!Snapshot.write_file}; [config] must be the
     parameters the broker was built from (its workload/seed/pricing are
     cross-checked). Counters and histograms are deliberately not saved:
@@ -85,8 +84,13 @@ val workload : t -> string
 val pricing_key : t -> string
 (** The pricing-family key chosen at creation. *)
 
+val market : t -> Qp_market.Broker.t
+(** The priced market broker this one stands on. Callers must not
+    mutate it (no [add_buyer], [price] or purchases): requests read it
+    as immutable state. *)
+
 val pricing : t -> Qp_core.Pricing.t
-(** The cached pricing function itself. *)
+(** The cached pricing function itself (the market's active pricing). *)
 
 val seed : t -> int
 (** The broker's random seed. *)
@@ -106,10 +110,10 @@ val quote_index : t -> int -> Protocol.quote
     against. Raises [Invalid_argument] outside [0, queries). *)
 
 val quote_sql : t -> string -> (Protocol.quote, string) result
-(** Parse raw SQL in the workload dialect, compute its conflict set
-    against the standing support (the only per-request relational
-    work), and price it with the cached pricing. [Error] carries the
-    SQL parser's message. *)
+(** Parse raw SQL in the workload dialect and price it through
+    {!Qp_market.Broker.quote_items}: its conflict set against the
+    standing support (the only per-request relational work) priced with
+    the cached pricing. [Error] carries the SQL parser's message. *)
 
 val handle : ?overloaded:bool -> t -> string -> Protocol.response
 (** Dispatch one raw request line: consult the ["serve.parse"] fault

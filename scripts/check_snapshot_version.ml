@@ -1,7 +1,7 @@
 (* Snapshot-format lint: the broker snapshot (lib/serve/snapshot.ml)
-   marshals [Broker.frozen], whose in-memory layout reaches through
-   Workload_instances.t into the relational, core and market type
-   representations. OCaml's Marshal is not type-safe — reading an old
+   marshals [Broker.frozen], whose in-memory layout reaches through the
+   market broker's record (Qp_market.Broker.t) into the relational,
+   core and market type representations. OCaml's Marshal is not type-safe — reading an old
    payload with a changed layout is undefined behavior — so the only
    safety net is the [format_version] header checked before unmarshal.
    This lint makes forgetting that bump impossible to merge: it
@@ -19,19 +19,20 @@
 (* The pinned state of the world. After intentionally changing any
    payload-reachable type: bump [format_version] in
    lib/serve/snapshot.ml, then set these two from [--print]. *)
-let expected_version = 4
-let expected_fingerprint = "b1c52d10d8d19940e2f7cd4030c5a2b9"
+let expected_version = 5
+let expected_fingerprint = "bedf8cbf5528ea9ebee084e770d73280"
 
 (* Every file whose toplevel type declarations the marshalled payload
-   representation can reach ([Broker.frozen] -> Workload_instances.t
-   -> relational/core/market types). Keep sorted; adding a file changes
+   representation can reach ([Broker.frozen] -> Qp_market.Broker.t ->
+   relational/core/market types). Keep sorted; adding a file changes
    the fingerprint, which is the point. *)
 let files =
   [
     "lib/core/hypergraph.ml";
     "lib/core/pricing.ml";
-    "lib/experiments/workload_instances.mli";
+    "lib/market/broker.ml";
     "lib/market/conflict.mli";
+    "lib/market/support.mli";
     "lib/relational/agg_state.ml";
     "lib/relational/database.ml";
     "lib/relational/delta.ml";

@@ -413,6 +413,22 @@ let test_registry () =
   | exception Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found"
 
+(* One registry names every family a broker can price with: the paper's
+   six that experiment cells sweep, then the capped extension. *)
+let test_registry_seven_families () =
+  Alcotest.(check (list string)) "keys"
+    [ "ubp"; "uip"; "lpip"; "cip"; "layering"; "xos"; "capped" ]
+    Algorithms.keys;
+  Alcotest.(check (list string)) "all = the registry's first six"
+    (List.filteri (fun i _ -> i < 6) Algorithms.keys)
+    (List.map (fun (s : Algorithms.spec) -> s.key) (Algorithms.all ()));
+  let h = LB.lemma2 ~m:6 in
+  let capped = Algorithms.find "Capped" in
+  Alcotest.(check bool) "capped = Capped.solve" true
+    (capped.Algorithms.solve h = Qp_core.Capped.solve h);
+  Alcotest.(check bool) "capped never degrades" true
+    (snd (capped.Algorithms.solve_report h) = None)
+
 let layer_ids layers = List.map (List.map (fun (e : H.edge) -> e.id)) layers
 
 let test_layering_matches_reference () =
@@ -542,4 +558,5 @@ let suite =
         test_layering_matches_reference;
       t "layering: each layer covers the remaining items" test_layering_layers_cover;
       t "LP sweeps: bit-exact pins on a Tiny instance" test_sweep_pins;
+      t "registry: seven families, capped included" test_registry_seven_families;
     ] )

@@ -131,6 +131,19 @@ let test_classes_cached () =
   let c1 = H.classes h and c2 = H.classes h in
   Alcotest.(check bool) "physically cached" true (c1 == c2)
 
+(* [v < 0.0] is false for NaN: non-finite valuations need their own
+   rejection, at creation and at every redraw. *)
+let test_non_finite_valuations_rejected () =
+  List.iter
+    (fun v ->
+      (match H.create ~n_items:2 [| ("x", [| 0 |], v) |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "create accepted %h" v);
+      match H.with_valuations triangle [| 1.; 1.; v; 1. |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "with_valuations accepted %h" v)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "hypergraph",
@@ -144,4 +157,5 @@ let suite =
       t "spread weights preserves prices (property)"
         test_spread_weights_preserves_prices;
       t "classes cached" test_classes_cached;
+      t "non-finite valuations rejected" test_non_finite_valuations_rejected;
     ] )

@@ -197,6 +197,50 @@ let test_broker_rebuild_on_new_buyer () =
   Broker.build broker;
   Alcotest.(check int) "m reflects new buyer" 2 (H.m (Broker.hypergraph broker))
 
+let test_broker_non_finite_valuation () =
+  let broker = Broker.create ~seed:1 ~support_size:10 db in
+  List.iter
+    (fun v ->
+      match Broker.add_buyer broker ~valuation:v (List.hd workload_queries) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "valuation %h accepted" v)
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "no buyer registered" 0 (List.length (Broker.buyers broker))
+
+(* Adopting a hypergraph built elsewhere reproduces the built session
+   without recomputing a conflict set; a query the build dropped (here:
+   left out of the build) is not a buyer. *)
+let test_broker_adopt () =
+  let deltas = Support.generate ~rng:(Rng.create 3) db ~n:30 in
+  let q1 = List.nth workload_queries 1 in
+  let h, stats = Conflict.hypergraph db [ (q1, 7.0) ] deltas in
+  let broker =
+    Broker.adopt ~db ~support:deltas ~queries:workload_queries ~stats h
+  in
+  Alcotest.(check bool) "hypergraph adopted as is" true (Broker.hypergraph broker == h);
+  Alcotest.(check bool) "support adopted as is" true (Broker.support broker == deltas);
+  Alcotest.(check bool) "buyers: the built queries with their valuations" true
+    (Broker.buyers broker = [ (q1, 7.0) ]);
+  let p = Broker.price broker ~algorithm:"capped" in
+  let price, items = Broker.quote_items broker q1 in
+  Alcotest.(check (array int)) "fresh conflict set = adopted edge" (H.edge h 0).H.items
+    items;
+  Alcotest.(check (float 0.0)) "fresh quote = edge price"
+    (Qp_core.Pricing.price p (H.edge h 0)) price;
+  let valued = List.mapi (fun i q -> (q, Float.of_int (i + 1))) workload_queries in
+  let h_all, stats_all = Conflict.hypergraph db valued deltas in
+  Alcotest.(check bool) "buyers in registration order" true
+    (Broker.buyers
+       (Broker.adopt ~db ~support:deltas ~queries:workload_queries
+          ~stats:stats_all h_all)
+    = valued);
+  match
+    Broker.adopt ~db ~support:(Array.sub deltas 0 10) ~queries:workload_queries
+      ~stats h
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "support size mismatch accepted"
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "market",
@@ -218,4 +262,6 @@ let suite =
       t "broker quote = hyperedge price" test_broker_quote_consistent_with_edge;
       t "broker purchase" test_broker_purchase;
       t "broker rebuilds on new buyer" test_broker_rebuild_on_new_buyer;
+      t "broker rejects non-finite valuation" test_broker_non_finite_valuation;
+      t "broker adopts a built instance" test_broker_adopt;
     ] )

@@ -234,12 +234,10 @@ let test_identity_all_families () =
   let oracle = Lazy.force oracle_instance in
   let h = V.apply ~rng:(Rng.create seed) model oracle.WI.hypergraph in
   let one_shot key =
-    if key = "capped" then Qp_core.Capped.solve h
-    else
-      (List.find
-         (fun (s : Qp_core.Algorithms.spec) -> s.key = key)
-         (Runner.algorithms Runner.Quick))
-        .solve h
+    (Qp_core.Algorithms.find
+       ~lpip_options:(Runner.lpip_options Runner.Quick)
+       ~cip_options:(Runner.cip_options Runner.Quick) key)
+      .solve h
   in
   List.iter
     (fun key ->
@@ -260,7 +258,7 @@ let test_identity_all_families () =
             (Printf.sprintf "%s size %d" key i)
             (Array.length e.H.items) served.SP.size)
         (H.edges h))
-    SB.pricing_keys
+    Qp_core.Algorithms.keys
 
 let test_identity_through_handle () =
   (* the full request path — parse, dispatch, print, parse back — must
@@ -436,7 +434,7 @@ let test_snapshot_roundtrip_all_families () =
                 (key ^ ": identical through handle")
                 true (same_bits a.SP.price r.SP.price)
           | _ -> Alcotest.failf "%s: PRICE 0 through handle" key))
-    SB.pricing_keys
+    Qp_core.Algorithms.keys
 
 let slurp file = In_channel.with_open_bin file In_channel.input_all
 
@@ -957,6 +955,112 @@ let test_quote_compile_errors_are_sql () =
     [ "QUOTE SELECT Foo FROM Country"; "QUOTE SELECT SUM(Name) FROM Country" ];
   Alcotest.(check int) "errors rise by 2" (before + 2) (errors ())
 
+(* --- one broker: the session broker is the serving broker ------------- *)
+
+module Market = Qp_market.Broker
+
+(* One Tiny instance per workload at its default support, shared by the
+   tests below. *)
+let tiny_instances =
+  lazy (List.map (fun key -> WI.build key ~scale:WI.Tiny ~seed ()) WI.keys)
+
+let lpip_broker inst = SB.of_instance ~model ~pricing:"lpip" ~seed inst
+
+(* A market session walked step by step — create, register the drawn
+   valuations, build, price — lands on the serving broker's state: the
+   same support, the same hyperedges and the same prices. *)
+let test_session_equals_serving () =
+  List.iter
+    (fun (inst : WI.t) ->
+      let key = inst.key in
+      let served = lpip_broker inst in
+      let session =
+        Market.create ~seed ~support_size:(Array.length inst.deltas) inst.db
+      in
+      let vals = V.draw ~rng:(Rng.create seed) model inst.hypergraph in
+      List.iteri
+        (fun i q -> Market.add_buyer session ~valuation:vals.(i) q)
+        inst.queries;
+      Market.build session;
+      let pricing =
+        Market.price session ~lpip_options:(Runner.lpip_options Runner.Quick)
+          ~cip_options:(Runner.cip_options Runner.Quick) ~algorithm:"lpip"
+      in
+      Alcotest.(check bool)
+        (key ^ ": same support") true
+        (Market.support session = Market.support (SB.market served));
+      let a = H.edges (Market.hypergraph session)
+      and b = H.edges (Market.hypergraph (SB.market served)) in
+      Alcotest.(check int) (key ^ ": same edge count") (Array.length a)
+        (Array.length b);
+      Array.iteri
+        (fun i (e : H.edge) ->
+          let f = b.(i) in
+          if
+            e.H.name <> f.H.name || e.H.items <> f.H.items
+            || not (same_bits e.H.valuation f.H.valuation)
+          then Alcotest.failf "%s: hyperedge %d differs" key i;
+          if not (same_bits (P.price pricing e) (SB.quote_index served i).SP.price)
+          then Alcotest.failf "%s: price of query %d differs" key i)
+        a)
+    (Lazy.force tiny_instances)
+
+(* QUOTE of a workload query's own SQL is PRICE of its index, in price
+   bits and conflict-set size, on every workload query — live and after
+   a snapshot round trip. *)
+let test_quote_sql_equals_price () =
+  let check_broker label b (inst : WI.t) =
+    List.iteri
+      (fun i q ->
+        let line = SP.print_request (SP.Quote (Qp_relational.Query.to_sql q)) in
+        match (SB.handle b line, SB.handle b (SP.print_request (SP.Price i))) with
+        | SP.Quote_reply a, SP.Quote_reply p ->
+            if not (same_bits a.SP.price p.SP.price && a.SP.size = p.SP.size) then
+              Alcotest.failf "%s: QUOTE %d (%h, %d) <> PRICE (%h, %d)" label i
+                a.SP.price a.SP.size p.SP.price p.SP.size
+        | a, p ->
+            Alcotest.failf "%s: query %d: %s / %s" label i (SP.print_response a)
+              (SP.print_response p))
+      inst.queries
+  in
+  List.iter
+    (fun (inst : WI.t) ->
+      let key = inst.key in
+      Alcotest.(check int) (key ^ ": no dropped query") 0
+        (List.length inst.build_stats.failed_queries);
+      let b = lpip_broker inst in
+      check_broker (key ^ " live") b inst;
+      let config =
+        { (snap_config "lpip") with Snap.workload = key; support = None }
+      in
+      with_snapshot_file @@ fun file ->
+      (match SB.save_snapshot ~file ~config b with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: save: %s" key msg);
+      match SB.load_snapshot ~file config with
+      | Ok b' -> check_broker (key ^ " restored") b' inst
+      | Error e -> Alcotest.failf "%s: load: %s" key (Snap.describe_load_error e))
+    (Lazy.force tiny_instances)
+
+(* A file written under the previous payload layout (format 4, which
+   carried the workload instance and a second hypergraph) is refused on
+   its header. *)
+let test_snapshot_v4_refused () =
+  let b = broker_of "ubp" in
+  with_snapshot_file @@ fun file ->
+  (match SB.save_snapshot ~file ~config:(snap_config "ubp") b with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "save: %s" msg);
+  let pristine = slurp file in
+  let nl = String.index pristine '\n' in
+  spew file
+    (Printf.sprintf "%s 4%s" Snap.magic
+       (String.sub pristine nl (String.length pristine - nl)));
+  match SB.load_snapshot ~file (snap_config "ubp") with
+  | Error (Snap.Version_mismatch { found = 4; expected = 5 }) -> ()
+  | Error e -> Alcotest.failf "v4: %s" (Snap.describe_load_error e)
+  | Ok _ -> Alcotest.fail "a format-4 snapshot must be refused"
+
 let suite =
   ( "serve",
     [
@@ -1017,4 +1121,10 @@ let suite =
         test_faulted_socket_loop_completes;
       Alcotest.test_case "broker: QUOTE compile errors are sql" `Quick
         test_quote_compile_errors_are_sql;
+      Alcotest.test_case "one broker: session = serving, every workload" `Slow
+        test_session_equals_serving;
+      Alcotest.test_case "one broker: QUOTE sql = PRICE i, live + restored" `Slow
+        test_quote_sql_equals_price;
+      Alcotest.test_case "snapshot: format-4 file refused" `Quick
+        test_snapshot_v4_refused;
     ] )
