@@ -135,6 +135,19 @@ let build_instance workload scale support seed =
                  conflict sets)...\n%!" workload;
   WI.build workload ~scale ?support ~seed ()
 
+(* The valuations [V.apply ~rng:(Rng.create seed)] draws on [inst], or
+   exit 2 naming the model when they are not finite: exp:200 puts the
+   mean |e|^200 past max_float, which Hypergraph.with_valuations would
+   reject with an uncaught exception. *)
+let finite_draws ~seed model (inst : WI.t) =
+  let v = V.draw ~rng:(Rng.create seed) model inst.WI.hypergraph in
+  if not (Array.for_all Float.is_finite v) then begin
+    Printf.eprintf "--model %s: valuations are not finite on the %s instance\n"
+      (V.describe model) inst.WI.key;
+    exit 2
+  end;
+  v
+
 (* --- list ------------------------------------------------------------ *)
 
 let list_cmd =
@@ -198,7 +211,7 @@ let price_cmd =
     set_injections inject;
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
-    let h = V.apply ~rng:(Rng.create seed) model inst.WI.hypergraph in
+    let h = H.with_valuations inst.WI.hypergraph (finite_draws ~seed model inst) in
     let total = Float.max 1e-9 (H.sum_valuations h) in
     let specs =
       if algorithm = "all" then Runner.algorithms profile
@@ -238,6 +251,7 @@ let run_cmd =
     set_injections inject;
     with_trace trace @@ fun () ->
     let inst = build_instance workload scale support seed in
+    ignore (finite_draws ~seed model inst);
     match
       Qp_util.Timing.time (fun () ->
           Runner.run_cell_result ~profile ~seed model inst)
@@ -510,7 +524,13 @@ let serve_cmd =
     let build_fresh () =
       Printf.printf "loading %s and precomputing %s pricing...\n%!" workload
         pricing;
-      SB.create ~scale ?support ~profile ~workload ~model ~pricing ~seed ()
+      let instance =
+        Qp_obs.with_span "serve.load"
+          ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
+          (fun () -> WI.build workload ~scale ?support ~seed ())
+      in
+      ignore (finite_draws ~seed model instance);
+      SB.of_instance ~profile ~model ~pricing ~seed instance
     in
     let broker =
       match snapshot with

@@ -36,7 +36,10 @@ let build_row ?attempt ~prepare db deltas index (q, valuation) =
     ~args:(fun () -> [ ("query", Qp_obs.Str q.Query.name) ])
   @@ fun () ->
   let t0 = Qp_util.Timing.now_ns () in
-  let prep = prepare db q in
+  (* A child span, not a duration arg: span args stay timing-free so the
+     trace structure is the same at any job count, and the span's
+     timestamps and label histogram give the prepare / scan split. *)
+  let prep = Qp_obs.with_span "conflict.prepare" (fun () -> prepare db q) in
   let items = conflict_set_prepared prep deltas in
   Qp_obs.annotate (fun () ->
       [

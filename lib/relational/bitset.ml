@@ -66,27 +66,41 @@ let complement_into t =
   done;
   if n > 0 then t.words.(n - 1) <- t.words.(n - 1) land tail_mask t.len
 
-let rec ntz_loop x acc = if x land 1 = 1 then acc else ntz_loop (x lsr 1) (acc + 1)
+(* Population count of one word: SWAR over its low 32 and high 31 bits,
+   each of which fits the 32-bit masks without touching the sign bit. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
+let popcount w = popcount32 (w land 0xFFFFFFFF) + popcount32 (w lsr 32)
+
+(* Index of the lowest set bit of a nonzero word: [w land (-w)]
+   isolates it, and the ones below it count its position. Bit 62 (the
+   sign bit) isolates to [min_int], and [min_int - 1 = max_int] has 62
+   ones, so the top bit needs no special case. *)
+let lowest_bit w = popcount ((w land (-w)) - 1)
 
 let iter f t =
   for wi = 0 to Array.length t.words - 1 do
     let w = ref t.words.(wi) in
     let base = wi * width in
     while !w <> 0 do
-      let b = ntz_loop !w 0 in
-      f (base + b);
+      f (base + lowest_bit !w);
       w := !w land (!w - 1)
     done
   done
 
 let count t =
   let c = ref 0 in
-  iter (fun _ -> incr c) t;
+  for wi = 0 to Array.length t.words - 1 do
+    c := !c + popcount t.words.(wi)
+  done;
   !c
 
 let to_array t =
-  let n = count t in
-  let out = Array.make n 0 in
+  let out = Array.make (count t) 0 in
   let k = ref 0 in
   iter
     (fun i ->

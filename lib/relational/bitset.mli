@@ -43,10 +43,15 @@ val complement_into : t -> unit
     row engine's two-valued semantics. *)
 
 val count : t -> int
-(** Number of set bits. *)
+(** Number of set bits: one popcount per word, O(words). *)
 
 val iter : (int -> unit) -> t -> unit
-(** Apply to each set bit in increasing order, skipping zero words. *)
+(** Apply to each set bit in increasing order. Costs O(words + set
+    bits): zero words are skipped, and each set bit is found in constant
+    time (isolate the lowest bit, index it by a popcount) rather than by
+    scanning up from bit 0. Each word is read once, before its bits are
+    visited, so [f] may clear bits of [t] it has been given. *)
 
 val to_array : t -> int array
-(** Set bits in increasing order (the selection vector). *)
+(** Set bits in increasing order (the selection vector): {!count}
+    sizes the array, one {!iter} fills it, O(words + set bits). *)

@@ -54,6 +54,10 @@ type t = {
       (* star plans only: per level g >= 1, the level-0 candidates that
          find at least one partner at level g — the bit per candidate
          row makes "joins every level but f" a couple of bit tests *)
+  joinable : (int, (Value.t, unit) Hashtbl.t) Hashtbl.t;
+      (* star plans only, lazily per pinned level f: the keys of f's
+         bare-column equi whose level-0 bucket holds a row joining every
+         level but f (see star_dim_pin) *)
   scratch : Relation.tuple array;
       (* reusable one-binding env for the emptiness pre-checks; safe
          because star probes and per-level singles never read the other
@@ -318,21 +322,27 @@ let build_level plan db lvl =
   let table = Col_table.of_relation_cached (Database.relation db name) in
   let n = Col_table.nrows table in
   let singles = Eval.single_filters plan lvl in
-  let mask = B.full n in
-  let scratch = Array.make (Array.length env_schemas) [||] in
-  List.iter
-    (fun { Eval.f_ast; f_comp } ->
-      match kernel env_schemas lvl table f_ast with
-      | Some m -> B.inter_into mask m
-      | None ->
-          B.iter
-            (fun i ->
-              scratch.(lvl) <- Col_table.tuple table i;
-              if not (Expr.is_true (f_comp.Expr.eval scratch)) then
-                B.clear mask i)
-            mask)
-    singles;
-  let sel = B.to_array mask in
+  let sel =
+    (* No single-table conjunct: every row is a candidate, no mask. *)
+    if singles = [] then Array.init n Fun.id
+    else begin
+      let mask = B.full n in
+      let scratch = Array.make (Array.length env_schemas) [||] in
+      List.iter
+        (fun { Eval.f_ast; f_comp } ->
+          match kernel env_schemas lvl table f_ast with
+          | Some m -> B.inter_into mask m
+          | None ->
+              B.iter
+                (fun i ->
+                  scratch.(lvl) <- Col_table.tuple table i;
+                  if not (Expr.is_true (f_comp.Expr.eval scratch)) then
+                    B.clear mask i)
+                mask)
+        singles;
+      B.to_array mask
+    end
+  in
   let equis = Eval.level_equis plan lvl in
   {
     table;
@@ -369,6 +379,7 @@ let prepare plan db =
     star;
     participating = None;
     masks = None;
+    joinable = Hashtbl.create 4;
     scratch = Array.make (Array.length levels) [||];
   }
 
@@ -646,7 +657,18 @@ let run db q =
    A pinned tuple's contribution is a value-level question — join_fixed
    pins by value, bypassing the pinned level's own candidate set — so
    the same test serves the old (stored) and the new (hypothetical)
-   tuple of a delta. *)
+   tuple of a delta.
+
+   On star plans a pin costs a constant number of lookups, whatever the
+   size of the fact table. Pinning level 0 is one bucket probe per
+   remaining level. Pinning a dimension level f reads
+   its joinable-key set, built once per preparation and level next to
+   the level masks: every key of f's bare-column equi whose level-0
+   bucket holds a row that joins every level but f. When f's other
+   equis are all constant probes, the pin joins iff its key is in the
+   set and its tuple matches those constants — one Hashtbl.mem instead
+   of a bucket scan per delta. Levels with expression probes still scan
+   the bucket. *)
 
 let seed_participating_from t envs =
   let p = Array.map (fun _ -> Hashtbl.create 1024) t.levels in
@@ -668,11 +690,26 @@ let participating t =
       seed_participating_from t (enumerate t None);
       Option.get t.participating
 
+(* The keys of [rev] whose bucket holds a row passing [completes]:
+   built once per (preparation, pinned level) and cached. *)
+let joinable_keys t flvl rev completes =
+  match Hashtbl.find_opt t.joinable flvl with
+  | Some keys -> keys
+  | None ->
+      let keys = Hashtbl.create (Hashtbl.length rev) in
+      Hashtbl.iter
+        (fun k rows -> if List.exists completes rows then Hashtbl.replace keys k ())
+        rev;
+      Hashtbl.replace t.joinable flvl keys;
+      keys
+
 (* Exact joinability of a tuple pinned at a star plan's level [flvl]
    (>= 1): some level-0 candidate must match every equi of [flvl]
    against the pinned tuple and find a partner at each remaining level
    (the mask bits). Candidates come from the reverse bucket of a
-   bare-column equi; a level with only expression probes has no such
+   bare-column equi; when every other equi is a constant probe the
+   candidates need not be visited, as the joinable-key set answers for
+   the whole bucket. A level with only expression probes has no such
    bucket and stays conservative. *)
 let star_dim_pin t flvl tup =
   let lv = t.levels.(flvl) in
@@ -695,24 +732,29 @@ let star_dim_pin t flvl tup =
   | equis -> (
       match List.find_opt (fun (_, _, c0) -> c0 <> None) equis with
       | Some ((key_col, _, Some c0) as chosen) ->
-          let bucket =
-            Option.value
-              (Hashtbl.find_opt (rev0_index t c0) tup.(key_col))
-              ~default:[]
-          in
+          let rev = rev0_index t c0 in
           let extra = List.filter (fun e -> e != chosen) equis in
           let env = t.scratch in
-          List.exists
-            (fun r ->
-              completes r
-              && (extra == []
-                 || begin
-                      env.(0) <- Col_table.tuple t.levels.(0).table r;
-                      List.for_all
-                        (fun (kc, probe, _) -> probe.Expr.eval env = tup.(kc))
-                        extra
-                    end))
-            bucket
+          let extra_match () =
+            List.for_all
+              (fun (kc, probe, _) -> probe.Expr.eval env = tup.(kc))
+              extra
+          in
+          if List.for_all (fun (_, probe, _) -> probe.Expr.tables = []) extra
+          then
+            (* Constant probes never read [env]: check them once, after
+               the key, as the bucket scan would. *)
+            Hashtbl.mem (joinable_keys t flvl rev completes) tup.(key_col)
+            && extra_match ()
+          else
+            List.exists
+              (fun r ->
+                completes r
+                && begin
+                     env.(0) <- Col_table.tuple t.levels.(0).table r;
+                     extra_match ()
+                   end)
+              (Option.value (Hashtbl.find_opt rev tup.(key_col)) ~default:[])
       | _ -> true)
 
 (* Emptiness of [join_fixed (flvl, tup)] without running it: [false] is
@@ -720,7 +762,7 @@ let star_dim_pin t flvl tup =
    back to the full join. Star plans are decided exactly (modulo
    expression-probed pinned levels): pinning level 0 leaves one bucket
    probe per remaining level, and pinning a later level reduces to its
-   reverse bucket filtered by the masks. *)
+   joinable-key set (or its reverse bucket filtered by the masks). *)
 let pin_may_join t flvl tup =
   let scratch = t.scratch in
   scratch.(flvl) <- tup;

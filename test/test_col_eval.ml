@@ -221,6 +221,156 @@ let test_fallback_across_engines () =
       queries
   done
 
+(* Bitset's word-level scans (lowest-bit isolation, per-word popcount)
+   against a bit-by-bit reference over [get], at lengths around the
+   63-bit word boundary and on masks that set bit 62, the sign bit of
+   an OCaml int. *)
+let test_bitset_scans_match_reference () =
+  let module B = R.Bitset in
+  let rand = Random.State.make [| 63 |] in
+  let check name m =
+    let reference = List.filter (B.get m) (List.init (B.length m) Fun.id) in
+    let seen = ref [] in
+    B.iter (fun i -> seen := i :: !seen) m;
+    Alcotest.(check (list int)) (name ^ ": iter") reference (List.rev !seen);
+    Alcotest.(check int) (name ^ ": count") (List.length reference) (B.count m);
+    Alcotest.(check (array int))
+      (name ^ ": to_array")
+      (Array.of_list reference) (B.to_array m)
+  in
+  List.iter
+    (fun len ->
+      let masks =
+        [
+          ("empty", fun () -> B.create len);
+          ("full", fun () -> B.full len);
+          ("every 7th", fun () -> B.init len (fun i -> i mod 7 = 0));
+          ("random", fun () -> B.init len (fun _ -> Random.State.bool rand));
+          ("bit 62 of each word", fun () -> B.init len (fun i -> i mod 63 = 62));
+        ]
+      in
+      List.iter
+        (fun (mname, make) ->
+          let name = Printf.sprintf "len %d, %s" len mname in
+          check name (make ());
+          let m = make () in
+          B.inter_into m (B.init len (fun _ -> Random.State.bool rand));
+          check (name ^ ", after inter_into") m;
+          let m = make () in
+          B.complement_into m;
+          check (name ^ ", after complement_into") m)
+        masks)
+    [ 0; 1; 62; 63; 64; 126; 127; 6000 ]
+
+(* A star schema — fact F, dimensions D1 and D2 — shaped to reach every
+   branch of the star pre-check: NULL foreign keys (and a NULL dimension
+   key, which joins them under the engines' Null = Null probe rule), a
+   filtered fact level (so the reverse index is built over the
+   selection), constant equis on D1 (the joinable-key path), and an
+   expression probe on D2 next to its bare-column equi (the bucket
+   path) or alone (the conservative path). For every row drop and every
+   single-cell change over a small value domain, the columnar conflict
+   sets must equal the row oracle's. *)
+let test_star_precheck_matches_oracle () =
+  let open Expr in
+  let i v = Value.Int v and s v = Value.Str v and null = Value.Null in
+  let f_schema =
+    Schema.make ~name:"F"
+      ~attrs:
+        [ ("fid", Schema.T_int); ("dk1", Schema.T_int); ("dk2", Schema.T_int);
+          ("amt", Schema.T_int); ("tag", Schema.T_string) ]
+  and d1_schema =
+    Schema.make ~name:"D1"
+      ~attrs:[ ("k", Schema.T_int); ("region", Schema.T_string); ("yr", Schema.T_int) ]
+  and d2_schema =
+    Schema.make ~name:"D2"
+      ~attrs:[ ("k2", Schema.T_int); ("k2x", Schema.T_int); ("cat", Schema.T_string) ]
+  in
+  let database =
+    Database.make
+      [
+        Relation.make f_schema
+          (List.mapi
+             (fun r (dk1, dk2, amt, tag) -> [| i (succ r); dk1; dk2; i amt; s tag |])
+             [ (i 1, i 1, 30, "a"); (i 1, i 2, 10, "b"); (i 2, i 1, 40, "a");
+               (i 3, i 3, 50, "b"); (null, i 2, 60, "a"); (null, null, 25, "b");
+               (i 9, i 1, 35, "a"); (i 3, i 2, 45, "a"); (i 4, i 3, 20, "b");
+               (i 2, null, 55, "b"); (i 1, i 1, 15, "a"); (i 3, i 1, 65, "a") ]);
+        Relation.make d1_schema
+          [ [| i 1; s "EU"; i 1993 |]; [| i 2; s "EU"; i 1994 |];
+            [| i 3; s "AS"; i 1993 |]; [| null; s "AS"; i 1993 |];
+            [| i 4; s "AM"; null |] ];
+        Relation.make d2_schema
+          [ [| i 1; i 10; s "x" |]; [| i 2; i 20; s "y" |];
+            [| i 3; i 31; s "x" |]; [| null; null; s "z" |] ];
+      ]
+  in
+  let fdk1 = col ~table:"F" "dk1" and fdk2 = col ~table:"F" "dk2" in
+  let d1 = eq fdk1 (col ~table:"D1" "k")
+  and d1993 = eq (col ~table:"D1" "yr") (int 1993)
+  and d2 = eq fdk2 (col ~table:"D2" "k2")
+  and d2x = eq (col ~table:"D2" "k2x") (fdk2 * int 10)
+  and big = Cmp (Gt, col ~table:"F" "amt", int 20) in
+  let queries =
+    [
+      Query.make ~name:"grouped" ~from:[ "F"; "D1"; "D2" ]
+        ~where:(d1 && d1993 && d2 && d2x && big)
+        ~group_by:[ col ~table:"D1" "region" ]
+        [ Query.Field (col ~table:"D1" "region", "r");
+          Query.Aggregate (Query.Sum (col ~table:"F" "amt"), "s") ];
+      Query.make ~name:"rows" ~from:[ "F"; "D1"; "D2" ]
+        ~where:(d1 && d1993 && eq (col ~table:"D1" "region") (str "EU") && d2 && big)
+        [ Query.Field (col ~table:"F" "fid", "f");
+          Query.Field (col ~table:"D2" "cat", "c") ];
+      Query.make ~name:"count" ~from:[ "F"; "D1" ]
+        ~where:(d1 && d1993 && eq (col ~table:"F" "tag") (str "a"))
+        [ Query.Aggregate (Query.Count_star, "c") ];
+      Query.make ~name:"expression-only" ~from:[ "F"; "D2" ]
+        ~where:(d2x && big)
+        ~group_by:[ col ~table:"D2" "cat" ]
+        [ Query.Field (col ~table:"D2" "cat", "c");
+          Query.Aggregate (Query.Count_star, "n") ];
+    ]
+  in
+  let domain = function
+    | Schema.T_int -> List.map i [ 1; 2; 3; 4; 9; 10; 20; 30; 31; 1993; 1994; 77 ] @ [ null ]
+    | Schema.T_string -> List.map s [ "EU"; "AS"; "AM"; "x"; "y"; "z"; "a"; "b" ] @ [ null ]
+  in
+  let deltas =
+    List.concat_map
+      (fun rel ->
+        let schema = Relation.schema rel in
+        let relation = Schema.name schema in
+        List.concat
+          (List.init (Relation.cardinality rel) (fun row ->
+               R.Delta.Row_drop { relation; row }
+               :: List.concat
+                    (List.init (Schema.arity schema) (fun c ->
+                         List.filter_map
+                           (fun value ->
+                             if Value.equal value (Relation.tuple rel row).(c) then None
+                             else Some (R.Delta.Cell_change { relation; row; col = c; value }))
+                           (domain (Schema.attr_type schema c)))))))
+      (Database.relations database)
+    |> Array.of_list
+  in
+  let valued = List.map (fun q -> (q, 1.0)) queries in
+  let build prepare = fst (Conflict.hypergraph ~jobs:1 ~prepare database valued deltas) in
+  let h_row = build Qp_rel_oracle.prepare and h_col = build Delta_eval.prepare in
+  Array.iter2
+    (fun (er : H.edge) (ec : H.edge) ->
+      Alcotest.(check string) "edge order" er.H.name ec.H.name;
+      Alcotest.(check bool) (er.H.name ^ ": conflicts found") true (er.H.items <> [||]);
+      Alcotest.(check (array int)) (er.H.name ^ ": conflict set") er.H.items ec.H.items)
+    (H.edges h_row) (H.edges h_col);
+  List.iter
+    (fun q ->
+      Alcotest.(check bool)
+        (q.Query.name ^ ": incremental strategy")
+        true
+        (Delta_eval.strategy_name (Delta_eval.prepare database q) <> "fallback"))
+    queries
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "col-eval",
@@ -232,4 +382,6 @@ let suite =
       t "skewed workload has no fallback" test_skewed_has_no_fallback;
       t "limited strategy boundary cases" test_limited_boundary;
       t "fallback agrees across engines" test_fallback_across_engines;
+      t "bitset scans match a bit-by-bit reference" test_bitset_scans_match_reference;
+      t "star pre-check matches the row oracle" test_star_precheck_matches_oracle;
     ] )

@@ -103,6 +103,39 @@ let test_conflict_set_row_drop_only () =
       (Array.to_list (Qp_market.Conflict.conflict_set db q deltas))
   done
 
+(* A valuation model whose draws overflow (the mean |e|^200 of exp:200
+   is past max_float) is refused by price, run and serve with one line
+   on stderr naming the model and exit code 2, not an uncaught
+   exception. Runs the built CLI, a dependency of this test. *)
+let test_cli_non_finite_model () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/qpricing.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s is not built" exe;
+  let err = Filename.temp_file "qpricing" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  List.iter
+    (fun args ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
+             (args @ [ "skewed"; "--scale"; "tiny"; "--support"; "60";
+                       "--model"; "exp:200" ]))
+      in
+      let lines =
+        In_channel.with_open_text err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      let cmd = List.hd args in
+      Alcotest.(check int) (cmd ^ ": exit code") 2 code;
+      Alcotest.(check (list string))
+        (cmd ^ ": one line naming the model")
+        [ "--model exp(beta=|e|^200): valuations are not finite on the skewed \
+           instance" ]
+        lines)
+    [ [ "price"; "-a"; "ubp" ]; [ "run" ]; [ "serve"; "--smoke"; "2" ] ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "misc",
@@ -116,4 +149,5 @@ let suite =
       t "rng pick_list" test_rng_pick_list;
       t "histogram ranges tile" test_histogram_ranges;
       t "conflict sets under pure row drops" test_conflict_set_row_drop_only;
+      t "cli: non-finite valuation model exits 2" test_cli_non_finite_model;
     ] )
