@@ -52,7 +52,7 @@ check-docs:
 check-failwith:
 	ocaml scripts/check_no_failwith.ml lib/lp lib/core
 
-# No polymorphic compare in array sorts anywhere in lib/: its NaN
+# No polymorphic compare in array or list sorts anywhere in lib/: its NaN
 # ordering is unspecified, which once skewed the float percentile and
 # valuation sorts. Use Float.compare / Int.compare instead.
 check-float-sort:

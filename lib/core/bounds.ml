@@ -50,7 +50,7 @@ let greedy_cover h (target : Hypergraph.edge) =
    cap for a set of buyers requesting the *same* bundle (the pricing
    function assigns one price per set, so identical bundles share it). *)
 let uniform_cap values =
-  let sorted = List.sort (fun a b -> compare b a) values in
+  let sorted = List.sort (fun a b -> Float.compare b a) values in
   let best = ref 0.0 in
   List.iteri
     (fun j v ->
@@ -102,7 +102,7 @@ let subadditive_bound_report ?max_covers ?(max_pivots = 400_000) h =
       groups;
     let by_valuation_desc =
       Array.to_list (Hypergraph.edges h)
-      |> List.sort (fun (a : Hypergraph.edge) b -> compare b.valuation a.valuation)
+      |> List.sort (fun (a : Hypergraph.edge) b -> Float.compare b.valuation a.valuation)
     in
     let budget = ref (Option.value max_covers ~default:m) in
     List.iter

@@ -1,5 +1,5 @@
 let quantiles n xs =
-  let sorted = List.sort_uniq compare xs in
+  let sorted = List.sort_uniq Float.compare xs in
   let arr = Array.of_list sorted in
   let len = Array.length arr in
   if len <= n then sorted
@@ -20,7 +20,7 @@ let optimal ?(cap_candidates = 32) ?jobs h =
   | [] -> ((0.0, 0.0), 0.0)
   | _ ->
       let slopes =
-        List.map (fun (s, v) -> v /. Float.of_int s) sized |> List.sort_uniq compare
+        List.map (fun (s, v) -> v /. Float.of_int s) sized |> List.sort_uniq Float.compare
       in
       let caps =
         infinity :: quantiles cap_candidates (List.map snd sized)

@@ -30,7 +30,8 @@ let tally_failures errors =
       let tag = Qp_lp.Lp.error_tag e in
       Hashtbl.replace tbl tag (1 + Option.value (Hashtbl.find_opt tbl tag) ~default:0))
     errors;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp_tally tally =
   String.concat ", "

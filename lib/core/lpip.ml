@@ -36,7 +36,7 @@ let evenly_spaced n xs =
       take (i * len / max 1 rest)
     done;
     Hashtbl.fold (fun i () acc -> i :: acc) picked []
-    |> List.sort compare
+    |> List.sort Int.compare
     |> List.map (fun i -> arr.(i))
   end
 
@@ -48,7 +48,7 @@ let solve_report ?(options = default_options) h =
   let sorted =
     List.sort
       (fun (a : Hypergraph.edge) (b : Hypergraph.edge) ->
-        compare b.valuation a.valuation)
+        Float.compare b.valuation a.valuation)
       edges
   in
   (* Equal valuations induce equal F_e: keep one candidate per distinct

@@ -8,7 +8,7 @@ let optimal_weight h =
            let s = Array.length e.items in
            if s = 0 then None else Some (e.valuation /. Float.of_int s, s))
   in
-  let sorted = List.sort (fun (qa, _) (qb, _) -> compare qb qa) sized in
+  let sorted = List.sort (fun (qa, _) (qb, _) -> Float.compare qb qa) sized in
   (* An edge sells at weight w iff q_e >= w, so at w = q_(j) the sellable
      size mass is the prefix sum of sizes. *)
   let best_w = ref 0.0 and best_revenue = ref 0.0 in

@@ -114,7 +114,7 @@ let run_collapse fmt ctx =
       let classes = H.classes h in
       let edges =
         Array.to_list (H.edges h)
-        |> List.sort (fun (a : H.edge) b -> compare b.valuation a.valuation)
+        |> List.sort (fun (a : H.edge) b -> Float.compare b.valuation a.valuation)
       in
       let top = List.filteri (fun i _ -> 4 * i < List.length edges) edges in
       let ids = List.map (fun (e : H.edge) -> e.id) top in

@@ -80,7 +80,7 @@ let injections () =
   Mutex.lock fired_mu;
   let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) fired_tbl [] in
   Mutex.unlock fired_mu;
-  List.sort compare l
+  List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 (* --- spec grammar ---------------------------------------------------- *)
 

@@ -13,16 +13,14 @@
    appended part grows past its refactorization interval, which bounds
    the per-iteration cost and flushes accumulated roundoff.
 
+   The etas live back to back in one flat pool of growable arrays,
+   reused across reinversions: a pivot's [push] is one pass over d
+   written straight into the pool, and allocates nothing once the pool
+   has grown to the family's largest file.
+
    The initial basis of the transformed problem (slacks on rows with
    nonnegative rhs, artificials elsewhere) is exactly the identity, so
    an empty file is a valid factorization of it. *)
-
-type eta = {
-  r : int;  (* pivot row *)
-  pr : float;  (* pivot element d_r *)
-  idx : int array;  (* off-pivot nonzero rows of d *)
-  v : float array;
-}
 
 (* Doubly linked lists of lines (columns or rows) bucketed by their
    active nonzero count, so the Markowitz search visits short lines
@@ -35,14 +33,17 @@ type buckets = {
 }
 
 (* Workspace of one reinversion, kept between calls so that a
-   refactorization allocates little beyond the etas it writes. Columns
-   and rows are indexed by basis position (0..m-1) and matrix row. The
-   active submatrix is held column-wise with values, [c_idx]/[c_val]
-   over [0, c_len), and row-wise as patterns, [r_col] over [0, r_len).
-   Deletion is lazy: pivoting a row or a column only lowers the active
-   counts [c_cnt]/[r_cnt], and a line drops its dead entries when it is
-   next read ([compact_col]/[compact_row]). A column's entries in
-   pivoted rows move to its U list ([u_idx]/[u_val]) at that point. *)
+   refactorization allocates little. Columns and rows are indexed by
+   basis position (0..m-1) and matrix row. The active submatrix is held
+   column-wise with values, [c_idx]/[c_val] over [0, c_len), and
+   row-wise as patterns, [r_col] over [0, r_len). Deletion is lazy:
+   pivoting a row or a column only lowers the active counts
+   [c_cnt]/[r_cnt], and a line drops its dead entries when it is next
+   read ([compact_col]/[compact_row]). A column's entries in pivoted
+   rows move to its U list ([u_idx]/[u_val]) at that point. The L eta
+   of pivot step k (unit pivot on row [piv_row.(k)]) is
+   [l_idx]/[l_v] over [l_start.(k), l_start.(k + 1)); it is empty when
+   the pivot column had nothing below the pivot. *)
 type work = {
   c_idx : int array array;
   c_val : float array array;
@@ -59,86 +60,133 @@ type work = {
   piv_row : int array;  (* step -> row *)
   piv_col : int array;  (* step -> column *)
   piv_val : float array;
-  l_etas : eta array;  (* step -> L eta *)
+  l_start : int array;
+  mutable l_idx : int array;
+  mutable l_v : float array;
   cmax : float array;  (* largest active magnitude, or -1 when stale *)
   cb : buckets;
   rb : buckets;
   wpos : int array;  (* row -> its index in [act], or -1 *)
   act : int array;  (* active rows of the pivot column *)
   mult : float array;  (* their multipliers *)
+  (* the running [search]: best entry so far, its cost, lines visited *)
+  mutable best_r : int;
+  mutable best_c : int;
+  mutable best_cost : int;
+  mutable lines : int;
 }
 
+(* Eta k pivots on row [r.(k)] with pivot element [pr.(k)]; its
+   off-pivot entries are [idx]/[v] over [start.(k), start.(k + 1)).
+   [start.(0)] is 0; every array grows on demand ([reserve]). *)
 type t = {
   m : int;
-  mutable etas : eta array;
   mutable len : int;
-  mutable fill : int;
+  mutable r : int array;
+  mutable pr : float array;
+  mutable start : int array;
+  mutable idx : int array;
+  mutable v : float array;
   mutable work : work option;
 }
 
-let dummy_eta = { r = 0; pr = 1.0; idx = [||]; v = [||] }
-
-let create m =
-  { m; etas = Array.make 16 dummy_eta; len = 0; fill = 0; work = None }
-
-let reset t =
-  t.len <- 0;
-  t.fill <- 0
-
-let eta_count t = t.len
-let fill t = t.fill
-
-let append t e =
-  if t.len = Array.length t.etas then begin
-    let bigger = Array.make (2 * t.len) dummy_eta in
-    Array.blit t.etas 0 bigger 0 t.len;
-    t.etas <- bigger
-  end;
-  t.etas.(t.len) <- e;
-  t.len <- t.len + 1;
-  t.fill <- t.fill + Array.length e.idx + 1
-
-let push t ~r (d : float array) =
-  let n = ref 0 in
-  Array.iteri (fun i x -> if i <> r && x <> 0.0 then incr n) d;
-  let pr = d.(r) in
-  (* An identity eta (d = e_r) is a no-op: skip it. *)
-  if !n = 0 && pr = 1.0 then ()
+(* [a] with room for at least [n + 1] entries, padded with [zero] *)
+let room a n zero =
+  if n < Array.length a then a
   else begin
-    let idx = Array.make !n 0 and v = Array.make !n 0.0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun i x ->
-        if i <> r && x <> 0.0 then begin
-          idx.(!k) <- i;
-          v.(!k) <- x;
-          incr k
-        end)
-      d;
-    append t { r; pr; idx; v }
+    let b = Array.make (max 4 (2 * (n + 1))) zero in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   end
 
+let create m =
+  {
+    m;
+    len = 0;
+    r = Array.make 16 0;
+    pr = Array.make 16 0.0;
+    start = Array.make 17 0;
+    idx = Array.make 64 0;
+    v = Array.make 64 0.0;
+    work = None;
+  }
+
+let reset t = t.len <- 0
+
+let eta_count t = t.len
+let fill t = t.start.(t.len) + t.len
+
+let eta t k =
+  if k < 0 || k >= t.len then invalid_arg "Basis.eta: index";
+  let lo = t.start.(k) and n = t.start.(k + 1) - t.start.(k) in
+  (t.r.(k), t.pr.(k), { Sparse.idx = Array.sub t.idx lo n; v = Array.sub t.v lo n })
+
+(* Room for one more eta with up to [n] off-pivot entries. *)
+let reserve t n =
+  t.r <- room t.r t.len 0;
+  t.pr <- room t.pr t.len 0.0;
+  t.start <- room t.start (t.len + 1) 0;
+  let last = t.start.(t.len) + n - 1 in
+  t.idx <- room t.idx last 0;
+  t.v <- room t.v last 0.0
+
+(* Close the eta whose entries were just written at
+   [start.(len), stop). *)
+let close t ~r ~pr ~stop =
+  t.r.(t.len) <- r;
+  t.pr.(t.len) <- pr;
+  t.start.(t.len + 1) <- stop;
+  t.len <- t.len + 1
+
+let push t ~r (d : float array) =
+  reserve t (Array.length d);
+  let idx = t.idx and v = t.v in
+  let k0 = t.start.(t.len) in
+  let k = ref k0 in
+  for i = 0 to Array.length d - 1 do
+    let x = d.(i) in
+    if i <> r && x <> 0.0 then begin
+      idx.(!k) <- i;
+      v.(!k) <- x;
+      incr k
+    end
+  done;
+  let pr = d.(r) in
+  (* An identity eta (d = e_r) is a no-op: skip it. *)
+  if !k > k0 || pr <> 1.0 then close t ~r ~pr ~stop:!k
+
+(* Copy entries [lo, lo + n) of [idx]/[v] in as a new eta. *)
+let append t ~r ~pr (idx : int array) (v : float array) lo n =
+  reserve t n;
+  let k0 = t.start.(t.len) in
+  Array.blit idx lo t.idx k0 n;
+  Array.blit v lo t.v k0 n;
+  close t ~r ~pr ~stop:(k0 + n)
+
 let ftran t (w : float array) =
+  let r = t.r and pr = t.pr and start = t.start and idx = t.idx and v = t.v in
   for k = 0 to t.len - 1 do
-    let e = t.etas.(k) in
-    let wr = w.(e.r) in
+    let er = r.(k) in
+    let wr = w.(er) in
     if wr <> 0.0 then begin
-      let wr = wr /. e.pr in
-      w.(e.r) <- wr;
-      for j = 0 to Array.length e.idx - 1 do
-        w.(e.idx.(j)) <- w.(e.idx.(j)) -. (e.v.(j) *. wr)
+      let wr = wr /. pr.(k) in
+      w.(er) <- wr;
+      for j = start.(k) to start.(k + 1) - 1 do
+        let i = idx.(j) in
+        w.(i) <- w.(i) -. (v.(j) *. wr)
       done
     end
   done
 
 let btran t (y : float array) =
+  let r = t.r and pr = t.pr and start = t.start and idx = t.idx and v = t.v in
   for k = t.len - 1 downto 0 do
-    let e = t.etas.(k) in
-    let s = ref y.(e.r) in
-    for j = 0 to Array.length e.idx - 1 do
-      s := !s -. (y.(e.idx.(j)) *. e.v.(j))
+    let er = r.(k) in
+    let s = ref y.(er) in
+    for j = start.(k) to start.(k + 1) - 1 do
+      s := !s -. (y.(idx.(j)) *. v.(j))
     done;
-    y.(e.r) <- !s /. e.pr
+    y.(er) <- !s /. pr.(k)
   done
 
 (* --- sparse LU reinversion -------------------------------------------- *)
@@ -177,15 +225,6 @@ let file b x count =
     b.at.(x) <- count
   end
 
-(* [a] with room for at least [n + 1] entries, padded with [zero] *)
-let room a n zero =
-  if n < Array.length a then a
-  else begin
-    let b = Array.make (max 4 (2 * (n + 1))) zero in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 let work m =
   {
     c_idx = Array.make m [||];
@@ -203,13 +242,19 @@ let work m =
     piv_row = Array.make m (-1);
     piv_col = Array.make m (-1);
     piv_val = Array.make m 0.0;
-    l_etas = Array.make m dummy_eta;
+    l_start = Array.make (m + 1) 0;
+    l_idx = Array.make 16 0;
+    l_v = Array.make 16 0.0;
     cmax = Array.make m (-1.0);
     cb = buckets m;
     rb = buckets m;
     wpos = Array.make m (-1);
     act = Array.make m 0;
     mult = Array.make m 0.0;
+    best_r = -1;
+    best_c = -1;
+    best_cost = max_int;
+    lines = 0;
   }
 
 (* Load the basis columns into the workspace: every row and column
@@ -235,7 +280,10 @@ let load w m (bcols : Sparse.col array) =
     w.c_cnt.(j) <- n;
     w.u_len.(j) <- 0;
     w.cmax.(j) <- -1.0;
-    Array.iter (fun i -> w.r_cnt.(i) <- w.r_cnt.(i) + 1) c.Sparse.idx
+    for e = 0 to n - 1 do
+      let i = c.Sparse.idx.(e) in
+      w.r_cnt.(i) <- w.r_cnt.(i) + 1
+    done
   done;
   for i = 0 to m - 1 do
     if Array.length w.r_col.(i) < w.r_cnt.(i) then
@@ -295,8 +343,9 @@ let compact_row w i =
     w.r_len.(i) <- !k
   end
 
-(* Largest active magnitude of column [j], cached until [j] changes. *)
-let col_max w j =
+(* Refresh [w.cmax.(j)], the largest active magnitude of column [j],
+   when it is stale (compacting the column). *)
+let refresh_col_max w j =
   if w.cmax.(j) < 0.0 then begin
     compact_col w j;
     let mx = ref 0.0 in
@@ -304,44 +353,52 @@ let col_max w j =
       mx := Float.max !mx (Float.abs w.c_val.(j).(e))
     done;
     w.cmax.(j) <- !mx
-  end;
-  w.cmax.(j)
+  end
 
-(* Value of the active entry (i, j); column [j] must be compact. *)
-let value w i j =
-  let rec go e = if w.c_idx.(j).(e) = i then w.c_val.(j).(e) else go (e + 1) in
-  go 0
+(* Position of the active entry (i, j) in column [j], which must be
+   compact. *)
+let position w i j =
+  let e = ref 0 in
+  while w.c_idx.(j).(!e) <> i do
+    incr e
+  done;
+  !e
+
+let acceptable ~tol a cmax =
+  Float.abs a > tol && Float.abs a >= threshold *. cmax
+
+let consider w i j cost =
+  if cost < w.best_cost then begin
+    w.best_r <- i;
+    w.best_c <- j;
+    w.best_cost <- cost
+  end
+
+(* Close a visited line; true when the search may stop. *)
+let finish_line w found =
+  if found then w.lines <- w.lines + 1;
+  w.best_cost = 0 || w.lines >= search_lines
 
 (* Markowitz search over the active submatrix: the acceptable entry of
    least cost (r_i - 1) * (c_j - 1), visiting lines by increasing count.
-   Returns (row, column), or (-1, -1) when the active submatrix is
-   numerically singular: an empty column, a column with nothing above
-   [tol], or no acceptable entry at all. *)
+   Leaves (row, column) in [w.best_r], [w.best_c], or (-1, -1) when the
+   active submatrix is numerically singular: an empty column, a column
+   with nothing above [tol], or no acceptable entry at all. *)
 let search w m ~tol =
-  let acceptable a cmax =
-    Float.abs a > tol && Float.abs a >= threshold *. cmax
-  in
-  let best_r = ref (-1) and best_c = ref (-1) and best_cost = ref max_int in
+  w.best_r <- -1;
+  w.best_c <- -1;
+  w.best_cost <- max_int;
+  w.lines <- 0;
   let singular = ref (w.cb.head.(0) >= 0) in
-  let stop = ref !singular and lines = ref 0 in
-  let consider i j cost =
-    if cost < !best_cost then begin
-      best_r := i;
-      best_c := j;
-      best_cost := cost
-    end
-  in
-  let finish_line found =
-    if found then incr lines;
-    if !best_cost = 0 || !lines >= search_lines then stop := true
-  in
+  let stop = ref !singular in
   let n = ref 1 in
   while (not !stop) && !n <= m do
     let cnt = !n in
     let j = ref w.cb.head.(cnt) in
     while (not !stop) && !j >= 0 do
       let jj = !j in
-      let cmax = col_max w jj in
+      refresh_col_max w jj;
+      let cmax = w.cmax.(jj) in
       if cmax <= tol then begin
         singular := true;
         stop := true
@@ -349,13 +406,13 @@ let search w m ~tol =
       else begin
         let found = ref false in
         for e = 0 to cnt - 1 do
-          if acceptable w.c_val.(jj).(e) cmax then begin
+          if acceptable ~tol w.c_val.(jj).(e) cmax then begin
             found := true;
             let i = w.c_idx.(jj).(e) in
-            consider i jj ((w.r_cnt.(i) - 1) * (cnt - 1))
+            consider w i jj ((w.r_cnt.(i) - 1) * (cnt - 1))
           end
         done;
-        finish_line !found
+        if finish_line w !found then stop := true
       end;
       j := w.cb.next.(jj)
     done;
@@ -366,20 +423,23 @@ let search w m ~tol =
       let found = ref false in
       for e = 0 to cnt - 1 do
         let jj = w.r_col.(ii).(e) in
-        let cmax = col_max w jj in
-        if acceptable (value w ii jj) cmax then begin
+        refresh_col_max w jj;
+        if acceptable ~tol w.c_val.(jj).(position w ii jj) w.cmax.(jj) then begin
           found := true;
-          consider ii jj ((cnt - 1) * (w.c_cnt.(jj) - 1))
+          consider w ii jj ((cnt - 1) * (w.c_cnt.(jj) - 1))
         end
       done;
-      finish_line !found;
+      if finish_line w !found then stop := true;
       i := w.rb.next.(ii)
     done;
     (* every line not yet visited has more than [cnt] active entries *)
-    if !best_cost <= cnt * cnt then stop := true;
+    if w.best_cost <= cnt * cnt then stop := true;
     incr n
   done;
-  if !singular then (-1, -1) else (!best_r, !best_c)
+  if !singular then begin
+    w.best_r <- -1;
+    w.best_c <- -1
+  end
 
 (* Pivot step [k] on entry (r, c): record the L eta of column c, and
    eliminate column c from the other active rows, with fill-in. Row r
@@ -408,9 +468,12 @@ let eliminate w k r c =
   for s = 0 to na - 1 do
     w.mult.(s) <- w.mult.(s) /. piv
   done;
-  w.l_etas.(k) <-
-    (if na = 0 then dummy_eta
-     else { r; pr = 1.0; idx = Array.sub w.act 0 na; v = Array.sub w.mult 0 na });
+  let l0 = w.l_start.(k) in
+  w.l_idx <- room w.l_idx (l0 + na) 0;
+  w.l_v <- room w.l_v (l0 + na) 0.0;
+  Array.blit w.act 0 w.l_idx l0 na;
+  Array.blit w.mult 0 w.l_v l0 na;
+  w.l_start.(k + 1) <- l0 + na;
   compact_row w r;
   for s = 0 to na - 1 do
     w.wpos.(w.act.(s)) <- s
@@ -484,31 +547,27 @@ let factor t ~tol (bcols : Sparse.col array) =
   let rec loop k =
     k = m
     ||
-    let r, c = search w m ~tol in
-    r >= 0
-    && begin
-         eliminate w k r c;
-         loop (k + 1)
-       end
+    begin
+      search w m ~tol;
+      w.best_r >= 0
+      && begin
+           eliminate w k w.best_r w.best_c;
+           loop (k + 1)
+         end
+    end
   in
   if not (loop 0) then None
   else begin
     reset t;
     for k = 0 to m - 1 do
-      if w.l_etas.(k) != dummy_eta then append t w.l_etas.(k);
-      w.l_etas.(k) <- dummy_eta
+      let lo = w.l_start.(k) and hi = w.l_start.(k + 1) in
+      if hi > lo then append t ~r:w.piv_row.(k) ~pr:1.0 w.l_idx w.l_v lo (hi - lo)
     done;
     for k = m - 1 downto 0 do
       let c = w.piv_col.(k) and pr = w.piv_val.(k) in
       let n = w.u_len.(c) in
       if n > 0 || pr <> 1.0 then
-        append t
-          {
-            r = w.piv_row.(k);
-            pr;
-            idx = Array.sub w.u_idx.(c) 0 n;
-            v = Array.sub w.u_val.(c) 0 n;
-          }
+        append t ~r:w.piv_row.(k) ~pr w.u_idx.(c) w.u_val.(c) 0 n
     done;
     Some (Array.map (fun k -> w.piv_row.(k)) w.c_step)
   end

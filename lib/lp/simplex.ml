@@ -9,6 +9,19 @@
    instead of a dense tableau's O(rows * cols) elimination — which is
    what lifts the LP scale wall for LPIP/CIP on larger supports.
 
+   A primal pivot is one BTRAN (duals), one pricing pass over the
+   columns (Sparse.price), one FTRAN of the entering column, the ratio
+   test over the rows and one eta push: O(rows + nnz(A) + fill). A
+   dual pivot adds a BTRAN of e_r and the pivot row, summed row-wise
+   over the nonzeros of e_r B^-1 (Sparse.row_combination). The kernels
+   allocate nothing: the etas live in a flat pool that the family's
+   states share, and every scratch vector lives in the state, so a
+   pivot allocates nothing in a release build (a dev build, compiled
+   without cross-module inlining, boxes the floats it passes to
+   Tolerance's ratio tests). The kernels do the same float operations
+   in the same order as the closure-and-record code they replaced, so
+   bases, pivot counts and prices are bit-identical to it.
+
    Warm re-solves ([resolve]) start from the previous member's optimal
    basis, but give up after twice the pivots of the family's last cold
    solve and re-solve cold: a warm chain that long costs more than
@@ -102,6 +115,8 @@ module Revised_engine = struct
     ncols : int;
     art_first : int;
     cols : Sparse.col array;
+    rows : Sparse.rows; (* columns [0, art_first), row-wise *)
+    cost1 : float array; (* phase-1 objective per column *)
     cost2 : float array; (* phase-2 objective per column *)
     b : float array; (* sign-transformed rhs, >= 0 *)
     sign : float array; (* per-row +-1, for dual extraction *)
@@ -111,8 +126,15 @@ module Revised_engine = struct
     bas : Basis.t;
     y : float array; (* scratch: duals / btran workspace *)
     d : float array; (* scratch: FTRAN'd entering column *)
+    alpha : float array; (* scratch: a row of B^-1 A, columns [0, art_first) *)
+    bcols : Sparse.col array; (* scratch: the basis columns to reinvert *)
+    moved : int array; (* scratch: the basis before reinversion *)
+    (* One-cell float arrays hold the floats a pivot updates, so that
+       updating them allocates nothing: the running objective and the
+       entering column's reduced cost. *)
+    obj : float array;
+    rc : float array;
     mutable last_rebuild : int; (* eta count right after last reinversion *)
-    mutable obj_val : float;
     mutable pivots : int;
     mutable degenerate : int;
     mutable stall : int;
@@ -128,57 +150,28 @@ module Revised_engine = struct
 
   let zero (a : float array) = Array.fill a 0 (Array.length a) 0.0
 
-  let phase_cost st ~phase1 j =
-    if phase1 then if j >= st.art_first then -1.0 else 0.0 else st.cost2.(j)
+  let costs st ~phase1 = if phase1 then st.cost1 else st.cost2
 
   (* y := c_B B^-1 for the current phase's objective. *)
   let compute_duals st ~phase1 =
+    let cost = costs st ~phase1 in
     zero st.y;
     for i = 0 to st.nrows - 1 do
-      let cb = phase_cost st ~phase1 st.basis.(i) in
+      let cb = cost.(st.basis.(i)) in
       if cb <> 0.0 then st.y.(i) <- cb
     done;
     Basis.btran st.bas st.y
 
-  let reduced_cost st ~phase1 j =
-    phase_cost st ~phase1 j -. Sparse.dot st.cols.(j) st.y
-
-  (* Entering column under the current rule; returns (column, reduced
-     cost) or (-1, _). Mirrors the dense oracle: Dantzig picks the most
-     positive reduced cost (first index on ties), Bland the smallest
-     eligible index. Basic columns price to exactly zero and are
-     skipped. *)
-  let entering st ~phase1 ~allowed ~etol =
+  (* Entering column under the current rule among the columns
+     [0, limit) — all of them in phase 1, the non-artificial ones after
+     it — or -1; its reduced cost is left in [st.rc]. Mirrors the dense
+     oracle: Dantzig picks the most positive reduced cost (first index
+     on ties), Bland the smallest eligible index. Basic columns price to
+     exactly zero and are skipped. *)
+  let entering st ~phase1 ~limit ~etol =
     compute_duals st ~phase1;
-    if st.bland then begin
-      let found = ref (-1) and rc = ref 0.0 in
-      (try
-         for j = 0 to st.ncols - 1 do
-           if (not st.in_basis.(j)) && allowed j then begin
-             let r = reduced_cost st ~phase1 j in
-             if r > etol then begin
-               found := j;
-               rc := r;
-               raise Exit
-             end
-           end
-         done
-       with Exit -> ());
-      (!found, !rc)
-    end
-    else begin
-      let best = ref (-1) and best_val = ref etol in
-      for j = 0 to st.ncols - 1 do
-        if (not st.in_basis.(j)) && allowed j then begin
-          let r = reduced_cost st ~phase1 j in
-          if r > !best_val then begin
-            best := j;
-            best_val := r
-          end
-        end
-      done;
-      (!best, !best_val)
-    end
+    Sparse.price st.cols ~cost:(costs st ~phase1) ~y:st.y ~basic:st.in_basis
+      ~limit ~etol ~first:st.bland st.rc
 
   (* d := B^-1 A_j (dense scratch). *)
   let ftran_col st j =
@@ -205,7 +198,9 @@ module Revised_engine = struct
     done;
     !best
 
-  let pivot st ~r ~q ~rc =
+  (* Pivot column [q] (FTRAN'd in [st.d], reduced cost in [st.rc]) into
+     row [r]. *)
+  let pivot st ~r ~q =
     if Float.abs st.xb.(r) <= st.tol.Tolerance.feasibility then begin
       st.degenerate <- st.degenerate + 1;
       st.stall <- st.stall + 1
@@ -217,9 +212,9 @@ module Revised_engine = struct
         st.xb.(i) <- st.xb.(i) -. (theta *. st.d.(i))
     done;
     st.xb.(r) <- theta;
-    st.obj_val <- st.obj_val +. (theta *. rc);
+    st.obj.(0) <- st.obj.(0) +. (theta *. st.rc.(0));
     Basis.push st.bas ~r st.d;
-    st.max_fill <- max st.max_fill (Basis.fill st.bas);
+    st.max_fill <- Int.max st.max_fill (Basis.fill st.bas);
     st.in_basis.(st.basis.(r)) <- false;
     st.in_basis.(q) <- true;
     st.basis.(r) <- q;
@@ -230,26 +225,30 @@ module Revised_engine = struct
      Re-deriving xb from b' flushes the roundoff the incremental updates
      accumulate. Returns false on a numerically singular basis. *)
   let refactorize st ~phase1 =
-    let bcols = Array.map (fun q -> st.cols.(q)) st.basis in
-    match Basis.factor st.bas ~tol:st.tol.Tolerance.pivot bcols with
+    for i = 0 to st.nrows - 1 do
+      st.bcols.(i) <- st.cols.(st.basis.(i))
+    done;
+    match Basis.factor st.bas ~tol:st.tol.Tolerance.pivot st.bcols with
     | None -> false
     | Some slot ->
-        let old = Array.copy st.basis in
-        Array.iteri (fun k r -> st.basis.(r) <- old.(k)) slot;
+        Array.blit st.basis 0 st.moved 0 st.nrows;
+        for k = 0 to st.nrows - 1 do
+          st.basis.(slot.(k)) <- st.moved.(k)
+        done;
         Array.blit st.b 0 st.xb 0 st.nrows;
         Basis.ftran st.bas st.xb;
-        st.obj_val <- 0.0;
+        let cost = costs st ~phase1 in
+        st.obj.(0) <- 0.0;
         for i = 0 to st.nrows - 1 do
-          st.obj_val <-
-            st.obj_val +. (phase_cost st ~phase1 st.basis.(i) *. st.xb.(i))
+          st.obj.(0) <- st.obj.(0) +. (cost.(st.basis.(i)) *. st.xb.(i))
         done;
         st.last_rebuild <- Basis.eta_count st.bas;
-        st.max_fill <- max st.max_fill (Basis.fill st.bas);
+        st.max_fill <- Int.max st.max_fill (Basis.fill st.bas);
         st.refactors <- st.refactors + 1;
         Qp_obs.counter "simplex.refactorizations" 1;
         true
 
-  let run_phase st ~phase1 ~allowed ~etol =
+  let run_phase st ~phase1 ~limit ~etol =
     let start = st.pivots in
     let bland_after =
       if st.stall_threshold = max_int then max_int
@@ -282,15 +281,15 @@ module Revised_engine = struct
           && not (refactorize st ~phase1)
         then Phase_numerical "singular basis at refactorization"
         else begin
-          let q, rc = entering st ~phase1 ~allowed ~etol in
+          let q = entering st ~phase1 ~limit ~etol in
           if q < 0 then Phase_optimal
           else begin
             ftran_col st q;
             let r = leaving st in
             if r < 0 then Phase_unbounded
             else begin
-              pivot st ~r ~q ~rc;
-              if Float.is_finite st.obj_val then loop ()
+              pivot st ~r ~q;
+              if Float.is_finite st.obj.(0) then loop ()
               else Phase_numerical "non-finite objective after pivot"
             end
           end
@@ -309,52 +308,70 @@ module Revised_engine = struct
     }
 
   (* Drive degenerate artificials out of the basis after phase 1, like
-     the dense oracle's row scan: tableau row i is e_i B^-1 A, read off
-     one column at a time against the BTRAN'd unit vector. *)
+     the dense oracle's row scan: tableau row i is e_i B^-1 A, formed
+     row-wise from the nonzeros of the BTRAN'd unit vector. *)
   let drive_out st =
     for i = 0 to st.nrows - 1 do
       if st.basis.(i) >= st.art_first then begin
         zero st.y;
         st.y.(i) <- 1.0;
         Basis.btran st.bas st.y;
-        let found = ref (-1) in
-        (try
-           for j = 0 to st.art_first - 1 do
-             if
-               (not st.in_basis.(j))
-               && Float.abs (Sparse.dot st.cols.(j) st.y)
-                  > st.tol.Tolerance.pivot
-             then begin
-               found := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
+        Sparse.row_combination st.rows st.y st.alpha;
+        let found = ref (-1) and j = ref 0 in
+        while !found < 0 && !j < st.art_first do
+          if
+            (not st.in_basis.(!j))
+            && Float.abs st.alpha.(!j) > st.tol.Tolerance.pivot
+          then found := !j;
+          incr j
+        done;
         if !found >= 0 then begin
           ftran_col st !found;
-          pivot st ~r:i ~q:!found ~rc:0.0
+          st.rc.(0) <- 0.0;
+          pivot st ~r:i ~q:!found
         end
       end
     done
 
-  (* Build a fresh state: sparse columns factored from [rows], slack
-     basis (artificials on negated rows), xb = b. The family keeps it
-     alive across solves to warm-start the next member. *)
-  let make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~c ~rows =
-    let nvars = Array.length c in
-    let nrows = Array.length rows in
-    let negated = Array.map (fun (_, b) -> b < 0.0) rows in
+  (* The constraint matrix in the column layout above. It depends on
+     the rows and on which rhs are negative (those rows are negated and
+     get an artificial column), so a family builds it once per sign
+     pattern and shares it between the states of its solves. *)
+  type matrix = {
+    negated : bool array;
+    cols : Sparse.col array;
+    rows : Sparse.rows; (* columns [0, art_first), for the pivot row *)
+    (* each row's nonzero coefficients: all that Tolerance.make reads
+       of the matrix is max |a|, which the zeros never change *)
+    nonzeros : float array array;
+  }
+
+  let fits mx (rhs : float array) =
+    let ok = ref true in
+    for i = 0 to Array.length rhs - 1 do
+      if mx.negated.(i) <> (rhs.(i) < 0.0) then ok := false
+    done;
+    !ok
+
+  let make_matrix ~nvars (coeffs : float array array) (rhs : float array) =
+    let nrows = Array.length coeffs in
+    let negated = Array.map (fun b -> b < 0.0) rhs in
     let n_art =
       Array.fold_left (fun acc n -> if n then acc + 1 else acc) 0 negated
     in
     let art_first = nvars + nrows in
     let ncols = art_first + n_art in
+    let counts = Array.make nvars 0 and row_counts = Array.make nrows 0 in
+    for i = 0 to nrows - 1 do
+      let a = coeffs.(i) in
+      for j = 0 to nvars - 1 do
+        if a.(j) <> 0.0 then begin
+          counts.(j) <- counts.(j) + 1;
+          row_counts.(i) <- row_counts.(i) + 1
+        end
+      done
+    done;
     (* Sparse structural columns, sign-transformed per row. *)
-    let counts = Array.make nvars 0 in
-    Array.iter
-      (fun (a, _) ->
-        Array.iteri (fun j v -> if v <> 0.0 then counts.(j) <- counts.(j) + 1) a)
-      rows;
     let cols = Array.make ncols Sparse.empty in
     let fillk = Array.make nvars 0 in
     for j = 0 to nvars - 1 do
@@ -362,73 +379,106 @@ module Revised_engine = struct
         (if counts.(j) = 0 then Sparse.empty
          else { Sparse.idx = Array.make counts.(j) 0; v = Array.make counts.(j) 0.0 })
     done;
-    Array.iteri
-      (fun i (a, _) ->
-        let s = if negated.(i) then -1.0 else 1.0 in
-        Array.iteri
-          (fun j v ->
-            if v <> 0.0 then begin
-              let col = cols.(j) in
-              let k = fillk.(j) in
-              col.Sparse.idx.(k) <- i;
-              col.Sparse.v.(k) <- s *. v;
-              fillk.(j) <- k + 1
-            end)
-          a)
-      rows;
-    let sign =
-      Array.init nrows (fun i -> if negated.(i) then -1.0 else 1.0)
-    in
-    let b = Array.make nrows 0.0 in
-    let basis = Array.make nrows 0 in
-    let in_basis = Array.make ncols false in
-    let next_art = ref art_first in
-    Array.iteri
-      (fun i (_, bi) ->
-        cols.(nvars + i) <- Sparse.unit i sign.(i);
-        b.(i) <- sign.(i) *. bi;
-        if negated.(i) then begin
-          cols.(!next_art) <- Sparse.unit i 1.0;
-          basis.(i) <- !next_art;
-          incr next_art
+    let nonzeros = Array.map (fun n -> Array.make n 0.0) row_counts in
+    for i = 0 to nrows - 1 do
+      let a = coeffs.(i) and s = if negated.(i) then -1.0 else 1.0 in
+      let nz = nonzeros.(i) and n = ref 0 in
+      for j = 0 to nvars - 1 do
+        let v = a.(j) in
+        if v <> 0.0 then begin
+          let col = cols.(j) in
+          let k = fillk.(j) in
+          col.Sparse.idx.(k) <- i;
+          col.Sparse.v.(k) <- s *. v;
+          fillk.(j) <- k + 1;
+          nz.(!n) <- v;
+          incr n
         end
-        else basis.(i) <- nvars + i)
-      rows;
+      done
+    done;
+    (* slacks (coefficient = row sign), then one +1 artificial per
+       negated row *)
+    let next_art = ref art_first in
+    for i = 0 to nrows - 1 do
+      cols.(nvars + i) <- Sparse.unit i (if negated.(i) then -1.0 else 1.0);
+      if negated.(i) then begin
+        cols.(!next_art) <- Sparse.unit i 1.0;
+        incr next_art
+      end
+    done;
+    {
+      negated;
+      cols;
+      rows = Sparse.rows_of_cols ~nrows cols ~ncols:art_first;
+      nonzeros;
+    }
+
+  (* Build a fresh state over [matrix]: slack basis (artificials on
+     negated rows), xb = b, and the eta file [bas] emptied to the
+     identity (a family hands the same file to each of its states, so
+     its pool and reinversion workspace are grown only once). The family
+     keeps the state alive across solves to warm-start the next
+     member. *)
+  let make_state ~tol ~max_pivots ~stall_threshold ~refactor_every ~matrix ~bas
+      ~c ~rhs =
+    let nvars = Array.length c in
+    let nrows = Array.length rhs in
+    let cols = matrix.cols in
+    let ncols = Array.length cols in
+    let art_first = nvars + nrows in
+    let sign = Array.make nrows 1.0 and b = Array.make nrows 0.0 in
+    let basis = Array.make nrows 0 in
+    let next_art = ref art_first in
+    for i = 0 to nrows - 1 do
+      if matrix.negated.(i) then begin
+        sign.(i) <- -1.0;
+        basis.(i) <- !next_art;
+        incr next_art
+      end
+      else basis.(i) <- nvars + i;
+      b.(i) <- sign.(i) *. rhs.(i)
+    done;
+    let in_basis = Array.make ncols false in
     Array.iter (fun q -> in_basis.(q) <- true) basis;
-    let cost2 = Array.make ncols 0.0 in
+    let cost1 = Array.make ncols 0.0 and cost2 = Array.make ncols 0.0 in
+    Array.fill cost1 art_first (ncols - art_first) (-1.0);
     Array.blit c 0 cost2 0 nvars;
-    let st =
-      {
-        nvars;
-        nrows;
-        ncols;
-        art_first;
-        cols;
-        cost2;
-        b;
-        sign;
-        basis;
-        in_basis;
-        xb = Array.copy b;
-        bas = Basis.create nrows;
-        y = Array.make nrows 0.0;
-        d = Array.make nrows 0.0;
-        last_rebuild = 0;
-        obj_val = 0.0;
-        pivots = 0;
-        degenerate = 0;
-        stall = 0;
-        bland = false;
-        bland_ever = false;
-        refactors = 0;
-        max_fill = 0;
-        max_pivots;
-        stall_threshold;
-        refactor_every;
-        tol;
-      }
-    in
-    st
+    Basis.reset bas;
+    {
+      nvars;
+      nrows;
+      ncols;
+      art_first;
+      cols;
+      rows = matrix.rows;
+      cost1;
+      cost2;
+      b;
+      sign;
+      basis;
+      in_basis;
+      xb = Array.copy b;
+      bas;
+      y = Array.make nrows 0.0;
+      d = Array.make nrows 0.0;
+      alpha = Array.make art_first 0.0;
+      bcols = Array.make nrows Sparse.empty;
+      moved = Array.make nrows 0;
+      obj = [| 0.0 |];
+      rc = [| 0.0 |];
+      last_rebuild = 0;
+      pivots = 0;
+      degenerate = 0;
+      stall = 0;
+      bland = false;
+      bland_ever = false;
+      refactors = 0;
+      max_fill = 0;
+      max_pivots;
+      stall_threshold;
+      refactor_every;
+      tol;
+    }
 
   let stats_of st ~phase1_pivots =
     {
@@ -454,34 +504,42 @@ module Revised_engine = struct
       objective := !objective +. (st.cost2.(st.basis.(i)) *. st.xb.(i))
     done;
     compute_duals st ~phase1:false;
-    let dual = Array.init st.nrows (fun i -> st.sign.(i) *. st.y.(i)) in
-    let finite =
-      Float.is_finite !objective
-      && Array.for_all Float.is_finite primal
-      && Array.for_all Float.is_finite dual
-    in
+    let dual = Array.make st.nrows 0.0 in
+    let finite = ref (Float.is_finite !objective) in
+    for i = 0 to st.nrows - 1 do
+      dual.(i) <- st.sign.(i) *. st.y.(i);
+      if not (Float.is_finite dual.(i)) then finite := false
+    done;
+    for j = 0 to st.nvars - 1 do
+      if not (Float.is_finite primal.(j)) then finite := false
+    done;
+    let finite = !finite in
     if finite then Optimal { objective = !objective; primal; dual }
     else
       Numerical_error
         (diagnostics st ~phase1_pivots
            ~detail:"non-finite value in reported solution")
 
+  let recompute_obj st =
+    st.obj.(0) <- 0.0;
+    for i = 0 to st.nrows - 1 do
+      st.obj.(0) <- st.obj.(0) +. (st.cost2.(st.basis.(i)) *. st.xb.(i))
+    done
+
   let cold_solve st =
     let nrows = st.nrows in
     let art_first = st.art_first in
     let n_art = st.ncols - st.art_first in
     let tol = st.tol in
-    let all_allowed _ = true in
-    let no_artificials j = j < st.art_first in
     let phase1 =
       if n_art = 0 then `Feasible
       else begin
         for i = 0 to nrows - 1 do
           if st.basis.(i) >= art_first then
-            st.obj_val <- st.obj_val -. st.xb.(i)
+            st.obj.(0) <- st.obj.(0) -. st.xb.(i)
         done;
         match
-          run_phase st ~phase1:true ~allowed:all_allowed
+          run_phase st ~phase1:true ~limit:st.ncols
             ~etol:tol.Tolerance.entering_phase1
         with
         | Phase_unbounded ->
@@ -517,13 +575,9 @@ module Revised_engine = struct
       | `Abort outcome -> outcome
       | `Infeasible -> Infeasible
       | `Feasible -> begin
-          st.obj_val <- 0.0;
-          for i = 0 to nrows - 1 do
-            st.obj_val <-
-              st.obj_val +. (st.cost2.(st.basis.(i)) *. st.xb.(i))
-          done;
+          recompute_obj st;
           match
-            run_phase st ~phase1:false ~allowed:no_artificials
+            run_phase st ~phase1:false ~limit:art_first
               ~etol:tol.Tolerance.entering_phase2
           with
           | Phase_unbounded -> Unbounded
@@ -580,17 +634,18 @@ module Revised_engine = struct
         else begin
           let r = !r in
           (* rho := e_r B^-1; alpha_j = rho . A_j is the pivot-row entry
-             of column j, read one sparse column at a time. *)
+             of column j, formed row-wise over the nonzeros of rho. *)
           zero rho;
           rho.(r) <- 1.0;
           Basis.btran st.bas rho;
+          Sparse.row_combination st.rows rho st.alpha;
           compute_duals st ~phase1:false;
           let q = ref (-1) and best = ref infinity and q_rc = ref 0.0 in
-          for j = 0 to st.ncols - 1 do
-            if (not st.in_basis.(j)) && j < st.art_first then begin
-              let alpha = Sparse.dot st.cols.(j) rho in
+          for j = 0 to st.art_first - 1 do
+            if not st.in_basis.(j) then begin
+              let alpha = st.alpha.(j) in
               if alpha < -.st.tol.Tolerance.pivot then begin
-                let dj = reduced_cost st ~phase1:false j in
+                let dj = st.cost2.(j) -. Sparse.dot st.cols.(j) st.y in
                 let ratio = dj /. alpha in
                 if Tolerance.ratio_lt ratio !best then begin
                   q := j;
@@ -606,8 +661,9 @@ module Revised_engine = struct
             if Float.abs st.d.(r) <= st.tol.Tolerance.pivot then
               Phase_numerical "vanishing dual pivot"
             else begin
-              pivot st ~r ~q:!q ~rc:!q_rc;
-              if Float.is_finite st.obj_val then loop ()
+              st.rc.(0) <- !q_rc;
+              pivot st ~r ~q:!q;
+              if Float.is_finite st.obj.(0) then loop ()
               else Phase_numerical "non-finite objective after pivot"
             end
           end
@@ -627,12 +683,6 @@ module Revised_engine = struct
               | Phase_numerical _ -> "numerical") );
         ]);
     result
-
-  let recompute_obj st =
-    st.obj_val <- 0.0;
-    for i = 0 to st.nrows - 1 do
-      st.obj_val <- st.obj_val +. (st.cost2.(st.basis.(i)) *. st.xb.(i))
-    done
 
   type warm_result =
     | Warm of outcome * run_stats * int (* dual-phase pivots *)
@@ -674,10 +724,9 @@ module Revised_engine = struct
     for i = 0 to st.nrows - 1 do
       if st.b.(i) <> st.sign.(i) *. rhs.(i) then rhs_changed := true
     done;
-    let no_artificials j = j < st.art_first in
     let primal2 () =
       recompute_obj st;
-      run_phase st ~phase1:false ~allowed:no_artificials
+      run_phase st ~phase1:false ~limit:st.art_first
         ~etol:st.tol.Tolerance.entering_phase2
     in
     let finish ~dual_pivots =
@@ -752,10 +801,14 @@ let outcome_tag = function
   | Numerical_error _ -> "numerical_error"
 
 (* Product-form etas appended between two reinversions. Each
-   reinversion costs about 1 ms on a 701-row SSB basis; each appended
-   eta lengthens every later FTRAN/BTRAN pass. On the serial SSB sweeps
-   the two balance from 32 to 64 (equal wall time within noise); at 128
-   the FTRAN/BTRAN work is 1.7x that at 64. *)
+   reinversion costs about 1.0-1.1 ms on a 701-row SSB basis (the mean
+   over the 611 reinversions of perfbench's SSB CIP and LPIP sweeps at
+   jobs 1, release build, 2-CPU 2.1 GHz Xeon; 1.76 ms before the
+   reinversion stopped allocating its etas and search state), about a
+   quarter of those sweeps' LP time; each appended eta lengthens every
+   later FTRAN/BTRAN pass. On the serial SSB sweeps the two balance from
+   32 to 64 (equal wall time within noise); at 128 the FTRAN/BTRAN work
+   is 1.7x that at 64. *)
 let default_refactor_every = 40
 
 let refactor_every = function
@@ -763,11 +816,13 @@ let refactor_every = function
   | None -> default_refactor_every
 
 (* A family is a sequence of LPs over one shared constraint matrix whose
-   members differ only in objective and/or rhs. The sparse columns are
-   factored once (at the first resolve) and the optimal basis of member
-   k seeds member k+1, so a typical sweep step costs a handful of
-   primal/dual pivots instead of a full two-phase solve. A one-shot
-   [solve] is the first resolve of a fresh family. *)
+   members differ only in objective and/or rhs. The sparse columns and
+   their row-wise copy are built once, at the first cold solve (again
+   only if a member moves some rhs across zero, which changes the row
+   signs), and the optimal basis of member k seeds member k+1, so a
+   typical sweep step costs a handful of primal/dual pivots instead of a
+   full two-phase solve. A one-shot [solve] is the first resolve of a
+   fresh family. *)
 type family = {
   f_nvars : int;
   f_nrows : int;
@@ -777,6 +832,9 @@ type family = {
   f_max_pivots : int;
   f_stall : int;
   f_refactor : int option;
+  mutable f_matrix : Revised_engine.matrix option;
+  (* the eta file of whichever state is current *)
+  f_bas : Basis.t;
   (* Some iff the previous resolve ended Optimal, i.e. the saved basis
      is a valid warm-start seed. *)
   mutable f_state : Revised_engine.state option;
@@ -798,6 +856,8 @@ let prepare ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every
     f_max_pivots = max_pivots;
     f_stall = stall_threshold;
     f_refactor = refactor_every;
+    f_matrix = None;
+    f_bas = Basis.create (Array.length rows);
     f_state = None;
     f_cold_pivots = 0;
   }
@@ -826,12 +886,30 @@ let resolve ?c ?rhs fam =
   @@ fun () ->
   Qp_obs.counter "simplex.solves" 1;
   let cold () =
-    let rows = family_rows fam in
-    let tol = Tolerance.make ~c:fam.f_c ~rows in
+    let matrix =
+      match fam.f_matrix with
+      | Some mx when Revised_engine.fits mx fam.f_rhs -> mx
+      | _ ->
+          let mx =
+            Revised_engine.make_matrix ~nvars:fam.f_nvars fam.f_coeffs fam.f_rhs
+          in
+          fam.f_matrix <- Some mx;
+          mx
+    in
+    (* the nonzeros give the same scales as the dense rows, without a
+       pass over every zero *)
+    let tol =
+      Tolerance.make ~c:fam.f_c
+        ~rows:
+          (Array.mapi
+             (fun i a -> (a, fam.f_rhs.(i)))
+             matrix.Revised_engine.nonzeros)
+    in
     let refactor_every = refactor_every fam.f_refactor in
     let st =
       Revised_engine.make_state ~tol ~max_pivots:fam.f_max_pivots
-        ~stall_threshold:fam.f_stall ~refactor_every ~c:fam.f_c ~rows
+        ~stall_threshold:fam.f_stall ~refactor_every ~matrix ~bas:fam.f_bas
+        ~c:fam.f_c ~rhs:fam.f_rhs
     in
     let outcome, stats = Revised_engine.cold_solve st in
     fam.f_state <-

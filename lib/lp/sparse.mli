@@ -3,7 +3,12 @@
     A column stores only its nonzero entries as parallel (row index,
     value) arrays with strictly increasing indices. {!Simplex}'s
     revised engine holds the whole constraint matrix as an array of
-    these, and {!Basis} stores its eta vectors the same way. *)
+    these, plus a row-wise copy ({!rows}) for the dual pivot row.
+
+    The kernels {!price} and {!row_combination} run once per pivot
+    over the whole matrix. They allocate nothing, and each sum they
+    form adds the same products in the same order as {!dot}, so their
+    results are bit-identical to a [dot] per column. *)
 
 type col = { idx : int array; v : float array }
 (** Nonzero entries of one column; [idx] strictly increasing. *)
@@ -38,3 +43,29 @@ val iter : (int -> float -> unit) -> col -> unit
 val get : col -> int -> float
 (** [get c i] is entry [i] (0 when not stored). Linear probe — meant
     for the drive-out scan, not for hot loops. *)
+
+type rows
+(** A row-wise (CSR) copy of the columns [0, ncols) of a matrix. *)
+
+val rows_of_cols : nrows:int -> col array -> ncols:int -> rows
+(** [rows_of_cols ~nrows cols ~ncols] stores [cols.(0) .. cols.(ncols - 1)]
+    (entries in rows [0, nrows)) row by row. *)
+
+val row_combination : rows -> float array -> float array -> unit
+(** [row_combination a rho alpha] sets [alpha.(j)] to [rho . A_j] for
+    every column [j] of [a], summing over the nonzero [rho.(i)] in
+    increasing [i]. For finite entries each [alpha.(j)] is bit-identical
+    to [dot cols.(j) rho]: the skipped terms are exact [+-0] products
+    and the sum starts at [+0.0]. Costs the nonzeros of the rows where
+    [rho] is nonzero, plus one pass over [alpha]. *)
+
+val price :
+  col array -> cost:float array -> y:float array -> basic:bool array ->
+  limit:int -> etol:float -> first:bool -> float array -> int
+(** [price cols ~cost ~y ~basic ~limit ~etol ~first rc] prices the
+    non-basic columns [j < limit] at reduced cost
+    [cost.(j) -. dot cols.(j) y] (bit-identical to it). Returns the
+    column of largest reduced cost above [etol], the first on ties —
+    or, when [first] (Bland's rule), the first column above [etol] —
+    and writes its reduced cost to [rc.(0)]. Returns [-1] when no
+    column prices above [etol]. *)

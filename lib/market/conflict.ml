@@ -116,7 +116,8 @@ let hypergraph ?on_progress ?jobs ?(prepare = Delta_eval.prepare) db
   let failed_queries = List.rev !failed in
   let h = Qp_core.Hypergraph.create ~n_items:(Array.length deltas) specs in
   let strategies =
-    List.sort compare
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
       (Hashtbl.fold (fun name n acc -> (name, n) :: acc) by_strategy [])
   in
   let stats =

@@ -319,13 +319,13 @@ let counters () =
   Mutex.lock metrics_mu;
   let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters_tbl [] in
   Mutex.unlock metrics_mu;
-  List.sort compare l
+  List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let gauges () =
   Mutex.lock metrics_mu;
   let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges_tbl [] in
   Mutex.unlock metrics_mu;
-  List.sort compare l
+  List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let histograms () =
   Mutex.lock metrics_mu;

@@ -229,6 +229,9 @@ type open_span = {
   mutable children_us : float;
 }
 
+(* counter and gauge samples by label; each label occurs once *)
+let by_label (a, _) (b, _) = String.compare a b
+
 let aggregate lines =
   let acc : (string, int * float * float * float list) Hashtbl.t =
     Hashtbl.create 32
@@ -365,8 +368,8 @@ let aggregate lines =
   in
   {
     spans;
-    counters = List.sort compare !counters;
-    gauges = List.sort compare !gauges;
+    counters = List.sort by_label !counters;
+    gauges = List.sort by_label !gauges;
     events =
       List.rev_map
         (fun label -> (label, Hashtbl.find instants label))
@@ -402,7 +405,7 @@ let render t =
     (Printf.sprintf "trace duration %.3f ms\n\n" (ms t.total_us));
   let by_self =
     List.sort
-      (fun a b -> compare b.self_us a.self_us)
+      (fun a b -> Float.compare b.self_us a.self_us)
       t.spans
   in
   let pct part =

@@ -191,7 +191,7 @@ and combine2 ca cb f =
     tables = merge_tables [ ca.tables; cb.tables ];
   }
 
-and merge_tables lists = List.sort_uniq compare (List.concat lists)
+and merge_tables lists = List.sort_uniq Int.compare (List.concat lists)
 
 (* Defined last: these shadow the boolean operators, which the
    implementations above rely on. *)

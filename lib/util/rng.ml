@@ -45,4 +45,4 @@ let sample_without_replacement t k n =
     if Hashtbl.mem seen r then Hashtbl.replace seen j ()
     else Hashtbl.replace seen r ()
   done;
-  Hashtbl.fold (fun x () acc -> x :: acc) seen [] |> List.sort compare
+  Hashtbl.fold (fun x () acc -> x :: acc) seen [] |> List.sort Int.compare

@@ -14,7 +14,7 @@ let window rng rel col selectivity =
     Array.to_list (Relation.tuples rel)
     |> List.filter_map (fun tup -> Value.as_int tup.(col))
   in
-  let sorted = Array.of_list (List.sort compare values) in
+  let sorted = Array.of_list (List.sort Int.compare values) in
   let n = Array.length sorted in
   if n = 0 then None
   else

@@ -1,5 +1,5 @@
-(* Numeric-soundness lint: no polymorphic [compare] in array sorts
-   inside lib/. Polymorphic compare on floats has an unspecified NaN
+(* Numeric-soundness lint: no polymorphic [compare] in array or list
+   sorts inside lib/. Polymorphic compare on floats has an unspecified NaN
    ordering, so a NaN-carrying sample lands at an arbitrary position in
    the sorted array — which once skewed the percentile helpers in
    Qp_util.Stats and the valuation sort in Qp_core.Ubp. Typed
@@ -7,11 +7,15 @@
    make the order total and the intent visible.
 
    Run as:  ocaml scripts/check_float_sort.ml lib
-   Flags every [Array.sort]/[Array.stable_sort]/[Array.fast_sort] call
-   whose comparator is the bare polymorphic [compare] — directly
-   ([Array.sort compare]) or through a trivial eta/flip wrapper like
-   [(fun a b -> compare b a)]. Comments are stripped (they nest).
-   Exits 1 on any hit outside the allowlist. Wired into `make check`. *)
+   Flags every [Array.sort]/[Array.stable_sort]/[Array.fast_sort] and
+   [List.sort]/[List.stable_sort]/[List.fast_sort]/[List.sort_uniq]
+   call whose comparator is the bare polymorphic [compare] — directly
+   ([List.sort compare]) or through a trivial eta/flip wrapper like
+   [(fun a b -> compare b a)]. The comparator is read from the rest of
+   the sort's line, or from the next line when the sort ends its line
+   (and the line after that when the next one ends in [->]).
+   Comments are stripped (they nest). Exits 1 on any hit outside the
+   allowlist. Wired into `make check`. *)
 
 (* (path, substring-of-line) pairs that are knowingly tolerated, e.g. a
    sort over a type where polymorphic compare is argued correct. Keep
@@ -63,14 +67,14 @@ let contains sub s =
    eta-expansions included). Qualified comparators ([Float.compare],
    [Value.compare], ...) never match: the pattern requires [compare]
    preceded by a non-identifier character. *)
+let is_ident c =
+  (c >= 'a' && c <= 'z')
+  || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_' || c = '.' || c = '\''
+
 let bare_compare_after s =
   let n = String.length s in
-  let is_ident c =
-    (c >= 'a' && c <= 'z')
-    || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '_' || c = '.' || c = '\''
-  in
   let rec find i =
     if i + 7 > n then false
     else if
@@ -82,19 +86,30 @@ let bare_compare_after s =
   in
   find 0
 
-let sort_tokens = [ "Array.sort"; "Array.stable_sort"; "Array.fast_sort" ]
+let sort_tokens =
+  [
+    "Array.sort"; "Array.stable_sort"; "Array.fast_sort"; "List.sort";
+    "List.stable_sort"; "List.fast_sort"; "List.sort_uniq";
+  ]
 
-let suspect code =
+(* [code] is a comment-free line and [next] the comparator text that
+   follows it (see [check_file]): the comparator starts after the sort
+   token, or in [next] when nothing but blanks follows the token. A
+   token must end at a non-identifier character, so [List.sort] does
+   not match inside [List.sort_uniq]. *)
+let suspect code next =
   List.exists
     (fun tok ->
       let tn = String.length tok in
       let n = String.length code in
       let rec scan i =
         if i + tn > n then false
-        else if String.sub code i tn = tok then
-          (* everything after the sort token up to end of line: the
-             comparator expression starts here *)
+        else if
+          String.sub code i tn = tok
+          && (i + tn = n || not (is_ident code.[i + tn]))
+        then
           let rest = String.sub code (i + tn) (n - i - tn) in
+          let rest = if String.trim rest = "" then next else rest in
           bare_compare_after rest || scan (i + tn)
         else scan (i + 1)
       in
@@ -107,11 +122,18 @@ let allowlisted path line =
 let check_file path =
   let lines = read_lines path in
   let depth = ref 0 in
+  let code = Array.map (strip_comments depth) lines in
   let hits = ref [] in
   Array.iteri
     (fun i line ->
-      let code = strip_comments depth line in
-      if suspect code && not (allowlisted path line) then
+      let line_at k = if k < Array.length code then code.(k) else "" in
+      let next =
+        let l = String.trim (line_at (i + 1)) in
+        let n = String.length l in
+        if n >= 2 && String.sub l (n - 2) 2 = "->" then l ^ " " ^ line_at (i + 2)
+        else l
+      in
+      if suspect code.(i) next && not (allowlisted path line) then
         hits := (i + 1, String.trim line) :: !hits)
     lines;
   List.rev !hits

@@ -465,6 +465,438 @@ let test_factor_singular () =
            good.(2); good.(3) |] );
     ]
 
+(* --- flat kernels vs the per-record references ------------------------ *)
+
+(* The eta file, the pricing loop and the dual pivot row as they were
+   before the kernels moved to flat storage: one record per eta, an
+   [allowed] closure and a [Sparse.dot] per column. The flat kernels
+   must reproduce them bit for bit, on every entry. *)
+module Ref = struct
+  type eta = { r : int; pr : float; idx : int array; v : float array }
+  type t = { mutable etas : eta array; mutable len : int }
+
+  let dummy_eta = { r = 0; pr = 1.0; idx = [||]; v = [||] }
+  let create () = { etas = Array.make 16 dummy_eta; len = 0 }
+
+  let append t e =
+    if t.len = Array.length t.etas then begin
+      let bigger = Array.make (2 * t.len) dummy_eta in
+      Array.blit t.etas 0 bigger 0 t.len;
+      t.etas <- bigger
+    end;
+    t.etas.(t.len) <- e;
+    t.len <- t.len + 1
+
+  let push t ~r (d : float array) =
+    let n = ref 0 in
+    Array.iteri (fun i x -> if i <> r && x <> 0.0 then incr n) d;
+    let pr = d.(r) in
+    if !n = 0 && pr = 1.0 then ()
+    else begin
+      let idx = Array.make !n 0 and v = Array.make !n 0.0 in
+      let k = ref 0 in
+      Array.iteri
+        (fun i x ->
+          if i <> r && x <> 0.0 then begin
+            idx.(!k) <- i;
+            v.(!k) <- x;
+            incr k
+          end)
+        d;
+      append t { r; pr; idx; v }
+    end
+
+  let ftran t (w : float array) =
+    for k = 0 to t.len - 1 do
+      let e = t.etas.(k) in
+      let wr = w.(e.r) in
+      if wr <> 0.0 then begin
+        let wr = wr /. e.pr in
+        w.(e.r) <- wr;
+        for j = 0 to Array.length e.idx - 1 do
+          w.(e.idx.(j)) <- w.(e.idx.(j)) -. (e.v.(j) *. wr)
+        done
+      end
+    done
+
+  let btran t (y : float array) =
+    for k = t.len - 1 downto 0 do
+      let e = t.etas.(k) in
+      let s = ref y.(e.r) in
+      for j = 0 to Array.length e.idx - 1 do
+        s := !s -. (y.(e.idx.(j)) *. e.v.(j))
+      done;
+      y.(e.r) <- !s /. e.pr
+    done
+
+  (* the file [bas] holds, one record per eta *)
+  let of_basis bas =
+    let t = create () in
+    for k = 0 to Basis.eta_count bas - 1 do
+      let r, pr, { Sparse.idx; v } = Basis.eta bas k in
+      append t { r; pr; idx; v }
+    done;
+    t
+
+  (* Dantzig / Bland pricing over the columns [allowed] admits *)
+  let entering ~cols ~cost ~y ~in_basis ~allowed ~etol ~bland =
+    let reduced_cost j = cost.(j) -. Sparse.dot cols.(j) y in
+    let ncols = Array.length cols in
+    if bland then begin
+      let found = ref (-1) and rc = ref 0.0 in
+      (try
+         for j = 0 to ncols - 1 do
+           if (not in_basis.(j)) && allowed j then begin
+             let r = reduced_cost j in
+             if r > etol then begin
+               found := j;
+               rc := r;
+               raise Exit
+             end
+           end
+         done
+       with Exit -> ());
+      (!found, !rc)
+    end
+    else begin
+      let best = ref (-1) and best_val = ref etol in
+      for j = 0 to ncols - 1 do
+        if (not in_basis.(j)) && allowed j then begin
+          let r = reduced_cost j in
+          if r > !best_val then begin
+            best := j;
+            best_val := r
+          end
+        end
+      done;
+      (!best, !best_val)
+    end
+
+  (* the dual phase's pivot row, one column at a time *)
+  let dual_row ~cols ~ncols rho = Array.init ncols (fun j -> Sparse.dot cols.(j) rho)
+end
+
+let bits = Int64.bits_of_float
+
+let same_bits ~what (expected : float array) (got : float array) =
+  Array.iteri
+    (fun i e ->
+      if bits e <> bits got.(i) then
+        Alcotest.failf "%s: entry %d is %h, reference %h" what i got.(i) e)
+    expected
+
+(* A float of random sign and magnitude — or an exact +-0 one time in
+   [zeros] (never when [zeros = 0]). *)
+let random_float ?(zeros = 4) rand =
+  match zeros > 0 && Random.State.int rand zeros = 0 with
+  | true -> if Random.State.bool rand then 0.0 else -0.0
+  | false ->
+      let x = Random.State.float rand 1.0 *. (10.0 ** Float.of_int (Random.State.int rand 7 - 3)) in
+      if Random.State.bool rand then x else -.x
+
+(* A dense FTRAN'd column for a pivot on row [r]: sparse, with +-0
+   entries, a nonzero pivot, and now and then the identity (skipped). *)
+let random_eta_column rand m r =
+  let d = Array.make m 0.0 in
+  if Random.State.int rand 8 = 0 then d.(r) <- 1.0
+  else begin
+    Array.iteri
+      (fun i _ -> if Random.State.int rand 3 = 0 then d.(i) <- random_float rand)
+      d;
+    d.(r) <- (if Random.State.bool rand then 1.0 else 0.5 +. Random.State.float rand 3.0)
+  end;
+  d
+
+let compare_files ~what rand ref_file bas m =
+  Alcotest.(check int) (what ^ ": eta count") ref_file.Ref.len (Basis.eta_count bas);
+  for k = 0 to ref_file.Ref.len - 1 do
+    let e = ref_file.Ref.etas.(k) in
+    let r, pr, c = Basis.eta bas k in
+    if r <> e.Ref.r || bits pr <> bits e.Ref.pr || c.Sparse.idx <> e.Ref.idx then
+      Alcotest.failf "%s: eta %d differs" what k;
+    same_bits ~what:(Printf.sprintf "%s: eta %d values" what k) e.Ref.v c.Sparse.v
+  done;
+  for probe = 1 to 4 do
+    let w = Array.init m (fun _ -> random_float rand) in
+    let w_ref = Array.copy w in
+    Basis.ftran bas w;
+    Ref.ftran ref_file w_ref;
+    same_bits ~what:(Printf.sprintf "%s: ftran %d" what probe) w_ref w;
+    let y = Array.init m (fun _ -> random_float rand) in
+    let y_ref = Array.copy y in
+    Basis.btran bas y;
+    Ref.btran ref_file y_ref;
+    same_bits ~what:(Printf.sprintf "%s: btran %d" what probe) y_ref y
+  done
+
+let test_flat_eta_file_bits () =
+  (* product-form files, pushed from random columns *)
+  for seed = 1 to 150 do
+    let rand = Random.State.make [| 5113; seed |] in
+    let m = 1 + Random.State.int rand 40 in
+    let bas = Basis.create m and ref_file = Ref.create () in
+    for _ = 1 to Random.State.int rand 60 do
+      let r = Random.State.int rand m in
+      let d = random_eta_column rand m r in
+      Basis.push bas ~r d;
+      Ref.push ref_file ~r d
+    done;
+    compare_files ~what:(Printf.sprintf "pushed file %d" seed) rand ref_file bas m
+  done;
+  (* files written by [factor] on random sparse bases, then pivots *)
+  for seed = 1 to 100 do
+    let rand = Random.State.make [| 9241; seed |] in
+    let dense = random_basis rand in
+    let m = Array.length dense in
+    let bas = Basis.create m in
+    match Basis.factor bas ~tol:1e-9 (Array.map Sparse.of_dense dense) with
+    | None -> Alcotest.failf "basis %d: nonsingular basis reported singular" seed
+    | Some _ ->
+        let ref_file = Ref.of_basis bas in
+        for _ = 1 to Random.State.int rand 30 do
+          let r = Random.State.int rand m in
+          let d = random_eta_column rand m r in
+          Basis.push bas ~r d;
+          Ref.push ref_file ~r d
+        done;
+        compare_files ~what:(Printf.sprintf "factored file %d" seed) rand ref_file bas m
+  done
+
+(* Random sparse columns over [nrows] rows: values of mixed sign and
+   magnitude, so that summing a column in another order changes its
+   bits. *)
+let random_cols rand ~nrows ~ncols =
+  Array.init ncols (fun _ ->
+      Sparse.of_dense
+        (Array.init nrows (fun _ ->
+             if Random.State.int rand 3 = 0 then random_float ~zeros:0 rand
+             else 0.0)))
+
+let test_pricing_and_pivot_row_bits () =
+  for seed = 1 to 300 do
+    let rand = Random.State.make [| 7127; seed |] in
+    let nrows = 1 + Random.State.int rand 30 in
+    let ncols = 1 + Random.State.int rand 80 in
+    let cols = random_cols rand ~nrows ~ncols in
+    let what = Printf.sprintf "instance %d" seed in
+    (* pricing, both rules, over a random column prefix *)
+    let cost =
+      Array.init ncols (fun _ ->
+          if Random.State.bool rand then 0.0 else random_float ~zeros:0 rand)
+    in
+    let y = Array.init nrows (fun _ -> random_float rand) in
+    let in_basis = Array.init ncols (fun _ -> Random.State.int rand 4 = 0) in
+    let limit = Random.State.int rand (ncols + 1) in
+    let etol = 1e-9 in
+    List.iter
+      (fun bland ->
+        let q_ref, rc_ref =
+          Ref.entering ~cols ~cost ~y ~in_basis ~allowed:(fun j -> j < limit) ~etol
+            ~bland
+        in
+        let rc = [| nan |] in
+        let q =
+          Sparse.price cols ~cost ~y ~basic:in_basis ~limit ~etol ~first:bland rc
+        in
+        Alcotest.(check int) (what ^ ": entering column") q_ref q;
+        if q >= 0 && bits rc_ref <> bits rc.(0) then
+          Alcotest.failf "%s: reduced cost %h, reference %h" what rc.(0) rc_ref)
+      [ false; true ];
+    (* the pivot row, over a rho with +-0 entries *)
+    let rho = Array.init nrows (fun _ -> random_float ~zeros:2 rand) in
+    let width = Random.State.int rand (ncols + 1) in
+    let alpha = Array.make width nan in
+    Sparse.row_combination (Sparse.rows_of_cols ~nrows cols ~ncols:width) rho alpha;
+    same_bits ~what:(what ^ ": pivot row")
+      (Ref.dual_row ~cols ~ncols:width rho)
+      alpha
+  done
+
+(* Pivot counts and revenue bits of LPIP and CIP on the Tiny SSB and
+   skewed instances, recorded before the kernels moved to flat storage:
+   the same pivots must find the same vertices. One domain, so the
+   sweeps chunk and warm-start identically on every run. *)
+let test_pivot_and_revenue_pins () =
+  let module W = Qp_experiments.Workload_instances in
+  let module Core = Qp_core in
+  let lpip_options =
+    { Core.Lpip.max_candidates = None; max_pivots = 200_000; jobs = Some 1 }
+  in
+  let cip_options =
+    { Core.Cip.epsilon = 0.5; max_pivots = 200_000; time_budget = None;
+      jobs = Some 1 }
+  in
+  let run h solve =
+    Qp_obs.set_enabled true;
+    Qp_obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Qp_obs.set_enabled false;
+        Qp_obs.reset ())
+      (fun () ->
+        let p = solve h in
+        let pivots =
+          Option.value ~default:0
+            (List.assoc_opt "simplex.pivots" (Qp_obs.counters ()))
+        in
+        (bits (Core.Pricing.revenue p h), pivots))
+  in
+  List.iter
+    (fun (name, inst, pins) ->
+      let h =
+        Qp_workloads.Valuations.apply ~rng:(Qp_util.Rng.create 42)
+          (Qp_workloads.Valuations.Uniform_val 100.0)
+          (Lazy.force inst).W.hypergraph
+      in
+      let got =
+        [
+          ("lpip", run h (Core.Lpip.solve ~options:lpip_options));
+          ("cip", run h (Core.Cip.solve ~options:cip_options));
+        ]
+      in
+      List.iter2
+        (fun (algo, (rev, piv)) (_, (rev', piv')) ->
+          Alcotest.(check int64) (name ^ " " ^ algo ^ " revenue bits") rev rev';
+          Alcotest.(check int) (name ^ " " ^ algo ^ " pivots") piv piv')
+        pins got)
+    [
+      ( "ssb",
+        lazy (W.ssb ~scale:W.Tiny ~seed:42 ()),
+        [ ("lpip", (4661148521694724515L, 4133)); ("cip", (4658000418528689113L, 1817)) ] );
+      ( "skewed",
+        lazy (W.skewed ~scale:W.Tiny ~seed:42 ()),
+        [ ("lpip", (4657218567140839030L, 608)); ("cip", (4660991282625037785L, 852)) ] );
+    ]
+
+(* Allocation guard. The welfare dual CIP solves (one row per edge,
+   a price per membership class plus a slack per edge) over a Tiny
+   instance, swept warm over the capacity grid and again cold; then
+   LPIP's must-sell family over nested prefixes, whose rhs moves drive
+   the dual phase. The kernels allocate nothing; what a pivot still
+   allocates is bounded by a small constant, and each resolve's own
+   result arrays are amortized over its pivots. The replay reads about
+   140 minor words per pivot: 58 in a release build, plus the floats a
+   dev build (no cross-module inlining) boxes to pass to Tolerance's
+   ratio tests. Per-record etas and per-column closures read 3,246, and
+   a closure-based push alone 580. One domain, so the count is
+   deterministic. *)
+let alloc_instance =
+  lazy
+    (let inst =
+       Qp_experiments.Workload_instances.skewed
+         ~scale:Qp_experiments.Workload_instances.Tiny ~support:120 ~seed:5 ()
+     in
+     Qp_workloads.Valuations.apply ~rng:(Qp_util.Rng.create 8)
+       (Qp_workloads.Valuations.Uniform_val 100.0)
+       inst.Qp_experiments.Workload_instances.hypergraph)
+
+let welfare_dual h =
+  let module H = Qp_core.Hypergraph in
+  let classes = H.classes h in
+  let p = Lp.create ~minimize:true () in
+  let y =
+    Array.init classes.H.n_classes (fun c ->
+        if Array.length classes.H.class_edges.(c) = 0 then None
+        else Some (Lp.add_var p ~obj:1.0 ()))
+  in
+  Array.iter
+    (fun (e : H.edge) ->
+      let z = Lp.add_var p ~obj:1.0 () in
+      let terms =
+        (1.0, z)
+        :: (Array.to_list classes.H.edge_classes.(e.id)
+           |> List.filter_map (fun c -> Option.map (fun v -> (1.0, v)) y.(c)))
+      in
+      ignore (Lp.add_ge p terms e.valuation))
+    (H.edges h);
+  let y_idx =
+    Array.of_list (List.filter_map (Option.map Lp.var_index) (Array.to_list y))
+  in
+  (p, y_idx)
+
+(* The three sweeps over freshly prepared families: [prepare] builds
+   them, the closure it returns runs every resolve. *)
+let alloc_sweeps h () =
+  let p, y_idx = welfare_dual h in
+  let grid =
+    Qp_core.Cip.capacity_grid ~epsilon:0.25
+      ~max_degree:(Qp_core.Hypergraph.max_degree h)
+  in
+  let objs =
+    List.map
+      (fun k ->
+        let obj = Array.make (Lp.var_count p) 1.0 in
+        Array.iter (fun i -> obj.(i) <- k) y_idx;
+        obj)
+      grid
+  in
+  let warm = Lp.Batch.prepare p and cold = Lp.Batch.prepare p in
+  let fam = Qp_core.Class_lp.prepare_family h in
+  let by_value =
+    Array.to_list (Qp_core.Hypergraph.edges h)
+    |> List.sort (fun (a : Qp_core.Hypergraph.edge) b ->
+           Float.compare b.valuation a.valuation)
+    |> List.map (fun (e : Qp_core.Hypergraph.edge) -> e.id)
+  in
+  let prefixes =
+    List.filteri (fun i _ -> i mod 7 = 0) by_value
+    |> List.mapi (fun i _ -> List.filteri (fun k _ -> k <= 7 * i) by_value)
+  in
+  fun () ->
+    List.iter (fun obj -> ignore (Lp.Batch.resolve ~obj warm)) objs;
+    Fun.protect
+      ~finally:(fun () -> Simplex.set_warm_starts true)
+      (fun () ->
+        Simplex.set_warm_starts false;
+        List.iter (fun obj -> ignore (Lp.Batch.resolve ~obj cold)) objs);
+    List.iter
+      (fun edge_ids -> ignore (Qp_core.Class_lp.family_must_sell fam ~edge_ids))
+      prefixes
+
+let test_pivot_allocation () =
+  let h = Lazy.force alloc_instance in
+  (* count the pivots (and resolves) with tracing on ... *)
+  let sweeps = alloc_sweeps h () in
+  Qp_obs.set_enabled true;
+  Qp_obs.reset ();
+  let pivots, solves =
+    Fun.protect
+      ~finally:(fun () ->
+        Qp_obs.set_enabled false;
+        Qp_obs.reset ())
+      (fun () ->
+        sweeps ();
+        let count k = Option.value ~default:0 (List.assoc_opt k (Qp_obs.counters ())) in
+        (count "simplex.pivots", count "simplex.solves"))
+  in
+  (* ... then replay them untraced on fresh families and count words *)
+  let sweeps = alloc_sweeps h () in
+  let w0 = Gc.minor_words () in
+  sweeps ();
+  let words = Gc.minor_words () -. w0 in
+  let per_pivot = words /. Float.of_int pivots in
+  Printf.printf "%d pivots over %d solves: %.0f minor words, %.1f per pivot\n"
+    pivots solves words per_pivot;
+  Alcotest.(check bool) "enough pivots to measure" true (pivots >= 1000);
+  if per_pivot > 192.0 then
+    Alcotest.failf "%.1f minor words per pivot (bound 192)" per_pivot;
+  (* push: nothing at all once the pool has grown *)
+  let m = 300 in
+  let bas = Basis.create m in
+  let rand = Random.State.make [| 31 |] in
+  let cols = Array.init 64 (fun k -> random_eta_column rand m (k mod m)) in
+  Array.iteri (fun k d -> Basis.push bas ~r:(k mod m) d) cols;
+  Basis.reset bas;
+  let idle0 = Gc.minor_words () in
+  let idle = Gc.minor_words () -. idle0 in
+  let w0 = Gc.minor_words () in
+  for k = 0 to Array.length cols - 1 do
+    Basis.push bas ~r:(k mod m) cols.(k)
+  done;
+  let pushed = Gc.minor_words () -. w0 -. idle in
+  Alcotest.(check (float 0.0)) "words allocated by 64 pushes into a grown pool" 0.0
+    pushed
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   (* Every solver-level test runs once per engine; the [engine] ref is
@@ -510,4 +942,12 @@ let suite =
           test_factor_random_bases;
         t "reinversion: singular bases reported, file kept"
           test_factor_singular;
+        t "kernels: flat eta file = per-record etas, bit for bit"
+          test_flat_eta_file_bits;
+        t "kernels: pricing and pivot row = Sparse.dot, bit for bit"
+          test_pricing_and_pivot_row_bits;
+        t "pins: pivots and LPIP/CIP revenue bits on Tiny ssb, skewed"
+          test_pivot_and_revenue_pins;
+        t "allocation: a pivot allocates O(1) words, push none"
+          test_pivot_allocation;
       ] )
