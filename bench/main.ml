@@ -118,7 +118,9 @@ let microbenchmarks ctx =
   let simplex_input =
     ( Array.init 30 (fun i -> Float.of_int (1 + (i mod 7))),
       Array.init 40 (fun i ->
-          (Array.init 30 (fun j -> Float.of_int ((i + j) mod 5)), 50.0)) )
+          ( Qp_lp.Sparse.of_dense
+              (Array.init 30 (fun j -> Float.of_int ((i + j) mod 5))),
+            50.0 )) )
   in
   let ubp_pricing = Qp_core.Ubp.solve h in
   let tests =
@@ -407,6 +409,10 @@ let simplex_bench ~meta () =
     List.map
       (fun n ->
         let c, rows = instance ~n ~seed:11 in
+        (* the revised engine's sparse rows, built outside the timing *)
+        let sparse_rows =
+          Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows
+        in
         (* Small instances solve in microseconds; repeat until the
            timed block is long enough to trust, and report per-solve. *)
         let reps = max 1 (20_000_000 / (n * n * n)) in
@@ -423,7 +429,7 @@ let simplex_bench ~meta () =
           (seconds /. Float.of_int reps, outcome)
         in
         let td, dense = run (Qp_lp_oracle.Dense.solve ~c ~rows) in
-        let tr, revised = run (Simplex.solve ~c ~rows) in
+        let tr, revised = run (Simplex.solve ~c ~rows:sparse_rows) in
         let od = objective dense and orv = objective revised in
         if Float.abs (od -. orv) > 1e-6 *. Float.max 1.0 (Float.abs od)
         then begin

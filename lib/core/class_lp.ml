@@ -118,6 +118,7 @@ type family = {
   fam_valuations : float array;
   fam_relax : float array;
   fam_batch : Lp.Batch.t;
+  fam_bounds : float array; (* the member's bounds, rewritten by each solve *)
 }
 
 let prepare_family ?(max_pivots = 200_000) h =
@@ -158,6 +159,7 @@ let prepare_family ?(max_pivots = 200_000) h =
     fam_valuations = valuations;
     fam_relax = relax;
     fam_batch = Lp.Batch.prepare ~max_pivots p;
+    fam_bounds = Array.make m 0.0;
   }
 
 let family_must_sell fam ~edge_ids =
@@ -184,10 +186,10 @@ let family_must_sell fam ~edge_ids =
       obj.(c) <- Float.of_int s_degree
     end
   done;
-  let bounds =
-    Array.init fam.fam_m (fun e ->
-        if in_s.(e) then fam.fam_valuations.(e) else fam.fam_relax.(e))
-  in
+  let bounds = fam.fam_bounds in
+  for e = 0 to fam.fam_m - 1 do
+    bounds.(e) <- (if in_s.(e) then fam.fam_valuations.(e) else fam.fam_relax.(e))
+  done;
   Qp_obs.annotate (fun () ->
       [ ("active_classes", Qp_obs.Int !active) ]);
   match Lp.Batch.resolve ~obj ~bounds fam.fam_batch with

@@ -44,8 +44,7 @@ let describe_error = function
 let create ?(minimize = false) () =
   { minimize; objs = []; nvars = 0; rows = []; nrows = 0 }
 
-let add_var p ?name ~obj () =
-  ignore name;
+let add_var p ~obj () =
   p.objs <- obj :: p.objs;
   p.nvars <- p.nvars + 1;
   p.nvars - 1
@@ -62,14 +61,38 @@ let add_le p terms b = add_row p Le terms b
 let add_ge p terms b = add_row p Ge terms b
 let add_eq p terms b = add_row p Eq terms b
 
-let dense_of_terms nvars terms =
-  let a = Array.make nvars 0.0 in
-  List.iter
-    (fun (coef, v) ->
-      assert (v >= 0 && v < nvars);
-      a.(v) <- a.(v) +. coef)
-    terms;
-  a
+(* A row's terms as a sparse row over variable indices: a repeated
+   variable's coefficients are summed in list order from 0.0 (a stable
+   sort keeps that order within each run), and a sum that comes out an
+   exact zero is dropped. *)
+let sparse_of_terms nvars terms =
+  let t = Array.of_list terms in
+  Array.stable_sort (fun (_, a) (_, b) -> Int.compare a b) t;
+  let n = Array.length t in
+  let idx = Array.make n 0 and v = Array.make n 0.0 in
+  let k = ref 0 and i = ref 0 in
+  while !i < n do
+    let j = snd t.(!i) in
+    assert (j >= 0 && j < nvars);
+    let s = ref 0.0 in
+    while !i < n && snd t.(!i) = j do
+      s := !s +. fst t.(!i);
+      incr i
+    done;
+    if !s <> 0.0 then begin
+      idx.(!k) <- j;
+      v.(!k) <- !s;
+      incr k
+    end
+  done;
+  if !k = n then { Sparse.idx; v }
+  else { Sparse.idx = Array.sub idx 0 !k; v = Array.sub v 0 !k }
+
+(* The same row times -1, sharing the index array. *)
+let negated (a : Sparse.col) =
+  let v = Array.copy a.v in
+  for k = 0 to Array.length v - 1 do v.(k) <- -.v.(k) done;
+  { a with v }
 
 (* Expansion into <= form. [origin.(k)] records which user constraint
    produced simplex row [k] and with which dual sign; note that for
@@ -84,17 +107,17 @@ let expand p =
   let sim_rows = ref [] and origin = ref [] in
   Array.iteri
     (fun i { terms; bound; sense } ->
-      let a = dense_of_terms nvars terms in
-      let push arr b sgn =
-        sim_rows := (arr, b) :: !sim_rows;
+      let a = sparse_of_terms nvars terms in
+      let push row b sgn =
+        sim_rows := (row, b) :: !sim_rows;
         origin := (i, sgn) :: !origin
       in
       match sense with
       | Le -> push a bound 1.0
-      | Ge -> push (Array.map (fun x -> -.x) a) (-.bound) (-1.0)
+      | Ge -> push (negated a) (-.bound) (-1.0)
       | Eq ->
-          push (Array.copy a) bound 1.0;
-          push (Array.map (fun x -> -.x) a) (-.bound) (-1.0))
+          push a bound 1.0;
+          push (negated a) (-.bound) (-1.0))
     user_rows;
   let rows = Array.of_list (List.rev !sim_rows) in
   let origin = Array.of_list (List.rev !origin) in
@@ -117,6 +140,10 @@ module Batch = struct
     nuser : int;
     origin : (int * float) array;
     fam : Simplex.family;
+    (* the member's objective and rhs in simplex form, rewritten in
+       place by each resolve (the family copies them) *)
+    c : float array;
+    rhs : float array;
   }
 
   let prepare ?max_pivots (p : problem) =
@@ -127,6 +154,8 @@ module Batch = struct
       nuser;
       origin;
       fam = Simplex.prepare ?max_pivots ~c ~rows ();
+      c;
+      rhs = Array.map snd rows;
     }
 
   let resolve ?obj ?bounds bt =
@@ -138,14 +167,16 @@ module Batch = struct
       Option.map
         (fun o ->
           assert (Array.length o = bt.nvars);
-          Array.map (fun x -> bt.sign *. x) o)
+          for j = 0 to bt.nvars - 1 do bt.c.(j) <- bt.sign *. o.(j) done;
+          bt.c)
         obj
     in
     let rhs =
       Option.map
         (fun bounds ->
           assert (Array.length bounds = bt.nuser);
-          Array.map (fun (i, sgn) -> sgn *. bounds.(i)) bt.origin)
+          Array.iteri (fun k (i, sgn) -> bt.rhs.(k) <- sgn *. bounds.(i)) bt.origin;
+          bt.rhs)
         bounds
     in
     match Simplex.resolve ?c ?rhs bt.fam with
@@ -163,4 +194,3 @@ let objective_value s = s.objective
 let value s v = s.primal.(v)
 let dual s cid = s.row_dual.(cid)
 let var_index (v : var) = v
-let constr_index (c : constr) = c

@@ -5,6 +5,10 @@
     variables. [>=] and [=] rows are rewritten into [<=] form before the
     simplex runs ([=] becomes a pair of inequalities), and dual values
     are mapped back to the user-facing constraints with the right sign.
+    Each [<=] row reaches {!Simplex} as a sparse row ({!Sparse.col} over
+    variable indices): a repeated variable's coefficients are summed in
+    [terms] order from [0.0], a sum equal to [0.0] is dropped, and a
+    [>=] row's coefficients are negated. No dense row is ever built.
 
     Typical use, pricing-flavoured:
     {[
@@ -42,7 +46,7 @@ val describe_error : error -> string
 val create : ?minimize:bool -> unit -> t
 (** A fresh empty problem; maximization unless [minimize] is set. *)
 
-val add_var : t -> ?name:string -> obj:float -> unit -> var
+val add_var : t -> obj:float -> unit -> var
 (** A new non-negative variable with the given objective coefficient. *)
 
 val var_count : t -> int
@@ -80,8 +84,9 @@ module Batch : sig
   type problem := t
 
   type t
-  (** A prepared family: the expanded [<=]-form matrix plus the warm
-      state. Not thread-safe; use one batch per worker. *)
+  (** A prepared family: the expanded [<=]-form sparse rows plus the
+      warm state, and the objective and rhs arrays each {!resolve}
+      rewrites in place. Not thread-safe; use one batch per worker. *)
 
   val prepare : ?max_pivots:int -> problem -> t
   (** Snapshot the problem as built so far (later [add_var]/[add_*] calls
@@ -116,7 +121,3 @@ val dual : solution -> constr -> float
 val var_index : var -> int
 (** Position of a variable in [add_var] order — the slot it occupies in
     {!Batch.resolve}'s [obj] array. *)
-
-val constr_index : constr -> int
-(** Position of a constraint in [add_le]/[add_ge]/[add_eq] order — the
-    slot it occupies in {!Batch.resolve}'s [bounds] array. *)

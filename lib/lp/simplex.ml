@@ -58,7 +58,7 @@ and solution = {
    tests install it around a whole pipeline run, before any worker
    starts. *)
 let oracle_ref :
-    (c:float array -> rows:(float array * float) array -> outcome -> unit)
+    (c:float array -> rows:(Sparse.col * float) array -> outcome -> unit)
     option
     ref =
   ref None
@@ -341,9 +341,6 @@ module Revised_engine = struct
     negated : bool array;
     cols : Sparse.col array;
     rows : Sparse.rows; (* columns [0, art_first), for the pivot row *)
-    (* each row's nonzero coefficients: all that Tolerance.make reads
-       of the matrix is max |a|, which the zeros never change *)
-    nonzeros : float array array;
   }
 
   let fits mx (rhs : float array) =
@@ -353,47 +350,37 @@ module Revised_engine = struct
     done;
     !ok
 
-  let make_matrix ~nvars (coeffs : float array array) (rhs : float array) =
-    let nrows = Array.length coeffs in
+  (* Transposes the sparse rows into sign-transformed columns in
+     O(nnz): scanning the rows in order puts each column's entries in
+     increasing row order. *)
+  let make_matrix ~nvars (rows : Sparse.col array) (rhs : float array) =
+    let nrows = Array.length rows in
     let negated = Array.map (fun b -> b < 0.0) rhs in
     let n_art =
       Array.fold_left (fun acc n -> if n then acc + 1 else acc) 0 negated
     in
     let art_first = nvars + nrows in
     let ncols = art_first + n_art in
-    let counts = Array.make nvars 0 and row_counts = Array.make nrows 0 in
-    for i = 0 to nrows - 1 do
-      let a = coeffs.(i) in
-      for j = 0 to nvars - 1 do
-        if a.(j) <> 0.0 then begin
-          counts.(j) <- counts.(j) + 1;
-          row_counts.(i) <- row_counts.(i) + 1
-        end
-      done
-    done;
-    (* Sparse structural columns, sign-transformed per row. *)
+    let counts = Array.make nvars 0 in
+    Array.iter
+      (fun (a : Sparse.col) ->
+        Array.iter (fun j -> counts.(j) <- counts.(j) + 1) a.idx)
+      rows;
     let cols = Array.make ncols Sparse.empty in
-    let fillk = Array.make nvars 0 in
     for j = 0 to nvars - 1 do
-      cols.(j) <-
-        (if counts.(j) = 0 then Sparse.empty
-         else { Sparse.idx = Array.make counts.(j) 0; v = Array.make counts.(j) 0.0 })
+      if counts.(j) > 0 then
+        cols.(j) <-
+          { Sparse.idx = Array.make counts.(j) 0; v = Array.make counts.(j) 0.0 }
     done;
-    let nonzeros = Array.map (fun n -> Array.make n 0.0) row_counts in
+    let fillk = Array.make nvars 0 in
     for i = 0 to nrows - 1 do
-      let a = coeffs.(i) and s = if negated.(i) then -1.0 else 1.0 in
-      let nz = nonzeros.(i) and n = ref 0 in
-      for j = 0 to nvars - 1 do
-        let v = a.(j) in
-        if v <> 0.0 then begin
-          let col = cols.(j) in
-          let k = fillk.(j) in
-          col.Sparse.idx.(k) <- i;
-          col.Sparse.v.(k) <- s *. v;
-          fillk.(j) <- k + 1;
-          nz.(!n) <- v;
-          incr n
-        end
+      let a = rows.(i) and s = if negated.(i) then -1.0 else 1.0 in
+      for k = 0 to Array.length a.Sparse.idx - 1 do
+        let j = a.Sparse.idx.(k) in
+        let col = cols.(j) and n = fillk.(j) in
+        col.Sparse.idx.(n) <- i;
+        col.Sparse.v.(n) <- s *. a.Sparse.v.(k);
+        fillk.(j) <- n + 1
       done
     done;
     (* slacks (coefficient = row sign), then one +1 artificial per
@@ -406,12 +393,7 @@ module Revised_engine = struct
         incr next_art
       end
     done;
-    {
-      negated;
-      cols;
-      rows = Sparse.rows_of_cols ~nrows cols ~ncols:art_first;
-      nonzeros;
-    }
+    { negated; cols; rows = Sparse.rows_of_cols ~nrows cols ~ncols:art_first }
 
   (* Build a fresh state over [matrix]: slack basis (artificials on
      negated rows), xb = b, and the eta file [bas] emptied to the
@@ -827,7 +809,7 @@ type family = {
   f_nvars : int;
   f_nrows : int;
   f_c : float array; (* current objective *)
-  f_coeffs : float array array; (* shared row coefficients, never mutated *)
+  f_rows : Sparse.col array; (* shared sparse rows, never mutated *)
   f_rhs : float array; (* current rhs *)
   f_max_pivots : int;
   f_stall : int;
@@ -846,12 +828,15 @@ type family = {
 let prepare ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every
     ~c ~rows () =
   let nvars = Array.length c in
-  Array.iter (fun (a, _) -> assert (Array.length a = nvars)) rows;
+  Array.iter
+    (fun ((a : Sparse.col), _) ->
+      Array.iter (fun j -> assert (0 <= j && j < nvars)) a.idx)
+    rows;
   {
     f_nvars = nvars;
     f_nrows = Array.length rows;
     f_c = Array.copy c;
-    f_coeffs = Array.map fst rows;
+    f_rows = Array.map fst rows;
     f_rhs = Array.map snd rows;
     f_max_pivots = max_pivots;
     f_stall = stall_threshold;
@@ -861,9 +846,6 @@ let prepare ?(max_pivots = 50_000) ?(stall_threshold = 1024) ?refactor_every
     f_state = None;
     f_cold_pivots = 0;
   }
-
-let family_rows fam =
-  Array.init fam.f_nrows (fun i -> (fam.f_coeffs.(i), fam.f_rhs.(i)))
 
 let resolve ?c ?rhs fam =
   (match c with
@@ -891,19 +873,16 @@ let resolve ?c ?rhs fam =
       | Some mx when Revised_engine.fits mx fam.f_rhs -> mx
       | _ ->
           let mx =
-            Revised_engine.make_matrix ~nvars:fam.f_nvars fam.f_coeffs fam.f_rhs
+            Revised_engine.make_matrix ~nvars:fam.f_nvars fam.f_rows fam.f_rhs
           in
           fam.f_matrix <- Some mx;
           mx
     in
-    (* the nonzeros give the same scales as the dense rows, without a
-       pass over every zero *)
+    (* a row's nonzeros give the scale its dense form would *)
     let tol =
       Tolerance.make ~c:fam.f_c
         ~rows:
-          (Array.mapi
-             (fun i a -> (a, fam.f_rhs.(i)))
-             matrix.Revised_engine.nonzeros)
+          (Array.mapi (fun i (a : Sparse.col) -> (a.v, fam.f_rhs.(i))) fam.f_rows)
     in
     let refactor_every = refactor_every fam.f_refactor in
     let st =
@@ -982,7 +961,9 @@ let resolve ?c ?rhs fam =
   (* the oracle sees the member just solved, warm-started or not *)
   (match !oracle_ref with
   | None -> ()
-  | Some f -> f ~c:fam.f_c ~rows:(family_rows fam) outcome);
+  | Some f ->
+      f ~c:fam.f_c ~rows:(Array.mapi (fun i a -> (a, fam.f_rhs.(i))) fam.f_rows)
+        outcome);
   outcome
 
 let solve ?max_pivots ?stall_threshold ?refactor_every ~c ~rows () =

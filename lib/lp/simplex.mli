@@ -5,10 +5,11 @@
     variables for the infeasible slack rows). This is the raw engine;
     {!Lp} offers a friendlier incremental problem builder.
 
-    The engine is a {e revised} simplex: the constraint matrix is stored
-    as sparse columns ({!Sparse}) and the basis inverse as an eta file
-    ({!Basis}): a sparse LU factorization written at each reinversion,
-    then one product-form eta per pivot. The per-pivot cost tracks the
+    The engine is a {e revised} simplex: it takes the constraint rows
+    sparse ({!Sparse.col}; no dense row is built or kept), transposes
+    them into sparse columns in O(nnz), and keeps the basis inverse as
+    an eta file ({!Basis}): a sparse LU written at each reinversion,
+    then one product-form eta per pivot. Per-pivot cost tracks the
     nonzero structure rather than a dense [O(rows * cols)] elimination.
     Pivoting uses Dantzig pricing with an anti-cycling switch to Bland's
     rule once the iteration stalls, under scale-relative {!Tolerance}
@@ -58,12 +59,14 @@ val solve :
   ?stall_threshold:int ->
   ?refactor_every:int ->
   c:float array ->
-  rows:(float array * float) array ->
+  rows:(Sparse.col * float) array ->
   unit ->
   outcome
 (** [solve ~c ~rows ()] maximizes [c . x] over [{x >= 0 | a_i . x <= b_i}]
-    for [(a_i, b_i)] in [rows]. Every [a_i] must have the same length as
-    [c]. [max_pivots] (default [50_000]) bounds the total pivot count;
+    for [(a_i, b_i)] in [rows]. Each [a_i] is a sparse row: its [idx]
+    are variable indices, strictly increasing and below [Array.length c],
+    and its [v] holds no [0.0] (as {!Sparse.of_dense} builds it).
+    [max_pivots] (default [50_000]) bounds the total pivot count;
     exceeding it yields [Budget_exhausted] (never an exception).
 
     [stall_threshold] (default [1024]) is the number of {e consecutive}
@@ -99,8 +102,9 @@ val solve :
     Sweeps (CIP's capacity grid, LPIP's candidate prefixes, the
     must-sell families) solve long sequences of LPs over {e one shared
     constraint matrix}, with only the objective and/or rhs moving
-    between steps. A {!family} factors the sparse columns once and
-    carries the optimal basis from member [k] into member [k+1]:
+    between steps. A {!family} keeps the sparse rows, transposes them
+    into sparse columns once and carries the optimal basis from member
+    [k] into member [k+1]:
 
     - objective change only: the saved basis stays primal feasible, so
       a primal phase-2 run restores optimality — no phase 1;
@@ -125,15 +129,16 @@ val prepare :
   ?stall_threshold:int ->
   ?refactor_every:int ->
   c:float array ->
-  rows:(float array * float) array ->
+  rows:(Sparse.col * float) array ->
   unit ->
   family
-(** [prepare ~c ~rows ()] captures the family's shared matrix together
-    with its first member's objective [c] and rhs (the [b_i] of
-    [rows]). No solving happens yet; the optional knobs mean the same
-    as in {!solve} and apply to every subsequent {!resolve}. The row
-    coefficient arrays are shared, not copied — callers must not mutate
-    them. *)
+(** [prepare ~c ~rows ()] captures the family's shared matrix, the
+    sparse rows of {!solve}, with its first member's objective [c] and
+    rhs (the [b_i] of [rows]). No solving happens yet; the optional
+    knobs mean the same as in {!solve} and apply to every subsequent
+    {!resolve}. The family keeps the rows themselves — callers must not
+    mutate them — and transposes them into columns at its first cold
+    resolve. *)
 
 val resolve : ?c:float array -> ?rhs:float array -> family -> outcome
 (** [resolve ?c ?rhs fam] solves the family member obtained by
@@ -181,13 +186,14 @@ val set_warm_starts : bool -> unit
 (** {1 Oracle seam} *)
 
 val with_oracle :
-  (c:float array -> rows:(float array * float) array -> outcome -> unit) ->
+  (c:float array -> rows:(Sparse.col * float) array -> outcome -> unit) ->
   (unit -> 'a) ->
   'a
 (** [with_oracle f body] runs [body] with [f] installed as the solver's
     oracle: after every {!resolve} (a one-shot {!solve} is one),
     [f ~c ~rows outcome] is called with the family member that was
-    actually solved and its outcome. The previous
+    actually solved ([rows] in {!solve}'s sparse format, paired with the
+    member's rhs) and its outcome. The previous
     oracle is restored when [body] returns or raises. The hook is a
     process-wide setting read from worker domains, so install it around
     a whole run, not from inside a worker; [f] itself must be

@@ -35,9 +35,6 @@ let of_dense a =
 
 let unit r x = if x = 0.0 then empty else { idx = [| r |]; v = [| x |] }
 
-let scaled s c =
-  if s = 1.0 then c else { c with v = Array.map (fun x -> s *. x) c.v }
-
 let dot c (y : float array) =
   let s = ref 0.0 in
   for k = 0 to Array.length c.idx - 1 do
@@ -49,18 +46,6 @@ let scatter c (w : float array) =
   for k = 0 to Array.length c.idx - 1 do
     w.(c.idx.(k)) <- c.v.(k)
   done
-
-let iter f c =
-  for k = 0 to Array.length c.idx - 1 do
-    f c.idx.(k) c.v.(k)
-  done
-
-let get c i =
-  (* columns are tiny relative to the matrix; a linear probe beats a
-     binary search below a few dozen entries, which is the common case *)
-  let n = Array.length c.idx in
-  let rec go k = if k >= n then 0.0 else if c.idx.(k) = i then c.v.(k) else go (k + 1) in
-  go 0
 
 type rows = {
   ncols : int;

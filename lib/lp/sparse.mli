@@ -1,9 +1,10 @@
 (** Sparse column vectors for the revised simplex engine.
 
     A column stores only its nonzero entries as parallel (row index,
-    value) arrays with strictly increasing indices. {!Simplex}'s
-    revised engine holds the whole constraint matrix as an array of
-    these, plus a row-wise copy ({!rows}) for the dual pivot row.
+    value) arrays with strictly increasing indices. It is also the
+    constraint-row format: {!Lp} hands {!Simplex} each row as a [col]
+    over variable indices, which the engine transposes into its matrix
+    of columns, plus a row-wise copy ({!rows}) for the dual pivot row.
 
     The kernels {!price} and {!row_combination} run once per pivot
     over the whole matrix. They allocate nothing, and each sum they
@@ -11,7 +12,8 @@
     results are bit-identical to a [dot] per column. *)
 
 type col = { idx : int array; v : float array }
-(** Nonzero entries of one column; [idx] strictly increasing. *)
+(** Nonzero entries of one column (or constraint row); [idx] strictly
+    increasing, no stored [v] equal to [0.0]. *)
 
 val empty : col
 (** The all-zero column. *)
@@ -26,23 +28,12 @@ val unit : int -> float -> col
 (** [unit r x] is the column with single entry [x] at row [r]
     ({!empty} when [x = 0]). *)
 
-val scaled : float -> col -> col
-(** [scaled s c] multiplies every entry by [s] (shares [c] when
-    [s = 1.0]). *)
-
 val dot : col -> float array -> float
 (** [dot c y] is the inner product of [c] with a dense vector. *)
 
 val scatter : col -> float array -> unit
 (** [scatter c w] writes [c]'s entries into dense [w] (caller zeroes
     [w] first). *)
-
-val iter : (int -> float -> unit) -> col -> unit
-(** Iterate over the (row, value) nonzeros in index order. *)
-
-val get : col -> int -> float
-(** [get c i] is entry [i] (0 when not stored). Linear probe — meant
-    for the drive-out scan, not for hot loops. *)
 
 type rows
 (** A row-wise (CSR) copy of the columns [0, ncols) of a matrix. *)

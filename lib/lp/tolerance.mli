@@ -35,7 +35,9 @@ val base_residual : float
 
 val make : c:float array -> rows:(float array * float) array -> t
 (** [make ~c ~rows] computes the tolerances for one instance of
-    maximize [c . x] s.t. [a_i . x <= b_i], [x >= 0]. *)
+    maximize [c . x] s.t. [a_i . x <= b_i], [x >= 0]. An [a_i] may list
+    only its row's nonzeros (a {!Sparse.col}'s [v]): zeros never
+    change a scale. *)
 
 val ratio_lt : float -> float -> bool
 (** [ratio_lt a b] — [a] is strictly smaller than ratio-test candidate

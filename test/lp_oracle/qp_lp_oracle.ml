@@ -10,6 +10,7 @@
    oracle only ever runs with faults disarmed. *)
 
 module Simplex = Qp_lp.Simplex
+module Sparse = Qp_lp.Sparse
 module Tolerance = Qp_lp.Tolerance
 
 module Dense = struct
@@ -375,12 +376,23 @@ let cross_check ~rows revised dense =
         (Printf.sprintf "outcomes differ: revised %s vs dense %s"
            (outcome_tag r) (outcome_tag d))
 
+(* The revised engine's sparse rows as the dense tableau's rows: the
+   only place a constraint row is densified. *)
+let dense_rows ~nvars rows =
+  Array.map
+    (fun ({ Sparse.idx; v }, b) ->
+      let a = Array.make nvars 0.0 in
+      Array.iteri (fun k j -> a.(j) <- v.(k)) idx;
+      (a, b))
+    rows
+
 let with_check body =
   let mismatches = Atomic.make 0 in
   (* Under injected faults the revised run drew its own fault schedule,
      so a disagreement says nothing about the engines: no verdict. *)
   let check ~c ~rows outcome =
     if not (Qp_fault.enabled ()) then
+      let rows = dense_rows ~nvars:(Array.length c) rows in
       match cross_check ~rows outcome (Dense.solve ~c ~rows ()) with
       | None -> ()
       | Some detail ->

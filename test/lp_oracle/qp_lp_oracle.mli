@@ -24,7 +24,8 @@ end
 val with_check : (unit -> 'a) -> 'a * int
 (** [with_check body] runs [body] with an oracle installed that
     re-solves every LP the revised engine solves — one-shot and
-    warm-started family members alike — on {!Dense} and compares the
+    warm-started family members alike — on {!Dense} (densifying the
+    member's sparse rows) and compares the
     two: the outcome constructor must match, optimal objectives must
     agree, and each engine's dual certificate must satisfy strong
     duality. Primal/dual vectors are not compared entry by entry,

@@ -10,6 +10,10 @@
 
 module F = Qp_fault
 module Simplex = Qp_lp.Simplex
+
+(* The tests write rows densely; the revised engine takes sparse rows. *)
+let sparse_rows rows =
+  Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows
 module H = Qp_core.Hypergraph
 module P = Qp_core.Pricing
 module Lpip = Qp_core.Lpip
@@ -223,7 +227,8 @@ let test_xos_drops_non_additive_component () =
 
 let test_nan_injection_is_numerical_error () =
   with_faults "simplex.pivot:nan" @@ fun () ->
-  match Simplex.solve ~c:[| 1.0 |] ~rows:[| ([| 1.0 |], 1.0) |] () with
+  let rows = sparse_rows [| ([| 1.0 |], 1.0) |] in
+  match Simplex.solve ~c:[| 1.0 |] ~rows () with
   | Simplex.Numerical_error d ->
       Alcotest.(check bool) "detail mentions injection" true
         (String.length d.Simplex.detail > 0)
@@ -233,11 +238,12 @@ let test_nan_injection_is_numerical_error () =
 
 let beale () =
   ( [| 0.75; -150.0; 0.02; -6.0 |],
-    [|
-      ([| 0.25; -60.0; -0.04; 9.0 |], 0.0);
-      ([| 0.5; -90.0; -0.02; 3.0 |], 0.0);
-      ([| 0.0; 0.0; 1.0; 0.0 |], 1.0);
-    |] )
+    sparse_rows
+      [|
+        ([| 0.25; -60.0; -0.04; 9.0 |], 0.0);
+        ([| 0.5; -90.0; -0.02; 3.0 |], 0.0);
+        ([| 0.0; 0.0; 1.0; 0.0 |], 1.0);
+      |] )
 
 let test_beale_cycles_without_fallback () =
   let c, rows = beale () in

@@ -4,12 +4,17 @@
    and strong duality — which pins the solver to the true optimum. *)
 
 module Simplex = Qp_lp.Simplex
+module Sparse = Qp_lp.Sparse
 module Lp = Qp_lp.Lp
+
+(* The tests write rows densely; the revised engine takes sparse rows. *)
+let sparse_rows rows = Array.map (fun (a, b) -> (Sparse.of_dense a, b)) rows
 
 (* Solver-level tests run once per engine (see [suite]): the production
    revised simplex and the dense-tableau oracle. Builder tests run on
    the revised engine, the only one [Lp] uses. *)
-let revised ?max_pivots ~c ~rows () = Simplex.solve ?max_pivots ~c ~rows ()
+let revised ?max_pivots ~c ~rows () =
+  Simplex.solve ?max_pivots ~c ~rows:(sparse_rows rows) ()
 
 let dense ?max_pivots ~c ~rows () =
   Qp_lp_oracle.Dense.solve ?max_pivots ~c ~rows ()
@@ -276,6 +281,207 @@ let test_lp_counts () =
   Alcotest.(check int) "vars" 1 (Lp.var_count p);
   Alcotest.(check int) "constrs" 1 (Lp.constr_count p)
 
+(* --- the sparse expansion against the dense one it replaced ---------- *)
+
+(* A builder problem as plain data, so the test can hand the same
+   problem to [Lp] and to the reference expansion below. *)
+type spec_row = {
+  sense : [ `Le | `Ge | `Eq ];
+  terms : (float * int) list;
+  bound : float;
+}
+
+type spec = { minimize : bool; objs : float array; rows : spec_row list }
+
+(* The dense expansion [Lp] ran before its rows became sparse: every
+   row densified in terms order from 0.0, [>=] rows negated element by
+   element, [=] rows split in two. Fed to the revised engine through
+   [Sparse.of_dense], and its duals mapped back to the user rows as
+   [Lp] does. *)
+let reference_solve spec =
+  let nvars = Array.length spec.objs in
+  let sign = if spec.minimize then -1.0 else 1.0 in
+  let c = Array.map (fun o -> sign *. o) spec.objs in
+  let dense terms =
+    let a = Array.make nvars 0.0 in
+    List.iter (fun (coef, v) -> a.(v) <- a.(v) +. coef) terms;
+    a
+  in
+  (* each simplex row with its (user row, dual sign) origin *)
+  let rows, origin =
+    List.concat
+      (List.mapi
+         (fun i { sense; terms; bound } ->
+           let a = dense terms in
+           let neg = ((Array.map (fun x -> -.x) a, -.bound), (i, -1.0)) in
+           match sense with
+           | `Le -> [ ((a, bound), (i, 1.0)) ]
+           | `Ge -> [ neg ]
+           | `Eq -> [ ((Array.copy a, bound), (i, 1.0)); neg ])
+         spec.rows)
+    |> List.split
+  in
+  let rows = Array.of_list rows and origin = Array.of_list origin in
+  let sparse = sparse_rows rows in
+  let outcome = Simplex.solve ~c ~rows:sparse () in
+  let solution =
+    match outcome with
+    | Simplex.Optimal { objective; primal; dual } ->
+        let row_dual = Array.make (List.length spec.rows) 0.0 in
+        Array.iteri
+          (fun k (i, sgn) ->
+            row_dual.(i) <- row_dual.(i) +. (sgn *. sign *. dual.(k)))
+          origin;
+        Ok (sign *. objective, primal, row_dual)
+    | Simplex.Infeasible -> Error "infeasible"
+    | Simplex.Unbounded -> Error "unbounded"
+    | Simplex.Budget_exhausted _ -> Error "budget_exhausted"
+    | Simplex.Numerical_error _ -> Error "numerical_error"
+  in
+  (solution, sparse, Qp_lp_oracle.Dense.solve ~c ~rows (), sign)
+
+(* [Lp.solve] of the spec, with the sparse rows it handed the engine
+   (read through the oracle seam). *)
+let lp_solve spec =
+  let p = Lp.create ~minimize:spec.minimize () in
+  let vars = Array.map (fun obj -> Lp.add_var p ~obj ()) spec.objs in
+  let constrs =
+    List.map
+      (fun { sense; terms; bound } ->
+        let terms = List.map (fun (coef, v) -> (coef, vars.(v))) terms in
+        let add =
+          match sense with `Le -> Lp.add_le | `Ge -> Lp.add_ge | `Eq -> Lp.add_eq
+        in
+        add p terms bound)
+      spec.rows
+  in
+  let seen = ref [||] in
+  let result =
+    Simplex.with_oracle
+      (fun ~c:_ ~rows _ -> seen := rows)
+      (fun () -> Lp.solve p)
+  in
+  ( (match result with
+    | Ok sol ->
+        Ok
+          ( Lp.objective_value sol,
+            Array.map (Lp.value sol) vars,
+            Array.of_list (List.map (Lp.dual sol) constrs) )
+    | Error e -> Error (Lp.error_tag e)),
+    !seen )
+
+(* Coefficients mix repeats of a variable, cancelling (c, -c) pairs
+   around other terms, [-0.0] and [0.0] entries, and fractions whose
+   sums round; bounds run negative, so [>=] and [=] rows need phase 1.
+   Three problems in four are planted: each bound is set from the row's
+   value at a point [x >= 0], so the problem is feasible and the
+   comparison reaches the primal and dual vectors. *)
+let gen_spec =
+  let open QCheck2.Gen in
+  let coef =
+    oneofl [ 1.0; 2.0; 3.0; -1.0; -2.0; 0.5; -0.5; 0.1; 0.3; -0.0; 0.0 ]
+  in
+  let* nvars = int_range 1 5 in
+  let* point = array_size (return nvars) (map Float.of_int (int_range 0 3)) in
+  let* planted = frequencyl [ (3, true); (1, false) ] in
+  let term = pair coef (int_range 0 (nvars - 1)) in
+  let row =
+    let* sense = frequencyl [ (3, `Le); (2, `Ge); (1, `Eq) ] in
+    let* before = list_size (int_range 0 4) term in
+    let* cancel = list_size (int_range 0 2) term in
+    let* after = list_size (int_range 0 3) term in
+    let* slack = map (fun k -> Float.of_int k /. 2.0) (int_range 0 4) in
+    let+ free = map (fun k -> Float.of_int k /. 2.0) (int_range (-8) 20) in
+    let terms =
+      before @ cancel @ after
+      @ List.map (fun (c, v) -> (-.c, v)) (List.rev cancel)
+    in
+    let at_point =
+      List.fold_left (fun acc (c, v) -> acc +. (c *. point.(v))) 0.0 terms
+    in
+    let bound =
+      if not planted then free
+      else
+        match sense with
+        | `Le -> at_point +. slack
+        | `Ge -> at_point -. slack
+        | `Eq -> at_point
+    in
+    { sense; terms; bound }
+  in
+  let* minimize = bool in
+  let* objs =
+    array_size (return nvars) (oneofl [ -1.0; 0.0; 1.0; 2.0; 0.5; -0.0 ])
+  in
+  let* rows = list_size (int_range 1 6) row in
+  (* a capacity row keeps most maximizations bounded *)
+  let+ cap = bool in
+  let cap_row =
+    { sense = `Le; terms = List.init nvars (fun v -> (1.0, v)); bound = 20.0 }
+  in
+  let rows = if cap then rows @ [ cap_row ] else rows in
+  { minimize; objs; rows }
+
+let print_spec { minimize; objs; rows } =
+  let f = Printf.sprintf "%h" in
+  Printf.sprintf "%s [%s]\n%s"
+    (if minimize then "min" else "max")
+    (String.concat "; " (Array.to_list (Array.map f objs)))
+    (String.concat "\n"
+       (List.map
+          (fun { sense; terms; bound } ->
+            Printf.sprintf "%s %s %s"
+              (String.concat " + "
+                 (List.map
+                    (fun (c, v) -> Printf.sprintf "%s*x%d" (f c) v)
+                    terms))
+              (match sense with `Le -> "<=" | `Ge -> ">=" | `Eq -> "=")
+              (f bound))
+          rows))
+
+let prop_sparse_expansion =
+  QCheck2.Test.make
+    ~name:"builder: sparse expansion = dense reference, bit for bit"
+    ~count:600 ~print:print_spec gen_spec (fun spec ->
+      let bits = Int64.bits_of_float in
+      let same a b =
+        Array.length a = Array.length b
+        && Array.for_all2 (fun x y -> bits x = bits y) a b
+      in
+      let reference, reference_rows, dense, sign = reference_solve spec in
+      let solution, rows = lp_solve spec in
+      let same_row ((a : Sparse.col), b) ((a' : Sparse.col), b') =
+        a.idx = a'.idx && same a.v a'.v && bits b = bits b'
+      in
+      if
+        not
+          (Array.length rows = Array.length reference_rows
+          && Array.for_all2 same_row rows reference_rows)
+      then QCheck2.Test.fail_report "sparse rows differ from the reference's";
+      (match (solution, reference) with
+      | Ok (o, x, y), Ok (o', x', y') ->
+          if bits o <> bits o' then
+            QCheck2.Test.fail_reportf "objective %h vs reference %h" o o';
+          if not (same x x') then
+            QCheck2.Test.fail_report "primal differs from the reference";
+          if not (same y y') then
+            QCheck2.Test.fail_report "row_dual differs from the reference"
+      | Error e, Error e' when e = e' -> ()
+      | (Ok _ | Error _), _ ->
+          QCheck2.Test.fail_report "outcome differs from the reference");
+      (* and the dense tableau agrees within tolerance *)
+      (match (reference, dense) with
+      | Ok (o, _, _), Simplex.Optimal d ->
+          let od = sign *. d.Simplex.objective in
+          if Float.abs (o -. od) > 1e-6 *. Float.max 1.0 (Float.abs od) then
+            QCheck2.Test.fail_reportf "objective %.12g vs dense %.12g" o od
+      | Error "infeasible", Simplex.Infeasible
+      | Error "unbounded", Simplex.Unbounded
+      | _, (Simplex.Budget_exhausted _ | Simplex.Numerical_error _)
+      | Error ("budget_exhausted" | "numerical_error"), _ -> ()
+      | _ -> QCheck2.Test.fail_report "outcome differs from the dense tableau");
+      true)
+
 let test_pivot_budget () =
   (* max x + y with x <= 1, y <= 1 needs one pivot per variable. *)
   let c = [| 1.0; 1.0 |] in
@@ -288,7 +494,6 @@ let test_pivot_budget () =
 (* --- sparse LU reinversion (Basis.factor) ------------------------------ *)
 
 module Basis = Qp_lp.Basis
-module Sparse = Qp_lp.Sparse
 
 (* A random nonsingular basis shaped like the pricing LPs': unit-like
    columns (slacks, artificials) on most rows, plus a dense bump over
@@ -950,4 +1155,6 @@ let suite =
           test_pivot_and_revenue_pins;
         t "allocation: a pivot allocates O(1) words, push none"
           test_pivot_allocation;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2511 |])
+          prop_sparse_expansion;
       ] )

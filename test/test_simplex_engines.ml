@@ -10,6 +10,10 @@ module Simplex = Qp_lp.Simplex
 module Lp = Qp_lp.Lp
 module Oracle = Qp_lp_oracle
 
+(* The tests write rows densely; the revised engine takes sparse rows. *)
+let sparse_rows rows =
+  Array.map (fun (a, b) -> (Qp_lp.Sparse.of_dense a, b)) rows
+
 let checkf = Alcotest.check (Alcotest.float 1e-6)
 
 let outcome_tag = function
@@ -59,7 +63,7 @@ let check_certificates ~label c rows = function
   | _ -> ()
 
 let agree ?(what = "instance") c rows =
-  let revised = Simplex.solve ~c ~rows () in
+  let revised = Simplex.solve ~c ~rows:(sparse_rows rows) () in
   let dense = Oracle.Dense.solve ~c ~rows () in
   Alcotest.(check string)
     (what ^ ": same outcome constructor")
@@ -279,7 +283,9 @@ let test_frequent_refactorization () =
   let rand = Random.State.make [| 413 |] in
   for k = 1 to 60 do
     let c, rows = (if k mod 2 = 0 then gen_mixed else gen_bounded) rand in
-    let outcome = Simplex.solve ~refactor_every:4 ~c ~rows () in
+    let outcome =
+      Simplex.solve ~refactor_every:4 ~c ~rows:(sparse_rows rows) ()
+    in
     (match outcome with
     | Simplex.Optimal _ | Simplex.Unbounded | Simplex.Infeasible -> ()
     | Simplex.Budget_exhausted d | Simplex.Numerical_error d ->
@@ -334,7 +340,7 @@ let test_warm_vs_cold_property () =
       for k = 1 to 10 do
         let c0, rows = gen rand in
         let nvars = Array.length c0 and nrows = Array.length rows in
-        let fam = Simplex.prepare ~c:c0 ~rows () in
+        let fam = Simplex.prepare ~c:c0 ~rows:(sparse_rows rows) () in
         let cur_c = Array.copy c0 in
         let cur_b = Array.map snd rows in
         for step = 0 to 5 do
@@ -360,7 +366,7 @@ let test_warm_vs_cold_property () =
               fam
           in
           let rows_now = Array.mapi (fun i (a, _) -> (a, cur_b.(i))) rows in
-          let cold = Simplex.solve ~c:cur_c ~rows:rows_now () in
+          let cold = Simplex.solve ~c:cur_c ~rows:(sparse_rows rows_now) () in
           let dense = Oracle.Dense.solve ~c:cur_c ~rows:rows_now () in
           Alcotest.(check string)
             (what ^ ": warm = cold constructor")
@@ -445,7 +451,8 @@ let test_oracle_seam () =
       Alcotest.(check int) "one oracle call per solve"
         (counter "simplex.solves") (Atomic.get calls));
   let solve () =
-    ignore (Simplex.solve ~c:[| 1.0 |] ~rows:[| ([| 1.0 |], 1.0) |] ())
+    let rows = sparse_rows [| ([| 1.0 |], 1.0) |] in
+    ignore (Simplex.solve ~c:[| 1.0 |] ~rows ())
   in
   let seen = Atomic.get calls in
   (match
@@ -491,7 +498,7 @@ let test_warm_cap_falls_back () =
   Simplex.set_warm_starts true;
   Fun.protect ~finally:(fun () -> Simplex.set_warm_starts was) @@ fun () ->
   with_counters @@ fun () ->
-  let fam = Simplex.prepare ~c:(Array.make n 0.0) ~rows () in
+  let fam = Simplex.prepare ~c:(Array.make n 0.0) ~rows:(sparse_rows rows) () in
   (match Simplex.resolve fam with
   | Simplex.Optimal s -> checkf "c = 0 objective" 0.0 s.Simplex.objective
   | o -> Alcotest.fail ("c = 0: expected optimal, got " ^ outcome_tag o));
@@ -593,8 +600,10 @@ let test_solve_is_first_resolve () =
   let rand = Random.State.make [| 1818 |] in
   let tags = Hashtbl.create 8 and negative_rhs = ref 0 in
   let check ?max_pivots what (c, rows) =
-    let one_shot = Simplex.solve ?max_pivots ~c ~rows () in
-    let first = Simplex.resolve (Simplex.prepare ?max_pivots ~c ~rows ()) in
+    let one_shot = Simplex.solve ?max_pivots ~c ~rows:(sparse_rows rows) () in
+    let first =
+      Simplex.resolve (Simplex.prepare ?max_pivots ~c ~rows:(sparse_rows rows) ())
+    in
     Alcotest.(check string) (what ^ ": same outcome")
       (outcome_tag first) (outcome_tag one_shot);
     Alcotest.(check bool) (what ^ ": bit-identical outcome") true
