@@ -42,9 +42,14 @@ let build_row ?attempt ~prepare db deltas index (q, valuation) =
   let prep = Qp_obs.with_span "conflict.prepare" (fun () -> prepare db q) in
   let items = conflict_set_prepared prep deltas in
   Qp_obs.annotate (fun () ->
+      let d = Delta_eval.decisions prep in
       [
         ("strategy", Qp_obs.Str (Delta_eval.strategy_name prep));
         ("conflicts", Qp_obs.Int (Array.length items));
+        ("deltas_skipped", Qp_obs.Int d.Delta_eval.skipped);
+        ("deltas_unreferenced", Qp_obs.Int d.Delta_eval.unreferenced);
+        ("deltas_precheck_empty", Qp_obs.Int d.Delta_eval.precheck_empty);
+        ("deltas_joined", Qp_obs.Int d.Delta_eval.joined);
       ]);
   ( (q.Query.name, items, valuation),
     Delta_eval.strategy_name prep,

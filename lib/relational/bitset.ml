@@ -44,6 +44,21 @@ let init len f =
   done;
   t
 
+let gather t ids =
+  let n = Array.length ids in
+  let out = create n in
+  let words = t.words in
+  for wi = 0 to nwords n - 1 do
+    let base = wi * width in
+    let acc = ref 0 in
+    for b = 0 to min (width - 1) (n - 1 - base) do
+      let id = ids.(base + b) in
+      acc := !acc lor (((words.(id / width) lsr (id mod width)) land 1) lsl b)
+    done;
+    out.words.(wi) <- !acc
+  done;
+  out
+
 let check_len a b op =
   if a.len <> b.len then invalid_arg ("Bitset." ^ op ^ ": length mismatch")
 
@@ -91,6 +106,20 @@ let iter f t =
       w := !w land (!w - 1)
     done
   done
+
+let scatter t ids len =
+  let out = create len in
+  let ow = out.words in
+  for wi = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(wi) in
+    let base = wi * width in
+    while !w <> 0 do
+      let id = ids.(base + lowest_bit !w) in
+      ow.(id / width) <- ow.(id / width) lor (1 lsl (id mod width));
+      w := !w land (!w - 1)
+    done
+  done;
+  out
 
 let count t =
   let c = ref 0 in

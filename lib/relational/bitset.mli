@@ -18,6 +18,11 @@ val init : int -> (int -> bool) -> t
 (** [init len f] — bit [i] holds [f i]; [f] is applied in index order,
     accumulated word-at-a-time (the vectorized-kernel building block). *)
 
+val gather : t -> int array -> t
+(** [gather t ids] — bit [r] holds bit [ids.(r)] of [t]: a row mask
+    from a set of ids and each row's id, built a word at a time with
+    no call per bit. *)
+
 val length : t -> int
 (** Logical number of bits. *)
 
@@ -41,6 +46,11 @@ val complement_into : t -> unit
     zero). Implements SQL [NOT] over a predicate mask: rows where the
     inner predicate was false {e or null} become set, matching the
     row engine's two-valued semantics. *)
+
+val scatter : t -> int array -> int -> t
+(** [scatter t ids len] — the set, of length [len], of [ids.(r)] over
+    the set bits [r] of [t]: the dual of {!gather}, at {!iter}'s cost
+    with no call per bit. *)
 
 val count : t -> int
 (** Number of set bits: one popcount per word, O(words). *)

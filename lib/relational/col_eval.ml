@@ -7,9 +7,12 @@
    - per-level candidate sets come from vectorized predicate kernels
      over typed columns (Bitset masks combined word-wise), falling back
      to the conjunct's compiled closure for shapes without a kernel;
-   - equi-join indexes hash raw ints (or dictionary strings) instead of
-     boxed Value lists, with an explicit null bucket replicating the
-     row engine's structural Null = Null probe matching;
+   - a level probed through one equi reads the probed value's bucket
+     of its column's key index (Col_table.keys: dense value ids with
+     NULL as one more id, which replicates the row engine's structural
+     Null = Null probe matching), filtered by the level's candidate
+     mask, so a preparation builds no hash index; only levels probed
+     through several equis hash boxed Value lists;
    - join environments materialize as pointers to the source relation's
      row tuples (late materialization), so projection, grouping and
      aggregation share the row engine's code and values verbatim.
@@ -21,43 +24,61 @@
 
 module B = Bitset
 
+(* How a level's candidates are found from the levels before it, over
+   its non-constant equis (constant equis are folded into its mask). *)
 type index =
-  | Scan
-  | Ix_int of { tbl : (int, int list) Hashtbl.t; nulls : int list }
-  | Ix_str of { tbl : (string, int list) Hashtbl.t; nulls : int list }
-  | Ix_gen of { tbl : (Value.t list, int list) Hashtbl.t }
+  | Scan  (* no such equi: every candidate *)
+  | Ix_key of { key_col : int; probe : Expr.compiled }
+      (* one: the probe's bucket of the column's key index, filtered by
+         the level's mask — no per-preparation build *)
+  | Ix_gen of {
+      keyed : (int * Expr.compiled) list;  (* (key_col, probe) *)
+      tbl : (Value.t list, int list) Hashtbl.t;
+    }
+
+(* A level's equis as the star pre-checks read them, fixed at prepare:
+   the first bare level-0-column equi, the constant equis (their
+   values evaluated once) and every other equi. *)
+type probes = {
+  bare : (int * int) option;  (* (key_col, level-0 column) *)
+  consts : (int * Value.t) array;  (* (key_col, value) *)
+  exprs : (int * Expr.compiled) list;  (* (key_col, probe) *)
+}
 
 type level = {
   table : Col_table.t;
-  sel : int array;  (* candidate row ids after single-conjunct filters *)
+  sel : int array;
+      (* candidate row ids: passing the single-conjunct filters and the
+         constant equis *)
+  mask : B.t;  (* [sel] as a mask over the table's rows *)
   equis : (int * Expr.compiled * int option) list;
+  probes : probes;
   index : index;
   singles : Expr.compiled array;  (* pinned-tuple re-check in join_fixed *)
 }
 
 type t = {
-  plan : Eval.plan;
   levels : level array;
   cross : Expr.compiled array array;
-  rev0 : (int, (Value.t, int list) Hashtbl.t) Hashtbl.t;
-      (* lazily-built per-column bucket index over level 0's candidates:
-         a pinned level joined to a level-0 column scans one bucket *)
   star : bool;
       (* every equi probe reads level 0 only (a bare column, an
          expression over level-0 columns, or a constant) and no cross
          filters exist anywhere: levels are independent given level 0,
-         so per-level bucket emptiness decides joinability exactly *)
+         so per-level partner masks decide joinability exactly *)
   mutable participating : (Relation.tuple, unit) Hashtbl.t array option;
       (* per level, the tuples (compared by value, as the row engine's
          hash probes do) occurring in at least one satisfying env *)
   mutable masks : B.t array option;
       (* star plans only: per level g >= 1, the level-0 candidates that
-         find at least one partner at level g — the bit per candidate
-         row makes "joins every level but f" a couple of bit tests *)
-  joinable : (int, (Value.t, unit) Hashtbl.t) Hashtbl.t;
-      (* star plans only, lazily per pinned level f: the keys of f's
-         bare-column equi whose level-0 bucket holds a row joining every
-         level but f (see star_dim_pin) *)
+         find at least one partner at level g *)
+  ands : B.t option array;
+      (* star plans only, lazily per level f: the level-0 candidates
+         whose mask bit is set at every level but f (f = 0: at every
+         level) — the rows that complete a join pinned at f *)
+  joinable : B.t option array;
+      (* star plans only, lazily per level f with a bare-column equi:
+         the key ids (in that level-0 column's domain) of the rows of
+         [ands.(f)] *)
   scratch : Relation.tuple array;
       (* reusable one-binding env for the emptiness pre-checks; safe
          because star probes and per-level singles never read the other
@@ -212,6 +233,26 @@ let truthy_kernel table ci =
       apply_valid (B.init n (fun i -> data.(i) <> 0)) valid
   | Col_table.C_str { valid; _ } -> all_valid n valid (* any string is true *)
 
+(* Rows whose cell equals [v] under the equi probes' structural
+   equality, where (unlike the Eq kernel) a NULL equals a NULL. *)
+let equal_kernel table ci v =
+  let n = Col_table.nrows table in
+  match (Col_table.col table ci, v) with
+  | (Col_table.C_int { valid; _ } | Col_table.C_str { valid; _ }), Value.Null ->
+      let m = B.create n in
+      Option.iter
+        (fun valid ->
+          B.union_into m valid;
+          B.complement_into m)
+        valid;
+      m
+  | Col_table.C_int { data; valid }, Value.Int c -> int_range n data valid c c
+  | Col_table.C_str { codes; dict; valid }, Value.Str s -> (
+      match Col_table.rank dict s with
+      | r, true -> int_range n codes valid r r
+      | _, false -> B.create n)
+  | _ -> B.create n
+
 (* Compile one single-level conjunct AST to a mask, or None when no
    kernel shape applies (the caller then uses the compiled closure). *)
 let rec kernel env_schemas lvl table e =
@@ -278,43 +319,42 @@ let rec kernel env_schemas lvl table e =
 
 (* --- level construction -------------------------------------------- *)
 
-let bucket_push tbl k row =
-  Hashtbl.replace tbl k (row :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
-
 let build_index table sel equis =
-  match equis with
+  match List.filter (fun (_, probe, _) -> probe.Expr.tables <> []) equis with
   | [] -> Scan
-  | [ (key_col, _, _) ] -> (
-      match Col_table.col table key_col with
-      | Col_table.C_int { data; valid } ->
-          let tbl = Hashtbl.create (max 16 (Array.length sel)) in
-          let nulls = ref [] in
-          Array.iter
-            (fun row ->
-              match valid with
-              | Some v when not (B.get v row) -> nulls := row :: !nulls
-              | _ -> bucket_push tbl data.(row) row)
-            sel;
-          Ix_int { tbl; nulls = !nulls }
-      | Col_table.C_str { codes; dict; valid } ->
-          let tbl = Hashtbl.create (max 16 (Array.length sel)) in
-          let nulls = ref [] in
-          Array.iter
-            (fun row ->
-              match valid with
-              | Some v when not (B.get v row) -> nulls := row :: !nulls
-              | _ -> bucket_push tbl dict.(codes.(row)) row)
-            sel;
-          Ix_str { tbl; nulls = !nulls })
+  | [ (key_col, probe, _) ] -> Ix_key { key_col; probe }
   | equis ->
       let tbl = Hashtbl.create (max 16 (Array.length sel)) in
       Array.iter
         (fun row ->
           let tup = Col_table.tuple table row in
           let key = List.map (fun (key_col, _, _) -> tup.(key_col)) equis in
-          bucket_push tbl key row)
+          Hashtbl.replace tbl key
+            (row :: Option.value (Hashtbl.find_opt tbl key) ~default:[]))
         sel;
-      Ix_gen { tbl }
+      Ix_gen { keyed = List.map (fun (kc, probe, _) -> (kc, probe)) equis; tbl }
+
+let probes_of equis =
+  let bare =
+    List.find_opt (fun (_, _, c0) -> Option.is_some c0) equis
+  in
+  let others =
+    match bare with
+    | Some b -> List.filter (fun e -> e != b) equis
+    | None -> equis
+  in
+  let consts, exprs =
+    List.partition (fun (_, probe, _) -> probe.Expr.tables = []) others
+  in
+  (* Constant probes never read the env. *)
+  let env = [||] in
+  {
+    bare = Option.map (fun (key_col, _, c0) -> (key_col, Option.get c0)) bare;
+    consts =
+      Array.of_list
+        (List.map (fun (kc, probe, _) -> (kc, probe.Expr.eval env)) consts);
+    exprs = List.map (fun (kc, probe, _) -> (kc, probe)) exprs;
+  }
 
 let build_level plan db lvl =
   let env_schemas = Eval.from_env plan in
@@ -322,32 +362,39 @@ let build_level plan db lvl =
   let table = Col_table.of_relation_cached (Database.relation db name) in
   let n = Col_table.nrows table in
   let singles = Eval.single_filters plan lvl in
-  let sel =
-    (* No single-table conjunct: every row is a candidate, no mask. *)
-    if singles = [] then Array.init n Fun.id
-    else begin
-      let mask = B.full n in
-      let scratch = Array.make (Array.length env_schemas) [||] in
-      List.iter
-        (fun { Eval.f_ast; f_comp } ->
-          match kernel env_schemas lvl table f_ast with
-          | Some m -> B.inter_into mask m
-          | None ->
-              B.iter
-                (fun i ->
-                  scratch.(lvl) <- Col_table.tuple table i;
-                  if not (Expr.is_true (f_comp.Expr.eval scratch)) then
-                    B.clear mask i)
-                mask)
-        singles;
-      B.to_array mask
-    end
-  in
   let equis = Eval.level_equis plan lvl in
+  let probes = probes_of equis in
+  (* A constant equi filters the level like a single-table conjunct,
+     under the probes' structural equality. *)
+  let mask = B.full n in
+  Array.iter
+    (fun (kc, v) -> B.inter_into mask (equal_kernel table kc v))
+    probes.consts;
+  if singles <> [] then begin
+    let scratch = Array.make (Array.length env_schemas) [||] in
+    List.iter
+      (fun { Eval.f_ast; f_comp } ->
+        match kernel env_schemas lvl table f_ast with
+        | Some m -> B.inter_into mask m
+        | None ->
+            B.iter
+              (fun i ->
+                scratch.(lvl) <- Col_table.tuple table i;
+                if not (Expr.is_true (f_comp.Expr.eval scratch)) then
+                  B.clear mask i)
+              mask)
+      singles
+  end;
+  let sel =
+    if singles = [] && probes.consts = [||] then Array.init n Fun.id
+    else B.to_array mask
+  in
   {
     table;
     sel;
+    mask;
     equis;
+    probes;
     index = build_index table sel equis;
     singles = Array.of_list (List.map (fun f -> f.Eval.f_comp) singles);
   }
@@ -371,105 +418,71 @@ let prepare plan db =
              lv.equis)
          levels
   in
+  let n = Array.length levels in
   {
-    plan;
     levels;
     cross;
-    rev0 = Hashtbl.create 4;
     star;
     participating = None;
     masks = None;
-    joinable = Hashtbl.create 4;
-    scratch = Array.make (Array.length levels) [||];
+    ands = Array.make n None;
+    joinable = Array.make n None;
+    scratch = Array.make n [||];
   }
-
-let plan t = t.plan
 
 (* --- join enumeration ---------------------------------------------- *)
 
-let rev0_index t c0 =
-  match Hashtbl.find_opt t.rev0 c0 with
-  | Some idx -> idx
-  | None ->
-      let lv = t.levels.(0) in
-      let idx =
-        if Array.length lv.sel = Col_table.nrows lv.table then
-          (* No level-0 filter: the cached full-table index is exactly
-             the selection-restricted one, shared across queries. *)
-          Col_table.rev_index lv.table c0
-        else begin
-          let idx = Hashtbl.create 256 in
-          (match Col_table.col lv.table c0 with
-          | Col_table.C_int { data; valid } ->
-              Array.iter
-                (fun row ->
-                  let k =
-                    match valid with
-                    | Some v when not (B.get v row) -> Value.Null
-                    | _ -> Value.Int data.(row)
-                  in
-                  bucket_push idx k row)
-                lv.sel
-          | Col_table.C_str { codes; dict; valid } ->
-              Array.iter
-                (fun row ->
-                  let k =
-                    match valid with
-                    | Some v when not (B.get v row) -> Value.Null
-                    | _ -> Value.Str dict.(codes.(row))
-                  in
-                  bucket_push idx k row)
-                lv.sel);
-          idx
-        end
-      in
-      Hashtbl.replace t.rev0 c0 idx;
-      idx
+(* The rows of [table] holding a value equal to [v] in column [col],
+   in descending row order, that [keep] admits. *)
+let iter_bucket table col v keep f =
+  let id = Col_table.key_id table col v in
+  if id >= 0 then begin
+    let k = Col_table.keys table col in
+    for i = k.Col_table.start.(id) to k.Col_table.start.(id + 1) - 1 do
+      let r = k.Col_table.rows.(i) in
+      if B.get keep r then f r
+    done
+  end
 
-let probe_rows index (key : Value.t list) =
-  match (index, key) with
-  | Ix_int { tbl; nulls }, [ v ] -> (
-      match v with
-      | Value.Int i -> Option.value (Hashtbl.find_opt tbl i) ~default:[]
-      | Value.Null -> nulls (* Null = Null matches, like the row probe *)
-      | Value.Str _ | Value.Ratio _ -> [])
-  | Ix_str { tbl; nulls }, [ v ] -> (
-      match v with
-      | Value.Str s -> Option.value (Hashtbl.find_opt tbl s) ~default:[]
-      | Value.Null -> nulls
-      | Value.Int _ | Value.Ratio _ -> [])
-  | Ix_gen { tbl }, key -> Option.value (Hashtbl.find_opt tbl key) ~default:[]
-  | Scan, _ -> assert false
-  | (Ix_int _ | Ix_str _), _ -> assert false
+let exists_in_bucket table col v keep p =
+  let id = Col_table.key_id table col v in
+  id >= 0
+  &&
+  let k = Col_table.keys table col in
+  let i = ref k.Col_table.start.(id) and stop = k.Col_table.start.(id + 1) in
+  while
+    !i < stop
+    && not (B.get keep k.Col_table.rows.(!i) && p k.Col_table.rows.(!i))
+  do
+    incr i
+  done;
+  !i < stop
+
+let gen_rows tbl keyed env =
+  Option.value
+    (Hashtbl.find_opt tbl (List.map (fun (_, probe) -> probe.Expr.eval env) keyed))
+    ~default:[]
 
 let passes env filters =
   Array.for_all (fun c -> Expr.is_true (c.Expr.eval env)) filters
 
 (* Does level [g] (>= 1) offer at least one tuple for the level-0 row
    bound in [env]? Star probes read only level 0, so this is a single
-   bucket lookup; a Scan level is an unkeyed cross product over its
-   candidates. Single-equi levels skip the key-list allocation. *)
+   bucket probe; a Scan level is an unkeyed cross product over its
+   candidates. *)
 let level_has_match t env g =
   let lv = t.levels.(g) in
-  match (lv.index, lv.equis) with
-  | Scan, _ -> Array.length lv.sel > 0
-  | Ix_int { tbl; nulls }, [ (_, probe, _) ] -> (
-      match probe.Expr.eval env with
-      | Value.Int i -> Hashtbl.mem tbl i
-      | Value.Null -> nulls <> []
-      | Value.Str _ | Value.Ratio _ -> false)
-  | Ix_str { tbl; nulls }, [ (_, probe, _) ] -> (
-      match probe.Expr.eval env with
-      | Value.Str s -> Hashtbl.mem tbl s
-      | Value.Null -> nulls <> []
-      | Value.Int _ | Value.Ratio _ -> false)
-  | index, equis ->
-      probe_rows index (List.map (fun (_, probe, _) -> probe.Expr.eval env) equis)
-      <> []
+  match lv.index with
+  | Scan -> Array.length lv.sel > 0
+  | Ix_key { key_col; probe } ->
+      exists_in_bucket lv.table key_col (probe.Expr.eval env) lv.mask (fun _ -> true)
+  | Ix_gen { keyed; tbl } -> gen_rows tbl keyed env <> []
 
-(* One pass per level over level 0's candidates: bit [r] of mask [g]
-   says candidate row [r] finds a partner at level [g]. Levels probed
-   on a bare level-0 column run over the unboxed column directly. *)
+(* One mask per level g >= 1 over level 0's rows: bit [r] says
+   candidate row [r] finds a partner at level [g]. A level keyed by a
+   bare level-0 column and constants is filled from level 0's unboxed
+   key ids: the partners' keys become a set of ids, and a row joins iff
+   its own id is in it. *)
 let level_masks t =
   match t.masks with
   | Some m -> m
@@ -481,68 +494,50 @@ let level_masks t =
         Array.init n (fun g ->
             if g = 0 then B.create 0
             else
-              let m = B.create n0 in
               let lv = t.levels.(g) in
-              let generic () =
-                let env = Array.make n [||] in
-                Array.iter
-                  (fun r ->
-                    env.(0) <- Col_table.tuple lv0.table r;
-                    if level_has_match t env g then B.set m r)
-                  lv0.sel
-              in
-              (let bare, rest =
-                 List.partition (fun (_, _, c0) -> c0 <> None) lv.equis
-               in
-               let rest_const =
-                 List.for_all
-                   (fun (_, probe, _) -> probe.Expr.tables = [])
-                   rest
-               in
-               (* Constant probes ([tables] = []) never read the env. *)
-               let consts () =
-                 List.map
-                   (fun (kc, probe, _) -> (kc, probe.Expr.eval t.scratch))
-                   rest
-               in
-               let matches_consts consts tup =
-                 List.for_all (fun (kc, v) -> tup.(kc) = v) consts
-               in
-               match (lv.index, bare) with
-               | Scan, _ ->
-                   if Array.length lv.sel > 0 then
-                     Array.iter (fun r -> B.set m r) lv0.sel
-               | _, [ (key_col, _, Some c0) ] when rest_const ->
-                   (* One bare-column equi (plus constant equis): build
-                      from the (small) dim side — each candidate partner
-                      passing the constants selects a reverse bucket of
-                      level-0 rows. Null keys land on the Null bucket,
-                      matching the probe's Null = Null rule. *)
-                   let rev = rev0_index t c0 in
-                   let consts = consts () in
-                   Array.iter
-                     (fun drow ->
-                       let tup = Col_table.tuple lv.table drow in
-                       if matches_consts consts tup then
-                         match Hashtbl.find_opt rev tup.(key_col) with
-                         | Some rows -> List.iter (fun r -> B.set m r) rows
-                         | None -> ())
-                     lv.sel
-               | _, [] when rest_const ->
-                   (* Purely constant-keyed level: every candidate
-                      level-0 row joins iff some partner passes. *)
-                   let consts = consts () in
-                   if
-                     Array.exists
-                       (fun drow ->
-                         matches_consts consts (Col_table.tuple lv.table drow))
-                       lv.sel
-                   then Array.iter (fun r -> B.set m r) lv0.sel
-               | _ -> generic ());
-               m)
+              match lv.probes with
+              | { bare = Some (key_col, c0); exprs = []; _ } ->
+                  let k0 = Col_table.keys lv0.table c0 in
+                  let kg = Col_table.keys lv.table key_col in
+                  let partner_ids =
+                    Col_table.translate lv0.table c0 lv.table key_col
+                      (B.scatter lv.mask kg.Col_table.ids
+                         (kg.Col_table.null_id + 1))
+                  in
+                  let m = B.gather partner_ids k0.Col_table.ids in
+                  B.inter_into m lv0.mask;
+                  m
+              | { bare = None; exprs = []; _ } ->
+                  (* Unkeyed or constant-keyed: every candidate joins iff
+                     the level has one. *)
+                  if Array.length lv.sel > 0 then lv0.mask else B.create n0
+              | _ ->
+                  let m = B.create n0 in
+                  let env = Array.make n [||] in
+                  B.iter
+                    (fun r ->
+                      env.(0) <- Col_table.tuple lv0.table r;
+                      if level_has_match t env g then B.set m r)
+                    lv0.mask;
+                  m)
       in
       t.masks <- Some masks;
       masks
+
+(* [ands.(f)], built on first use: level 0's candidates AND every mask
+   but level f's. *)
+let ands t f =
+  match t.ands.(f) with
+  | Some a -> a
+  | None ->
+      let lv0 = t.levels.(0) in
+      let a = B.create (Col_table.nrows lv0.table) in
+      B.union_into a lv0.mask;
+      Array.iteri
+        (fun g m -> if g > 0 && g <> f then B.inter_into a m)
+        (level_masks t);
+      t.ands.(f) <- Some a;
+      a
 
 let enumerate t fixed =
   let n = Array.length t.levels in
@@ -560,22 +555,6 @@ let enumerate t fixed =
   in
   if not fixed_ok then []
   else begin
-    (* When the pinned level joins level 0 directly on a column,
-       restrict the level-0 scan to the matching bucket. *)
-    let level0_bucket =
-      match fixed with
-      | Some (flvl, tup) when flvl > 0 -> (
-          match
-            List.find_opt (fun (_, _, c0) -> c0 <> None) t.levels.(flvl).equis
-          with
-          | Some (key_col, _, Some c0) ->
-              Some
-                (Option.value
-                   (Hashtbl.find_opt (rev0_index t c0) tup.(key_col))
-                   ~default:[])
-          | _ -> None)
-      | _ -> None
-    in
     let rec extend lvl =
       if lvl = n then out := Array.copy env :: !out
       else
@@ -598,42 +577,26 @@ let enumerate t fixed =
             then visit_tup tup
         | _ -> (
             match lv.index with
-            | Scan -> (
-                (* Star plans: the level masks decide, per level-0
-                   candidate, whether every later level has a partner —
-                   rows failing any mask produce no env, so skip them
-                   before touching a tuple. A pinned level is exempt
-                   ([skip]): join_fixed admits tuples outside its
-                   candidate set, which the masks never see. *)
-                let star_iter skip iter coll =
-                  if t.star && n > 1 then begin
-                    let masks = level_masks t in
-                    iter
-                      (fun r ->
-                        let ok = ref true in
-                        let g = ref 1 in
-                        while !ok && !g < n do
-                          if !g <> skip then ok := B.get masks.(!g) r;
-                          incr g
-                        done;
-                        if !ok then visit_row r)
-                      coll
-                  end
-                  else iter visit_row coll
-                in
-                match (lvl, level0_bucket, fixed) with
-                | 0, Some bucket, Some (flvl, _) ->
-                    star_iter flvl List.iter bucket
-                | 0, Some bucket, None -> List.iter visit_row bucket
-                | 0, None, None -> star_iter (-1) Array.iter lv.sel
-                | 0, None, Some (flvl, _) when flvl > 0 ->
-                    star_iter flvl Array.iter lv.sel
-                | _ -> Array.iter visit_row lv.sel)
-            | index ->
-                let key =
-                  List.map (fun (_, probe, _) -> probe.Expr.eval env) lv.equis
-                in
-                List.iter visit_row (probe_rows index key))
+            | Scan when lvl = 0 -> (
+                (* Star plans: rows failing a partner mask produce no
+                   env, so only the AND of the masks is visited. A
+                   pinned level is exempt: join_fixed admits tuples
+                   outside its candidate set, which the masks never
+                   see. When the pinned level joins a level-0 column,
+                   only that value's bucket is scanned. *)
+                let pinned = match fixed with Some (f, _) -> f | None -> 0 in
+                let keep = if t.star && n > 1 then ands t pinned else lv.mask in
+                match fixed with
+                | Some (flvl, tup) -> (
+                    match t.levels.(flvl).probes.bare with
+                    | Some (key_col, c0) ->
+                        iter_bucket lv.table c0 tup.(key_col) keep visit_row
+                    | None -> B.iter visit_row keep)
+                | None -> B.iter visit_row keep)
+            | Scan -> Array.iter visit_row lv.sel
+            | Ix_key { key_col; probe } ->
+                iter_bucket lv.table key_col (probe.Expr.eval env) lv.mask visit_row
+            | Ix_gen { keyed; tbl } -> List.iter visit_row (gen_rows tbl keyed env))
     in
     extend 0;
     !out
@@ -652,23 +615,24 @@ let run db q =
    tuple contributes nothing: join_fixed re-applies singles and probes
    every level for both the old and the new tuple, per delta. The
    checks below decide the common "contribution empty" case from
-   precomputed state in a handful of hash lookups and bit tests.
+   precomputed state in a handful of bit tests and lookups.
 
    A pinned tuple's contribution is a value-level question — join_fixed
    pins by value, bypassing the pinned level's own candidate set — so
    the same test serves the old (stored) and the new (hypothetical)
-   tuple of a delta.
+   tuple of a delta. A stored tuple is also its row, which answers
+   faster: a stored level-0 row takes part iff its bit is set in the
+   AND of every level's mask.
 
    On star plans a pin costs a constant number of lookups, whatever the
    size of the fact table. Pinning level 0 is one bucket probe per
-   remaining level. Pinning a dimension level f reads
-   its joinable-key set, built once per preparation and level next to
-   the level masks: every key of f's bare-column equi whose level-0
-   bucket holds a row that joins every level but f. When f's other
-   equis are all constant probes, the pin joins iff its key is in the
-   set and its tuple matches those constants — one Hashtbl.mem instead
-   of a bucket scan per delta. Levels with expression probes still scan
-   the bucket. *)
+   remaining level. Pinning a dimension level f reads its joinable-key
+   set, built once per preparation and level from the AND of the other
+   levels' masks: the key ids of f's bare-column equi on the rows that
+   join every level but f. When f's other equis are all constant
+   probes, the pin joins iff its key's id is in the set and its tuple
+   matches those constants — one bit test instead of a bucket scan per
+   delta. Levels with expression probes still scan the bucket. *)
 
 let seed_participating_from t envs =
   let p = Array.map (fun _ -> Hashtbl.create 1024) t.levels in
@@ -690,79 +654,50 @@ let participating t =
       seed_participating_from t (enumerate t None);
       Option.get t.participating
 
-(* The keys of [rev] whose bucket holds a row passing [completes]:
-   built once per (preparation, pinned level) and cached. *)
-let joinable_keys t flvl rev completes =
-  match Hashtbl.find_opt t.joinable flvl with
-  | Some keys -> keys
+(* The ids, in level 0's column [c0], of the rows that join every level
+   but [f]: built once per (preparation, pinned level). *)
+let joinable t f c0 =
+  match t.joinable.(f) with
+  | Some j -> j
   | None ->
-      let keys = Hashtbl.create (Hashtbl.length rev) in
-      Hashtbl.iter
-        (fun k rows -> if List.exists completes rows then Hashtbl.replace keys k ())
-        rev;
-      Hashtbl.replace t.joinable flvl keys;
-      keys
+      let k0 = Col_table.keys t.levels.(0).table c0 in
+      let j = B.scatter (ands t f) k0.Col_table.ids (k0.Col_table.null_id + 1) in
+      t.joinable.(f) <- Some j;
+      j
+
+let consts_match consts tup = Array.for_all (fun (kc, v) -> tup.(kc) = v) consts
 
 (* Exact joinability of a tuple pinned at a star plan's level [flvl]
-   (>= 1): some level-0 candidate must match every equi of [flvl]
-   against the pinned tuple and find a partner at each remaining level
-   (the mask bits). Candidates come from the reverse bucket of a
-   bare-column equi; when every other equi is a constant probe the
-   candidates need not be visited, as the joinable-key set answers for
-   the whole bucket. A level with only expression probes has no such
+   (>= 1) that passes its singles: it must match the level's constant
+   equis, and some level-0 row of [ands flvl] must match its other
+   equis. With a bare-column equi and no expression probes that is one
+   bit test in the joinable-key set; with expression probes, a scan of
+   the key's bucket. A level with only expression probes has no such
    bucket and stays conservative. *)
 let star_dim_pin t flvl tup =
-  let lv = t.levels.(flvl) in
-  let masks = level_masks t in
-  let n = Array.length t.levels in
-  let completes r =
-    let ok = ref true in
-    let g = ref 1 in
-    while !ok && !g < n do
-      if !g <> flvl then ok := B.get masks.(!g) r;
-      incr g
-    done;
-    !ok
-  in
-  match lv.equis with
-  | [] ->
-      (* Unkeyed level: the pin joins iff any level-0 candidate
-         completes at the remaining levels. *)
-      Array.exists completes t.levels.(0).sel
-  | equis -> (
-      match List.find_opt (fun (_, _, c0) -> c0 <> None) equis with
-      | Some ((key_col, _, Some c0) as chosen) ->
-          let rev = rev0_index t c0 in
-          let extra = List.filter (fun e -> e != chosen) equis in
-          let env = t.scratch in
-          let extra_match () =
-            List.for_all
-              (fun (kc, probe, _) -> probe.Expr.eval env = tup.(kc))
-              extra
-          in
-          if List.for_all (fun (_, probe, _) -> probe.Expr.tables = []) extra
-          then
-            (* Constant probes never read [env]: check them once, after
-               the key, as the bucket scan would. *)
-            Hashtbl.mem (joinable_keys t flvl rev completes) tup.(key_col)
-            && extra_match ()
-          else
-            List.exists
-              (fun r ->
-                completes r
-                && begin
-                     env.(0) <- Col_table.tuple t.levels.(0).table r;
-                     extra_match ()
-                   end)
-              (Option.value (Hashtbl.find_opt rev tup.(key_col)) ~default:[])
-      | _ -> true)
+  let { bare; consts; exprs } = t.levels.(flvl).probes in
+  consts_match consts tup
+  &&
+  match (bare, exprs) with
+  | None, [] -> B.count (ands t flvl) > 0
+  | None, _ :: _ -> true
+  | Some (key_col, c0), [] -> (
+      match Col_table.key_id t.levels.(0).table c0 tup.(key_col) with
+      | -1 -> false
+      | id -> B.get (joinable t flvl c0) id)
+  | Some (key_col, c0), exprs ->
+      let env = t.scratch in
+      let table0 = t.levels.(0).table in
+      exists_in_bucket table0 c0 tup.(key_col) (ands t flvl) (fun r ->
+          env.(0) <- Col_table.tuple table0 r;
+          List.for_all (fun (kc, probe) -> probe.Expr.eval env = tup.(kc)) exprs)
 
 (* Emptiness of [join_fixed (flvl, tup)] without running it: [false] is
    always exact; [true] means "maybe nonempty" and the caller falls
    back to the full join. Star plans are decided exactly (modulo
    expression-probed pinned levels): pinning level 0 leaves one bucket
    probe per remaining level, and pinning a later level reduces to its
-   joinable-key set (or its reverse bucket filtered by the masks). *)
+   joinable-key set (or its bucket filtered by the masks). *)
 let pin_may_join t flvl tup =
   let scratch = t.scratch in
   scratch.(flvl) <- tup;
@@ -789,15 +724,16 @@ let pin_may_join t flvl tup =
         match c0 with
         | None -> true
         | Some c0 ->
-            Option.value
-              (Hashtbl.find_opt (rev0_index t c0) tup.(key_col))
-              ~default:[]
-            <> [])
+            let lv0 = t.levels.(0) in
+            exists_in_bucket lv0.table c0 tup.(key_col) lv0.mask (fun _ -> true))
       t.levels.(flvl).equis
   else true
 
-let tuple_participates t lvl tup =
-  if t.star then pin_may_join t lvl tup
-  else Hashtbl.mem (participating t).(lvl) tup
+let row_participates t lvl row =
+  let lv = t.levels.(lvl) in
+  if not t.star then
+    Hashtbl.mem (participating t).(lvl) (Col_table.tuple lv.table row)
+  else if lvl = 0 then B.get (ands t 0) row
+  else B.get lv.mask row && star_dim_pin t lvl (Col_table.tuple lv.table row)
 
 let may_extend = pin_may_join

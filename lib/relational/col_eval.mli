@@ -19,9 +19,6 @@ val prepare : Eval.plan -> Database.t -> t
     images are cached per relation, see
     {!Col_table.of_relation_cached}). *)
 
-val plan : t -> Eval.plan
-(** The plan this state was prepared from. *)
-
 val join_all : t -> Expr.env list
 (** Every [WHERE]-satisfying join environment (the pre-aggregation
     rows), reusing the prepared indexes. *)
@@ -32,7 +29,8 @@ val join_fixed : t -> int * Relation.tuple -> Expr.env list
     need not occur in the instance — this is how {!Delta_eval} probes a
     changed tuple for its contribution to the answer). When the pinned
     level joins a level-0 column directly, the level-0 scan shrinks to
-    that value's bucket of a lazily built reverse index. *)
+    that value's bucket of the column's key index
+    ({!Col_table.keys}). *)
 
 val run : Database.t -> Query.t -> Result_set.t
 (** [run db q] is the full answer [Q(D)] — the library's one
@@ -48,17 +46,19 @@ val run : Database.t -> Query.t -> Result_set.t
 
 val seed_participating : t -> Expr.env list -> unit
 (** Record the satisfying envs (as returned by {!join_all}) so
-    {!tuple_participates} need not re-enumerate. A no-op if already
+    {!row_participates} need not re-enumerate. A no-op if already
     seeded, and for star plans, which never consult the table: their
     pins are decided directly from indexes and per-level masks. *)
 
-val tuple_participates : t -> int -> Relation.tuple -> bool
-(** Whether a tuple equal by value to [tup] can occur at [FROM]
-    position [lvl] in a satisfying env. [false] is always exact — it
-    proves the pinned old tuple contributes nothing. Star plans (no
-    cross-level filters, every equi probing only level 0) answer from
-    index probes and reverse-bucket/mask tests without enumerating;
-    other plans hash the seeded (or lazily enumerated) env set. *)
+val row_participates : t -> int -> int -> bool
+(** [row_participates t lvl row] — whether the stored row [row] of
+    [FROM] position [lvl]'s table (or a tuple equal to it by value)
+    occurs in a satisfying env. [false] is always exact — it proves
+    the old tuple of a delta on that row contributes nothing. On star
+    plans (no cross-level filters, every equi probing only level 0) a
+    level-0 row is one bit test in the AND of the per-level partner
+    masks, and a dimension row a bit test in its level's joinable-key
+    set; other plans hash the seeded (or lazily enumerated) env set. *)
 
 val may_extend : t -> int -> Relation.tuple -> bool
 (** Joinability of a {e new} tuple pinned at a level — a tuple the

@@ -20,20 +20,14 @@ type col =
 type t
 (** One relation in columnar form. *)
 
-val of_relation : Relation.t -> t
-(** Build the columnar image (dictionary sort included). *)
-
 val of_relation_cached : Relation.t -> t
-(** {!of_relation} memoized per domain on physical equality of the
+(** The columnar image (dictionary sort included), memoized per domain on physical equality of the
     relation — repeated prepares against the same instance reuse one
     image. Bounded and FIFO: a miss enters at the front and evicts the
     oldest entry past the cap, a hit does not move. Every delta of a
     columnar fallback preparation ({!Delta_eval}) adds one entry, the
     image of its perturbed relation. Safe under the moving GC because
     keys are compared with [==], never hashed by address. *)
-
-val relation : t -> Relation.t
-(** The source relation. *)
 
 val nrows : t -> int
 (** Number of rows. *)
@@ -44,20 +38,41 @@ val col : t -> int -> col
 val tuple : t -> int -> Relation.tuple
 (** [tuple t i] — the source relation's row [i], by pointer. *)
 
-val value : t -> int -> int -> Value.t
-(** [value t row col] — one cell decoded back to a {!Value.t}
-    ([Null] when the validity bit is clear). *)
+type keys = {
+  ids : int array;
+      (** Per row, the id of its value: equal values (NULLs included,
+          under the equi probes' Null = Null rule) share an id. *)
+  ints : int array;
+      (** Int column: its sorted distinct non-NULL values, value [i]
+          having id [i]. Empty for a string column, whose ids are its
+          dictionary codes. *)
+  null_id : int;
+      (** The id of NULL, one past the last value id; [null_id + 1] is
+          the size of the id domain. *)
+  start : int array;
+      (** Offsets into [rows], one per id and one past the last. *)
+  rows : int array;
+      (** Reverse index: the rows holding id [k] are
+          [rows.(start.(k)) .. rows.(start.(k + 1) - 1)], in
+          descending row order. *)
+}
+(** The key index of one column: dense value ids and their rows. *)
 
-val rev_index : t -> int -> (Value.t, int list) Hashtbl.t
-(** [rev_index t col] — full-table reverse index: every row id per
-    value, [Null]s under {!Value.Null}, buckets in descending row
-    order. Built lazily, cached on the table (domain-local, so the
-    mutation races with nothing). Valid as a selection-restricted
-    index only when the selection covers every row. *)
+val keys : t -> int -> keys
+(** [keys t col] — column [col]'s key index. Built lazily and cached on
+    the table (domain-local, so the mutation races with nothing). *)
 
-val lower_bound : string array -> string -> int
-(** [lower_bound dict s] — first index holding a string [>= s] (the
-    array length when all are smaller). Requires a sorted array. *)
+val key_id : t -> int -> Value.t -> int
+(** [key_id t col v] — the id of [v] in column [col]'s key domain, or
+    [-1] when no row holds a value equal to [v]. [Null] always maps to
+    [null_id]. *)
+
+val translate : t -> int -> t -> int -> Bitset.t -> Bitset.t
+(** [translate t col src src_col set] — [set], a set of ids in
+    [src]'s column [src_col] key domain, as the ids in [t]'s column
+    [col] domain of the same values (values [t] does not hold drop
+    out; NULL maps to NULL). One merge of the two sorted domains,
+    O(distinct values of both). *)
 
 val rank : string array -> string -> int * bool
 (** [(lower_bound, exact)] — the dictionary rank of [s] and whether it

@@ -23,7 +23,6 @@ type joins = {
 
 type t = {
   db : Database.t;
-  q : Query.t;
   plan : Eval.plan;
   joins_of : Eval.plan -> Database.t -> joins;
       (** builds the enumerator over any instance (the fallback's) *)
@@ -36,13 +35,34 @@ type t = {
   referenced : bool array array;
       (** per level, per column: does the query read this column?
           Powers the unreferenced-cell short circuit. *)
-  rels : (string, Relation.t) Hashtbl.t;
-      (** per-delta relation resolution cache (skips the lowercasing
-          name lookup inside {!Database.relation} on every delta) *)
+  filtered : bool array array;
+      (** per level, per column: does the WHERE clause read it? *)
+  mutable resolved : (string * (int list * Relation.t) option) list;
+      (** per-delta resolution of a relation name to its FROM levels
+          and relation: a database has a handful of relations, so a
+          few string comparisons replace the hashing and lowercasing
+          lookups on every delta *)
   mutable base : Result_set.t option;
+  mutable skipped : int;  (** deltas on no [FROM] table *)
+  mutable unreferenced : int;  (** cell changes the query never reads *)
+  mutable precheck_empty : int;  (** proven empty by the pre-checks *)
+  mutable joined : int;  (** decided by a join or a re-evaluation *)
 }
 
-let query t = t.q
+type decisions = {
+  skipped : int;
+  unreferenced : int;
+  precheck_empty : int;
+  joined : int;
+}
+
+let decisions (t : t) =
+  {
+    skipped = t.skipped;
+    unreferenced = t.unreferenced;
+    precheck_empty = t.precheck_empty;
+    joined = t.joined;
+  }
 
 let base_result core =
   match core.base with
@@ -82,36 +102,41 @@ let table_positions q =
     q.Query.from;
   positions
 
+(* Per level, per column: is it read by one of [exprs]? *)
+let columns_read plan exprs =
+  let env_schemas = Eval.from_env plan in
+  let refs =
+    Array.map (fun (_, s) -> Array.make (Schema.arity s) false) env_schemas
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun cr ->
+          let lvl, col = Expr.resolve env_schemas cr in
+          refs.(lvl).(col) <- true)
+        (Expr.columns e))
+    exprs;
+  refs
+
 (* Which (level, column) cells can influence the answer: every column
    referenced by the WHERE clause, the select items, the GROUP BY keys
    or the aggregate arguments. A Cell_change on an unreferenced column
    cannot change the answer (row multiplicities are unchanged and no
    output or predicate reads the cell). *)
 let referenced_columns plan q =
-  let env_schemas = Eval.from_env plan in
-  let refs =
-    Array.map (fun (_, s) -> Array.make (Schema.arity s) false) env_schemas
-  in
-  let mark e =
-    List.iter
-      (fun cr ->
-        let lvl, col = Expr.resolve env_schemas cr in
-        refs.(lvl).(col) <- true)
-      (Expr.columns e)
-  in
-  Option.iter mark q.Query.where;
-  List.iter
-    (function
-      | Query.Field (e, _) -> mark e
-      | Query.Aggregate (fn, _) -> (
-          match fn with
-          | Query.Count_star -> ()
-          | Query.Count e | Query.Count_distinct e | Query.Sum e
-          | Query.Avg e | Query.Min e | Query.Max e ->
-              mark e))
-    q.Query.select;
-  List.iter mark q.Query.group_by;
-  refs
+  columns_read plan
+    (Option.to_list q.Query.where
+    @ List.filter_map
+        (function
+          | Query.Field (e, _) -> Some e
+          | Query.Aggregate (fn, _) -> (
+              match fn with
+              | Query.Count_star -> None
+              | Query.Count e | Query.Count_distinct e | Query.Sum e
+              | Query.Avg e | Query.Min e | Query.Max e ->
+                  Some e))
+        q.Query.select
+    @ q.Query.group_by)
 
 let is_plain q =
   (not (Query.has_aggregate q))
@@ -195,7 +220,6 @@ let make db q plan joins_of joins col =
   | _ -> ());
   {
     db;
-    q;
     plan;
     joins_of;
     joins;
@@ -203,8 +227,13 @@ let make db q plan joins_of joins col =
     positions;
     strategy;
     referenced = referenced_columns plan q;
-    rels = Hashtbl.create 4;
+    filtered = columns_read plan (Option.to_list q.Query.where);
+    resolved = [];
     base = None;
+    skipped = 0;
+    unreferenced = 0;
+    precheck_empty = 0;
+    joined = 0;
   }
 
 let col_joins col =
@@ -222,9 +251,6 @@ let prepare_with joins_of db q =
   make db q plan joins_of (joins_of plan db) None
 
 (* --- per-delta contribution ----------------------------------------- *)
-
-let contributions core level tup_opt =
-  match tup_opt with None -> [] | Some tup -> core.joins.fixed (level, tup)
 
 let multiset_equal rows_a rows_b =
   List.length rows_a = List.length rows_b
@@ -389,71 +415,89 @@ let unreferenced_cell core levels delta =
   | Delta.Cell_change { col; _ } ->
       List.for_all (fun lvl -> not core.referenced.(lvl).(col)) levels
 
-(* Positions are keyed by lowercased table name; generated deltas name
-   tables in canonical (lower) case already, so try the raw name before
-   paying for a fresh lowercased string per delta. *)
-let find_positions core table =
-  match Hashtbl.find_opt core.positions table with
-  | Some levels -> Some levels
-  | None -> Hashtbl.find_opt core.positions (String.lowercase_ascii table)
-
-(* Delta.changed_tuple with the relation lookup memoized per core. *)
-let changed_tuple core delta =
-  let name = Delta.relation delta in
-  let r =
-    match Hashtbl.find_opt core.rels name with
-    | Some r -> r
-    | None ->
-        let r = Database.relation core.db name in
-        Hashtbl.add core.rels name r;
-        r
+(* One entry per distinct relation name the deltas use: a short list
+   compared with String.equal, which tests physical equality first.
+   Positions are keyed by lowercased table name. *)
+let resolve core name =
+  let rec cached = function
+    | [] -> None
+    | (n, r) :: rest -> if String.equal n name then Some r else cached rest
   in
-  match delta with
-  | Delta.Cell_change { row; col; value; _ } ->
-      let old_tup = Relation.tuple r row in
-      let new_tup = Array.copy old_tup in
-      new_tup.(col) <- value;
-      (old_tup, Some new_tup)
-  | Delta.Row_drop { row; _ } -> (Relation.tuple r row, None)
+  match cached core.resolved with
+  | Some r -> r
+  | None ->
+      let r =
+        Option.map
+          (fun levels -> (levels, Database.relation core.db name))
+          (Hashtbl.find_opt core.positions (String.lowercase_ascii name))
+      in
+      core.resolved <- (name, r) :: core.resolved;
+      r
+
+(* The tuple a Cell_change adds to the resolved relation, as
+   Delta.changed_tuple: built only when a check or a join reads it. *)
+let with_cell r row col value =
+  let tup = Array.copy (Relation.tuple r row) in
+  tup.(col) <- value;
+  tup
 
 let differs core delta =
-  match find_positions core (Delta.relation delta) with
-  | None -> false
-  | Some levels -> (
-      if Option.is_some core.col && unreferenced_cell core levels delta then false
+  match resolve core (Delta.relation delta) with
+  | None ->
+      core.skipped <- core.skipped + 1;
+      false
+  | Some (levels, rel) -> (
+      if Option.is_some core.col && unreferenced_cell core levels delta then begin
+        core.unreferenced <- core.unreferenced + 1;
+        false
+      end
       else
-        match core.strategy with
-        | Fallback -> fallback_differs core delta
-        | strategy -> (
-            match levels with
-            | [ level ] -> (
-                let old_tup, new_tup = changed_tuple core delta in
-                (* Columnar fast path: when neither the old nor the new
-                   tuple can appear in a satisfying env, both
-                   contribution sets are empty and every incremental
-                   strategy answers "no change" on empty deltas. *)
-                let provably_empty =
-                  match core.col with
-                  | None -> false
-                  | Some col ->
-                      (not (Col_eval.tuple_participates col level old_tup))
-                      && (match new_tup with
-                         | None -> true
-                         | Some nt -> not (Col_eval.may_extend col level nt))
-                in
-                if provably_empty then false
-                else
-                  let removed = contributions core level (Some old_tup) in
-                  let added = contributions core level new_tup in
-                  match strategy with
-                  | Rowwise -> rowwise_differs core removed added
-                  | Rowwise_distinct counts ->
-                      distinct_differs core counts removed added
-                  | Grouped gs -> grouped_differs core gs removed added
-                  | Limited { k; base_rows } ->
-                      limited_differs core k base_rows removed added
-                  | Fallback -> assert false)
-            | _ ->
-                (* Self-joins force the fallback strategy at prepare
-                   time, so this is unreachable; stay safe regardless. *)
-                fallback_differs core delta))
+        match (core.strategy, levels) with
+        | Fallback, _ | _, ([] | _ :: _ :: _) ->
+            (* Self-joins force the fallback strategy at prepare time,
+               so only Fallback reaches here with several levels. *)
+            core.joined <- core.joined + 1;
+            fallback_differs core delta
+        | strategy, [ level ] ->
+            let row =
+              match delta with
+              | Delta.Cell_change { row; _ } | Delta.Row_drop { row; _ } -> row
+            in
+            (* Columnar fast path: when neither the old nor the new
+               tuple can appear in a satisfying env, both contribution
+               sets are empty and every incremental strategy answers
+               "no change" on empty deltas. The old tuple is the stored
+               row the delta names. A new tuple that differs from it only
+               in a cell the WHERE clause never reads joins exactly where
+               the old one does. *)
+            let provably_empty =
+              match (core.col, delta) with
+              | None, _ -> false
+              | Some ce, _ when Col_eval.row_participates ce level row -> false
+              | Some ce, Delta.Cell_change { col; value; _ } ->
+                  (not core.filtered.(level).(col))
+                  || not (Col_eval.may_extend ce level (with_cell rel row col value))
+              | Some _, Delta.Row_drop _ -> true
+            in
+            if provably_empty then begin
+              core.precheck_empty <- core.precheck_empty + 1;
+              false
+            end
+            else begin
+              core.joined <- core.joined + 1;
+              let removed = core.joins.fixed (level, Relation.tuple rel row) in
+              let added =
+                match delta with
+                | Delta.Cell_change { col; value; _ } ->
+                    core.joins.fixed (level, with_cell rel row col value)
+                | Delta.Row_drop _ -> []
+              in
+              match strategy with
+              | Rowwise -> rowwise_differs core removed added
+              | Rowwise_distinct counts ->
+                  distinct_differs core counts removed added
+              | Grouped gs -> grouped_differs core gs removed added
+              | Limited { k; base_rows } ->
+                  limited_differs core k base_rows removed added
+              | Fallback -> assert false
+            end)

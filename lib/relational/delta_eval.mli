@@ -35,7 +35,7 @@
     Join enumeration behind the strategies runs on the vectorized
     {!Col_eval} engine over {!Col_table} columnar images. Before any
     join it tries two pre-checks: a [Cell_change] on a column the query
-    never reads cannot change the answer, and {!Col_eval.tuple_participates}
+    never reads cannot change the answer, and {!Col_eval.row_participates}
     / {!Col_eval.may_extend} prove most changed tuples contribute
     nothing. {!prepare_with} swaps in another join enumerator and runs
     neither pre-check; the test-only [qp_rel_oracle] library uses it
@@ -66,9 +66,6 @@ val prepare_with : (Eval.plan -> Database.t -> joins) -> Database.t -> Query.t -
     seam for a reference enumerator in tests and benches. Its base
     answer and fallback re-evaluations run on [joins_of] too. *)
 
-val query : t -> Query.t
-(** The query this preparation was built for. *)
-
 val base_result : t -> Result_set.t
 (** [Q(D)], computed lazily on the preparation's own enumerator. *)
 
@@ -78,3 +75,21 @@ val strategy_name : t -> string
 
 val differs : t -> Delta.t -> bool
 (** Whether the perturbed instance changes the query answer. *)
+
+type decisions = {
+  skipped : int;  (** deltas on a table outside [FROM] *)
+  unreferenced : int;
+      (** [Cell_change]s on a column the query never reads *)
+  precheck_empty : int;
+      (** deltas whose old and new tuples the columnar pre-checks
+          prove contribute nothing *)
+  joined : int;
+      (** deltas decided by a join ({!Col_eval.join_fixed}) or by
+          re-evaluating the perturbed instance *)
+}
+(** How the {!differs} calls on one preparation were decided. Every
+    call counts once. *)
+
+val decisions : t -> decisions
+(** The tally so far: plain counters on the preparation, which is
+    private to the domain that made it. *)

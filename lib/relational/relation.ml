@@ -20,11 +20,11 @@ let check_tuple schema tup =
                (Schema.attr_name schema i)))
     tup
 
-let of_array schema tuples =
+let make schema tuples =
+  let tuples = Array.of_list tuples in
   Array.iter (check_tuple schema) tuples;
   { schema; tuples }
 
-let make schema tuples = of_array schema (Array.of_list tuples)
 let schema t = t.schema
 let cardinality t = Array.length t.tuples
 let tuple t i = t.tuples.(i)

@@ -13,9 +13,6 @@ val make : Schema.t -> tuple list -> t
     ([Null] is allowed everywhere; [Ratio] only arises from query
     evaluation and is rejected in stored data). *)
 
-val of_array : Schema.t -> tuple array -> t
-(** Like {!make}, taking ownership of the array. *)
-
 val schema : t -> Schema.t
 (** The relation's schema. *)
 

@@ -236,7 +236,21 @@ let test_bitset_scans_match_reference () =
     Alcotest.(check int) (name ^ ": count") (List.length reference) (B.count m);
     Alcotest.(check (array int))
       (name ^ ": to_array")
-      (Array.of_list reference) (B.to_array m)
+      (Array.of_list reference) (B.to_array m);
+    (* ids crossing word boundaries, repeated across rows *)
+    let ids = Array.init (B.length m) (fun i -> i * 37 mod 130) in
+    Alcotest.(check (list int))
+      (name ^ ": scatter")
+      (List.sort_uniq Int.compare (List.map (fun i -> ids.(i)) reference))
+      (Array.to_list (B.to_array (B.scatter m ids 130)));
+    if B.length m > 0 then begin
+      let rows = Array.init 200 (fun r -> r * 53 mod B.length m) in
+      let g = B.gather m rows in
+      Alcotest.(check (list bool))
+        (name ^ ": gather")
+        (Array.to_list (Array.map (B.get m) rows))
+        (List.init 200 (B.get g))
+    end
   in
   List.iter
     (fun len ->
@@ -265,8 +279,8 @@ let test_bitset_scans_match_reference () =
 (* A star schema — fact F, dimensions D1 and D2 — shaped to reach every
    branch of the star pre-check: NULL foreign keys (and a NULL dimension
    key, which joins them under the engines' Null = Null probe rule), a
-   filtered fact level (so the reverse index is built over the
-   selection), constant equis on D1 (the joinable-key path), and an
+   filtered fact level (so its candidates are a strict subset of its
+   rows), constant equis on D1 (the joinable-key path), and an
    expression probe on D2 next to its bare-column equi (the bucket
    path) or alone (the conservative path). For every row drop and every
    single-cell change over a small value domain, the columnar conflict
@@ -371,6 +385,269 @@ let test_star_precheck_matches_oracle () =
         (Delta_eval.strategy_name (Delta_eval.prepare database q) <> "fallback"))
     queries
 
+(* Generated star instances for the same check: a fact table F and
+   2–4 dimensions D0.., each keyed by an int or a string column, with
+   NULL foreign keys and NULL dimension keys, sometimes a filter on the
+   fact level (so its candidates are a strict subset of its rows) and
+   on a dimension, and per dimension one probe shape: the bare key equi
+   alone, with a constant equi (NULL included, which the equi probes
+   match structurally), with an expression probe, an expression probe
+   alone, a constant equi alone, or no equi at all. For every row drop
+   and every single-cell change over a small value domain, the
+   columnar conflict sets must equal the row oracle's. *)
+type star_dim = {
+  str_key : bool;
+  dim_rows : Value.t array list;  (* k, a, c *)
+  probe : int;  (* shape, see [star_where] *)
+  dim_filter : bool;
+}
+
+type star_case = {
+  dims : star_dim array;
+  fact_rows : Value.t array list;  (* fid, fk_0 .. fk_{k-1}, amt, tag *)
+  fact_filter : bool;
+  const : Value.t;
+  shape : int;
+}
+
+let star_key str i = if str then Value.Str [| "p"; "q"; "r"; "s" |].(i) else Value.Int (i + 1)
+
+let gen_star_case =
+  let open QCheck2.Gen in
+  let with_null g = frequency [ (4, g); (1, return Value.Null) ] in
+  let small_int = map (fun i -> Value.Int i) (int_range 0 2) in
+  let* k = int_range 2 4 in
+  let* dims =
+    array_repeat k
+      (let* str_key = bool in
+       (* keys 0–2 (fact keys reach 3, matching no row) *)
+       let key = with_null (map (star_key str_key) (int_range 0 2)) in
+       let row =
+         let+ k = key
+         and+ a = with_null small_int
+         and+ c = oneofl [ Value.Str "x"; Value.Str "y" ] in
+         [| k; a; c |]
+       in
+       let+ dim_rows = list_size (int_range 1 4) row
+       and+ probe = frequencyl [ (4, 0); (3, 1); (2, 2); (1, 3); (1, 4); (1, 5) ]
+       and+ dim_filter = frequencyl [ (3, false); (1, true) ] in
+       { str_key; dim_rows; probe; dim_filter })
+  in
+  let fact_row =
+    let* fks =
+      flatten_a
+        (Array.map
+           (fun d -> with_null (map (star_key d.str_key) (int_range 0 3)))
+           dims)
+    in
+    let+ amt = with_null (map (fun i -> Value.Int i) (int_range 0 3))
+    and+ tag = oneofl [ Value.Str "a"; Value.Str "b" ] in
+    Array.concat [ [| Value.Null |]; fks; [| amt; tag |] ]
+  in
+  let+ fact_rows = list_size (int_range 2 8) fact_row
+  and+ fact_filter = bool
+  and+ const = frequencyl [ (3, Value.Int 1); (1, Value.Int 0); (1, Value.Null) ]
+  and+ shape = int_range 0 2 in
+  let fact_rows = List.mapi (fun r t -> t.(0) <- Value.Int r; t) fact_rows in
+  { dims; fact_rows; fact_filter; const; shape }
+
+let star_database c =
+  let k = Array.length c.dims in
+  let key_type d = if d.str_key then Schema.T_string else Schema.T_int in
+  let fact_schema =
+    Schema.make ~name:"F"
+      ~attrs:
+        ((("fid", Schema.T_int)
+          :: List.init k (fun i -> (Printf.sprintf "fk%d" i, key_type c.dims.(i))))
+        @ [ ("amt", Schema.T_int); ("tag", Schema.T_string) ])
+  in
+  Database.make
+    (Relation.make fact_schema c.fact_rows
+     :: Array.to_list
+          (Array.mapi
+             (fun i d ->
+               Relation.make
+                 (Schema.make ~name:(Printf.sprintf "D%d" i)
+                    ~attrs:[ ("k", key_type d); ("a", Schema.T_int); ("c", Schema.T_string) ])
+                 d.dim_rows)
+             c.dims))
+
+let star_query c =
+  let open Expr in
+  let k = Array.length c.dims in
+  let dcol i name = col ~table:(Printf.sprintf "D%d" i) name in
+  let amt = col ~table:"F" "amt" in
+  let dim_where i d =
+    let bare = eq (col ~table:"F" (Printf.sprintf "fk%d" i)) (dcol i "k") in
+    let const = eq (dcol i "a") (Const c.const) in
+    let expr = eq (dcol i "a") (amt + int 0) in
+    let probes =
+      match d.probe with
+      | 0 -> [ bare ]
+      | 1 -> [ bare; const ]
+      | 2 -> [ bare; expr ]
+      | 3 -> [ expr ]
+      | 4 -> [ const ]
+      | _ -> []
+    in
+    probes @ if d.dim_filter then [ Cmp (Ne, dcol i "c", str "y") ] else []
+  in
+  let conjuncts =
+    List.concat (List.init k (fun i -> dim_where i c.dims.(i)))
+    @ if c.fact_filter then [ Cmp (Gt, amt, int 0) ] else []
+  in
+  let where =
+    match conjuncts with
+    | [] -> None
+    | e :: rest -> Some (List.fold_left ( && ) e rest)
+  in
+  let from = "F" :: List.init k (Printf.sprintf "D%d") in
+  match c.shape with
+  | 0 ->
+      Query.make ~name:"grouped" ~from ?where ~group_by:[ dcol 0 "c" ]
+        [ Query.Field (dcol 0 "c", "c"); Query.Aggregate (Query.Sum amt, "s") ]
+  | 1 -> Query.make ~name:"count" ~from ?where [ Query.Aggregate (Query.Count_star, "n") ]
+  | _ ->
+      Query.make ~name:"rows" ~from ?where
+        [ Query.Field (col ~table:"F" "fid", "f"); Query.Field (dcol (Stdlib.( - ) k 1) "c", "c") ]
+
+let star_deltas database =
+  let domain = function
+    | Schema.T_int -> Value.Null :: List.map (fun i -> Value.Int i) [ 0; 1; 2; 3 ]
+    | Schema.T_string -> Value.Null :: List.map (fun s -> Value.Str s) [ "p"; "q"; "s"; "x"; "y" ]
+  in
+  Database.relations database
+  |> List.concat_map (fun rel ->
+         let schema = Relation.schema rel in
+         let relation = Schema.name schema in
+         List.concat
+           (List.init (Relation.cardinality rel) (fun row ->
+                R.Delta.Row_drop { relation; row }
+                :: List.concat
+                     (List.init (Schema.arity schema) (fun col ->
+                          List.filter_map
+                            (fun value ->
+                              if Value.equal value (Relation.tuple rel row).(col) then None
+                              else Some (R.Delta.Cell_change { relation; row; col; value }))
+                            (domain (Schema.attr_type schema col)))))))
+  |> Array.of_list
+
+let print_star_case c =
+  let database = star_database c in
+  String.concat "\n"
+    (Query.to_sql (star_query c)
+     :: List.map
+          (fun rel ->
+            Schema.name (Relation.schema rel) ^ ": "
+            ^ String.concat "; "
+                (Array.to_list
+                   (Array.map
+                      (fun t -> String.concat "," (Array.to_list (Array.map Value.to_string t)))
+                      (Relation.tuples rel))))
+          (Database.relations database))
+
+let prop_star_precheck_matches_oracle =
+  QCheck2.Test.make ~name:"generated star instances match the row oracle" ~count:150
+    ~print:print_star_case gen_star_case (fun c ->
+      let database = star_database c in
+      let q = star_query c in
+      let deltas = star_deltas database in
+      let items prepare =
+        let h = fst (Conflict.hypergraph ~jobs:1 ~prepare database [ (q, 1.0) ] deltas) in
+        (H.edges h).(0).H.items
+      in
+      if Delta_eval.strategy_name (Delta_eval.prepare database q) = "fallback" then
+        QCheck2.Test.fail_report "generated query took the fallback strategy";
+      let row = items Qp_rel_oracle.prepare and col = items Delta_eval.prepare in
+      if row <> col then
+        QCheck2.Test.fail_reportf "conflict sets differ: oracle [%s], columnar [%s]"
+          (String.concat "," (Array.to_list (Array.map string_of_int row)))
+          (String.concat "," (Array.to_list (Array.map string_of_int col)));
+      (* The pre-checks are exact on these plans except when pinning an
+         expression-only level: a delta they send to the join must
+         really contribute, so a pre-check state wider than it should
+         be (a mask left out of an AND) fails here, not only a wrong
+         one. *)
+      let p = Delta_eval.prepare database q in
+      let joiner = Col_eval.prepare (R.Eval.prepare database q) database in
+      Array.iter
+        (fun d ->
+          let before = (Delta_eval.decisions p).Delta_eval.joined in
+          ignore (Delta_eval.differs p d);
+          let lvl =
+            match R.Delta.relation d with
+            | "F" -> 0
+            | name -> 1 + int_of_string (String.sub name 1 (String.length name - 1))
+          in
+          if
+            (Delta_eval.decisions p).Delta_eval.joined > before
+            && (lvl = 0 || c.dims.(lvl - 1).probe <> 3)
+          then
+            let old_tup, new_tup = R.Delta.changed_tuple database d in
+            let contributes tup = Col_eval.join_fixed joiner (lvl, tup) <> [] in
+            if not (contributes old_tup || Option.fold ~none:false ~some:contributes new_tup)
+            then
+              QCheck2.Test.fail_reportf "pre-check sent a non-contributing delta to the join: %s"
+                (Format.asprintf "%a" R.Delta.pp d))
+        deltas;
+      true)
+
+(* The key index behind the joins and the star pre-check, against
+   values: equal cells (NULLs included) share an id, each id's rows are
+   exactly its cells' rows in descending order, a value no row holds
+   has no id, and [translate] carries a set of one column's ids to the
+   ids of the same values in another column. *)
+let test_key_index_matches_values () =
+  let module B = R.Bitset in
+  let module CT = R.Col_table in
+  let rand = Random.State.make [| 2026 |] in
+  let table n =
+    let cell mk = if Random.State.int rand 5 = 0 then Value.Null else mk () in
+    let schema =
+      Schema.make ~name:"K" ~attrs:[ ("i", Schema.T_int); ("s", Schema.T_string) ]
+    in
+    let rel =
+      Relation.make schema
+        (List.init n (fun _ ->
+             [| cell (fun () -> Value.Int (Random.State.int rand 12 - 3));
+                cell (fun () -> Value.Str (String.make 1 "abcdefg".[Random.State.int rand 7])) |]))
+    in
+    (rel, CT.of_relation_cached rel)
+  in
+  for round = 1 to 40 do
+    let rel, t = table (Random.State.int rand 150) in
+    let rel', t' = table (1 + Random.State.int rand 150) in
+    let n = Relation.cardinality rel in
+    for c = 0 to 1 do
+      let k = CT.keys t c in
+      let value r = (Relation.tuple rel r).(c) in
+      for r = 0 to n - 1 do
+        let id = k.CT.ids.(r) in
+        Alcotest.(check int) (Printf.sprintf "round %d: key_id" round) id (CT.key_id t c (value r));
+        let rows = Array.to_list (Array.sub k.CT.rows k.CT.start.(id) (k.CT.start.(id + 1) - k.CT.start.(id))) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "round %d: rows of an id" round)
+          (List.rev (List.filter (fun r' -> value r' = value r) (List.init n Fun.id)))
+          rows
+      done;
+      let absent = if c = 0 then Value.Int 99 else Value.Str "z" in
+      Alcotest.(check int) "absent value" (-1) (CT.key_id t c absent);
+      let picked = B.init (Relation.cardinality rel') (fun _ -> Random.State.bool rand) in
+      let k' = CT.keys t' c in
+      let moved = CT.translate t c t' c (B.scatter picked k'.CT.ids (k'.CT.null_id + 1)) in
+      let expected = ref [] in
+      B.iter
+        (fun r ->
+          let id = CT.key_id t c (Relation.tuple rel' r).(c) in
+          if id >= 0 then expected := id :: !expected)
+        picked;
+      Alcotest.(check (list int))
+        (Printf.sprintf "round %d: translate" round)
+        (List.sort_uniq Int.compare !expected)
+        (Array.to_list (B.to_array moved))
+    done
+  done
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "col-eval",
@@ -384,4 +661,7 @@ let suite =
       t "fallback agrees across engines" test_fallback_across_engines;
       t "bitset scans match a bit-by-bit reference" test_bitset_scans_match_reference;
       t "star pre-check matches the row oracle" test_star_precheck_matches_oracle;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2626 |])
+        prop_star_precheck_matches_oracle;
+      t "key index matches the values" test_key_index_matches_values;
     ] )
