@@ -3,7 +3,7 @@
 .PHONY: all build test chaos soak bench bench-full bench-json bench-conflict \
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-lp-oracle \
-        check-clock check-obs-labels \
+        check-clock check-obs-labels check-dead-exports \
         check-snapshot-version check-rel-engines serve-smoke bench-gate \
         check examples clean
 
@@ -87,6 +87,12 @@ check-clock:
 check-obs-labels:
 	ocaml scripts/check_obs_labels.ml lib bench
 
+# Every val a lib/ interface exports must be used outside its own
+# module (another lib/ module, bin/, bench/, scripts/, test/, examples/
+# or perfbench/); an export nothing reads is dropped, not kept.
+check-dead-exports:
+	ocaml scripts/check_dead_exports.ml
+
 # The broker snapshot marshals OCaml values; changing any
 # payload-reachable type layout without bumping format_version in
 # lib/serve/snapshot.ml would make old snapshots undefined behavior to
@@ -123,7 +129,7 @@ endif
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-clock check-obs-labels check-snapshot-version check-rel-engines serve-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-clock check-obs-labels check-dead-exports check-snapshot-version check-rel-engines serve-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -59,10 +59,10 @@ let uniform_cap values =
     sorted;
   !best
 
-let subadditive_bound_report ?max_covers ?(max_pivots = 400_000) h =
+let subadditive_bound ?max_covers ?(max_pivots = 400_000) h =
   let m = Hypergraph.m h in
   let total = sum_valuations h in
-  if m = 0 then (0.0, None)
+  if m = 0 then 0.0
   else begin
     let p = Lp.create () in
     let r =
@@ -128,7 +128,7 @@ let subadditive_bound_report ?max_covers ?(max_pivots = 400_000) h =
           | None -> ())
       by_valuation_desc;
     match Lp.solve ~max_pivots p with
-    | Ok sol -> (Float.min total (Lp.objective_value sol), None)
+    | Ok sol -> Float.min total (Lp.objective_value sol)
     | Error e ->
         (* The bound LP is feasible (r = 0) and bounded by construction,
            so any failure is solver-side. The trivial bound stays sound;
@@ -136,8 +136,5 @@ let subadditive_bound_report ?max_covers ?(max_pivots = 400_000) h =
         Qp_obs.counter "bounds.degraded" 1;
         Qp_obs.event "bounds.degraded"
           ~args:(fun () -> [ ("reason", Qp_obs.Str (Lp.error_tag e)) ]);
-        (total, Some e)
+        total
   end
-
-let subadditive_bound ?max_covers ?max_pivots h =
-  fst (subadditive_bound_report ?max_covers ?max_pivots h)

@@ -22,13 +22,6 @@ val subadditive_bound :
 (** [max_covers] caps the number of generated cover constraints
     (default: one per edge, processed by descending valuation). The
     result is clamped to [sum_valuations] from above and to the best of
-    the trivial bounds from below. *)
-
-val subadditive_bound_report :
-  ?max_covers:int -> ?max_pivots:int -> Hypergraph.t ->
-  float * Qp_lp.Lp.error option
-(** Like {!subadditive_bound}, also reporting whether the bound LP
-    failed. On failure the bound silently widens to {!sum_valuations}
-    (still sound, just loose); the second component carries the LP
-    failure so normalized plots can flag the widening, and a
+    the trivial bounds from below. If the bound LP fails, the bound
+    widens to {!sum_valuations} (still sound, just loose) and a
     ["bounds.degraded"] counter/event fires through {!Qp_obs}. *)

@@ -54,17 +54,14 @@ let synthesize ~lpip ~cip h =
       in
       (Uip.solve h, Some marker)
 
-let report_of_components ~lpip ~cip h =
-  let pricing, degraded =
-    synthesize ~lpip:lpip.Lpip.pricing ~cip:cip.Cip.pricing h
-  in
-  { pricing; lpip; cip; degraded }
-
 let solve_report ?lpip_options ?cip_options h =
   Qp_obs.with_span "xos.solve" @@ fun () ->
   let lpip = Lpip.solve_report ?options:lpip_options h in
   let cip = Cip.solve_report ?options:cip_options h in
-  report_of_components ~lpip ~cip h
+  let pricing, degraded =
+    synthesize ~lpip:lpip.Lpip.pricing ~cip:cip.Cip.pricing h
+  in
+  { pricing; lpip; cip; degraded }
 
 let solve ?lpip_options ?cip_options h =
   (solve_report ?lpip_options ?cip_options h).pricing

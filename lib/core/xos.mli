@@ -35,12 +35,6 @@ val synthesize :
     and when neither is additive the result is {!Uip.solve} [h]
     ([fallback = "uip"]). Each marker is also {!Degrade.record}ed. *)
 
-val report_of_components :
-  lpip:Lpip.report -> cip:Cip.report -> Hypergraph.t -> report
-(** Combine already-computed component reports — for callers (the
-    experiment runner) that reuse the LPIP/CIP results instead of
-    re-solving. *)
-
 val solve :
   ?lpip_options:Lpip.options ->
   ?cip_options:Cip.options ->

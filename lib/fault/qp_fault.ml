@@ -30,6 +30,9 @@ type spec = {
   seed : int;
 }
 
+(* The site taxonomy: each check point's name and a one-line
+   description of it and its key. Specs naming any other site fail to
+   parse. *)
 let known_sites =
   [
     ("simplex.pivot", "one check per simplex pivot; key = pivot count");

@@ -29,17 +29,15 @@ exception Injected of string
     the payload is the site name. *)
 
 type spec = {
-  site : string;  (** one of {!known_sites} *)
+  site : string;
+      (** a site of the taxonomy (a bad spec's parse error lists
+          them) *)
   kind : kind;
   p : float;  (** firing probability per eligible check (default 1) *)
   nth : int option;
       (** when set, only keys divisible by [nth] are eligible *)
   seed : int;  (** fault-schedule seed (default 0) *)
 }
-
-val known_sites : (string * string) list
-(** The site taxonomy: name and a one-line description of the check
-    point and its key. Specs naming any other site fail to parse. *)
 
 val describe : spec -> string
 (** Canonical [SITE:kind:p=..[:nth=..]:seed=..] rendering. *)

@@ -27,12 +27,6 @@ type t = {
           residual; scales with [max_i |b_i|] *)
 }
 
-val base_eps : float
-(** [1e-9] — the relative base of every threshold except {!t.residual}. *)
-
-val base_residual : float
-(** [1e-7] — the relative base of the phase-1 residual threshold. *)
-
 val make : c:float array -> rows:(float array * float) array -> t
 (** [make ~c ~rows] computes the tolerances for one instance of
     maximize [c . x] s.t. [a_i . x <= b_i], [x >= 0]. An [a_i] may list

@@ -62,6 +62,8 @@ let adopt ~db ~support ~queries ~stats h =
 
 let database t = t.db
 
+let without_buyers t = { t with buyers = [] }
+
 (* The support is sampled lazily so that it can be query-aware: if the
    buyer workload is known by the time the support is needed, neighbors
    are steered toward the queries' footprints (see {!Support}). *)

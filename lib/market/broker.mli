@@ -55,6 +55,12 @@ val adopt :
 val database : t -> Database.t
 (** The seller's instance [D]. *)
 
+val without_buyers : t -> t
+(** A copy sharing every field but the buyer list, which is empty: the
+    broker a snapshot keeps. Pricing, quoting and purchasing read the
+    built hypergraph, whose edges carry the buyers' valuations, and
+    never the buyer queries. *)
+
 val support : t -> Delta.t array
 (** Forces the sampling if it has not happened yet. *)
 

@@ -83,10 +83,6 @@ val disagreements :
     if the edge counts differ or the edges at some position carry
     different names. *)
 
-val query_time_histogram : ?buckets:int -> stats -> string
-(** ASCII histogram (log counts) of per-query build times in
-    microseconds — the "where the time goes" view of a build. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 (** Multi-line human-readable rendering of a build's instrumentation
     (totals, strategy split, worker utilization, time histogram). *)

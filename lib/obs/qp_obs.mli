@@ -102,16 +102,10 @@ module Hist : sig
     max_ns : int;  (** largest observation, nanoseconds *)
     gc_minor_words : int;  (** summed per-span minor-heap allocation *)
     gc_major_words : int;  (** summed per-span major-heap allocation *)
-    buckets : int array;  (** per-bucket counts, length {!n_buckets} *)
+    buckets : int array;
+        (** per-bucket counts; 48 buckets, each bound doubling, cover
+            up to ~78 h *)
   }
-
-  val n_buckets : int
-  (** Number of buckets (fixed, 48 — covers up to ~78 h in one bucket
-      doubling per step). *)
-
-  val bucket_lower_ns : int -> int
-  (** Inclusive lower bound of bucket [i] in nanoseconds (0 for
-      bucket 0). *)
 
   val bucket_upper_ns : int -> int
   (** Exclusive upper bound of bucket [i] in nanoseconds ([2{^i+1}]). *)

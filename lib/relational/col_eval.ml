@@ -359,7 +359,7 @@ let probes_of equis =
 let build_level plan db lvl =
   let env_schemas = Eval.from_env plan in
   let name = (Eval.table_names plan).(lvl) in
-  let table = Col_table.of_relation_cached (Database.relation db name) in
+  let table = Database.columns db name in
   let n = Col_table.nrows table in
   let singles = Eval.single_filters plan lvl in
   let equis = Eval.level_equis plan lvl in

@@ -3,21 +3,20 @@
 
     Shares {!Eval}'s plan (resolution, predicate classification, equi
     detection) and its output construction ({!Eval.result_of_envs});
-    filters candidates with vectorized kernels over {!Col_table}
-    columns and probes equi-joins through unboxed int / dictionary hash
-    indexes. Environments materialize as pointers to the source
-    relations' row tuples, so the test-only row-at-a-time reference
-    enumerates the same multiset of environments and builds answers
-    through the same code. *)
+    filters candidates with vectorized kernels over the {!Col_table}
+    images the database owns and probes equi-joins through each
+    column's key index ({!Col_table.keys}). Environments materialize
+    as pointers to the source relations' row tuples, so the test-only
+    row-at-a-time reference enumerates the same multiset of
+    environments and builds answers through the same code. *)
 
 type t
 (** Per-instance prepared state: per-level selection vectors and join
     indexes. *)
 
 val prepare : Eval.plan -> Database.t -> t
-(** Build selection vectors and indexes for one instance (columnar
-    images are cached per relation, see
-    {!Col_table.of_relation_cached}). *)
+(** Build selection vectors and indexes for one instance, over the
+    columnar images the database owns ({!Database.columns}). *)
 
 val join_all : t -> Expr.env list
 (** Every [WHERE]-satisfying join environment (the pre-aggregation

@@ -9,7 +9,12 @@
    The row tuples of the source relation stay reachable through [rel]:
    the engine materializes join environments as pointers to those
    tuples (late materialization), so projection/grouping/aggregation
-   shares the row engine's code paths and values verbatim. *)
+   shares the row engine's code paths and values verbatim.
+
+   An image is owned by the Database that holds its relation (built by
+   Database.make, or by with_relation for the replaced relation) and
+   read by every domain; after construction only the lazily built key
+   indexes are written, each published once through an atomic slot. *)
 
 type col =
   | C_int of { data : int array; valid : Bitset.t option }
@@ -27,7 +32,7 @@ type t = {
   rel : Relation.t;
   nrows : int;
   cols : col array;
-  keys : keys option array;  (* lazily-built key index per column *)
+  keys : keys option Atomic.t array;  (* lazily-built key index per column *)
 }
 
 let nrows t = t.nrows
@@ -122,32 +127,12 @@ let of_relation rel =
         C_str { codes; dict; valid = !valid }
   in
   let arity = Schema.arity schema in
-  { rel; nrows; cols = Array.init arity build_col; keys = Array.make arity None }
-
-(* Per-domain cache keyed by physical equality on the relation value.
-   Databases are immutable and deltas are applied functionally, so a
-   physically-equal relation always has the same columnar image. A
-   small FIFO association list is enough: a build touches a handful of
-   relations, and scanning a few entries with (==) is cheaper than any
-   hashing scheme that would have to be safe under a moving GC. *)
-let cache_cap = 32
-
-let cache_key : (Relation.t * t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let of_relation_cached rel =
-  let cache = Domain.DLS.get cache_key in
-  match List.find_opt (fun (r, _) -> r == rel) !cache with
-  | Some (_, t) -> t
-  | None ->
-      let t = of_relation rel in
-      let kept =
-        if List.length !cache >= cache_cap then
-          List.filteri (fun i _ -> i < cache_cap - 1) !cache
-        else !cache
-      in
-      cache := (rel, t) :: kept;
-      t
+  {
+    rel;
+    nrows;
+    cols = Array.init arity build_col;
+    keys = Array.init arity (fun _ -> Atomic.make None);
+  }
 
 (* The key index of one column: a dense id per distinct value (the
    dictionary code of a string column; the rank among the sorted
@@ -156,13 +141,17 @@ let of_relation_cached rel =
    pre-checks index and mask on ids: under the equi probes' structural
    Null = Null rule, two cells of one column are equal iff their ids
    are, so NULL needs no special case there.
-   Built at most once per (table, column) pair and cached on the table;
-   mutation is safe because tables are domain-local (see
-   [of_relation_cached]). Each id's rows are stored in descending
-   order, the order of a bucket cons-built over ascending rows, so the
-   joins enumerate envs in the order they always have. *)
+   Built lazily on first use and published on the table through the
+   column's atomic slot: a table belongs to its database, which every
+   domain shares, so two domains may build the same index at once;
+   the first compare-and-set wins and the loser adopts the winner's
+   index (both are equal, a pure function of the column). Each id's
+   rows are stored in descending order, the order of a bucket
+   cons-built over ascending rows, so the joins enumerate envs in the
+   order they always have. *)
 let keys t colidx =
-  match t.keys.(colidx) with
+  let slot = t.keys.(colidx) in
+  match Atomic.get slot with
   | Some k -> k
   | None ->
       let n = t.nrows in
@@ -207,8 +196,8 @@ let keys t colidx =
         fill.(id) <- fill.(id) + 1
       done;
       let k = { ids; ints; null_id; start; rows } in
-      t.keys.(colidx) <- Some k;
-      k
+      if Atomic.compare_and_set slot None (Some k) then k
+      else Option.get (Atomic.get slot)
 
 (* The id of [v] in column [colidx]'s key domain, or -1 when no row
    holds it (NULL always has its id, even in a column without NULLs). *)

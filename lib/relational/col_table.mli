@@ -6,7 +6,15 @@
     validity mask. The source relation's row tuples remain reachable,
     so join results materialize as pointers to the original tuples and
     all downstream Value-level machinery is shared with the row
-    engine. *)
+    engine.
+
+    {b Ownership.} Each relation's image belongs to its
+    {!Database.t}: {!Database.make} builds one per relation and
+    {!Database.with_relation} rebuilds only the replaced one, so a
+    perturbed database shares every other image physically. Images are
+    immutable values read by every domain at once, except for the
+    per-column key indexes ({!keys}), which are built on first use and
+    published through an atomic slot. *)
 
 type col =
   | C_int of { data : int array; valid : Bitset.t option }
@@ -20,14 +28,10 @@ type col =
 type t
 (** One relation in columnar form. *)
 
-val of_relation_cached : Relation.t -> t
-(** The columnar image (dictionary sort included), memoized per domain on physical equality of the
-    relation — repeated prepares against the same instance reuse one
-    image. Bounded and FIFO: a miss enters at the front and evicts the
-    oldest entry past the cap, a hit does not move. Every delta of a
-    columnar fallback preparation ({!Delta_eval}) adds one entry, the
-    image of its perturbed relation. Safe under the moving GC because
-    keys are compared with [==], never hashed by address. *)
+val of_relation : Relation.t -> t
+(** A fresh columnar image of the relation, dictionary sort included,
+    with no key index built yet. Engine code reads the image its
+    database owns ({!Database.columns}) instead of building one. *)
 
 val nrows : t -> int
 (** Number of rows. *)
@@ -59,8 +63,11 @@ type keys = {
 (** The key index of one column: dense value ids and their rows. *)
 
 val keys : t -> int -> keys
-(** [keys t col] — column [col]'s key index. Built lazily and cached on
-    the table (domain-local, so the mutation races with nothing). *)
+(** [keys t col] — column [col]'s key index, built on first use and
+    kept on the table. Safe from any domain without a lock: the index
+    is published by one compare-and-set on the column's atomic slot,
+    and a domain that loses the race drops its own build and returns
+    the winner's, so every caller sees one index per column. *)
 
 val key_id : t -> int -> Value.t -> int
 (** [key_id t col v] — the id of [v] in column [col]'s key domain, or

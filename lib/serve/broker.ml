@@ -107,12 +107,14 @@ let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
 (* --- snapshots -------------------------------------------------------- *)
 
 (* The marshaled payload: exactly the expensive immutable state — the
-   priced market (database, support, buyers, valued hypergraph with its
-   class cache, pricing) — and no serving counter. Everything reachable
-   from here is pure data (ADTs, records, arrays, the dataset and
-   account Hashtbls) — no closures, which Marshal's default flags
-   reject, so accidentally capturing one fails at save time, not on
-   some later load. Any shape change to this record or the types it
+   priced market (database with its columnar images, support, valued
+   hypergraph with its class cache, pricing) — and no serving counter.
+   The buyer queries are dropped ([Market.without_buyers]): a restored
+   server prices through the hypergraph and parses every QUOTE fresh.
+   Everything reachable from here is pure data (ADTs, records, arrays,
+   atomic key-index slots, the dataset and account Hashtbls) — no
+   closures, which Marshal's default flags reject, so accidentally
+   capturing one fails at save time, not on some later load. Any shape change to this record or the types it
    reaches must bump Snapshot.format_version (enforced by
    scripts/check_snapshot_version.ml). *)
 type frozen = {
@@ -134,7 +136,7 @@ let save_snapshot ~file ~config t =
         f_workload = t.workload;
         f_seed = t.seed;
         f_pricing_key = t.pricing_key;
-        f_market = t.market;
+        f_market = Market.without_buyers t.market;
       }
     in
     match Marshal.to_string frozen [] with
@@ -228,13 +230,14 @@ let stats t =
     ("timeouts", t.timeouts);
   ]
 
-let request_hist t = Qp_obs.Hist.snapshot t.request_hist
-let quote_hist t = Qp_obs.Hist.snapshot t.quote_hist
-
 let counter name help v = Metrics.Counter { name; help; value = float_of_int v }
 let gauge name help value = Metrics.Gauge { name; help; value }
 let histogram name help hist = Metrics.Histogram { name; help; hist }
 
+(* The Prometheus text-exposition body of a METRICS reply: lifetime
+   counters, standing-instance gauges and the two latency histograms,
+   plus, with tracing on, the Qp_obs registry. Protocol.print_response
+   adds the wire framing (the # EOF terminator). *)
 let metrics_text t =
   let base =
     [

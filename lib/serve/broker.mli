@@ -125,10 +125,10 @@ val handle : ?overloaded:bool -> t -> string -> Protocol.response
     never drops the connection. Runs under a ["serve.request"] span and
     bumps the ["serve.requests"]/["serve.quotes"]/["serve.errors"]
     counters. Independently of the obs flag, it times every request
-    into always-on latency histograms ({!request_hist}, {!quote_hist})
-    and counts the request as completed once its response is built —
-    so a [METRICS]/[STATS] snapshot never sees counters and histograms
-    out of step.
+    into always-on latency histograms (every completed request, and
+    successful [PRICE]/[QUOTE] replies only) and counts the request as
+    completed once its response is built — so a [METRICS]/[STATS]
+    snapshot never sees counters and histograms out of step.
 
     With [~overloaded:true] (the {!Server} loop past its admission
     high-water mark), [PRICE]/[QUOTE] are shed with a typed
@@ -163,26 +163,8 @@ val set_lifecycle : t -> Protocol.health_state -> unit
 val stats : t -> (string * int) list
 (** Lifetime counters — client_gone, connections, errors, quotes,
     requests, shed, timeouts — plus [p50_ns]/[p95_ns]/[p99_ns]
-    request-latency percentiles estimated from the live
-    {!request_hist}, sorted by name; the payload of a [STATS] reply.
+    request-latency percentiles estimated from the live request
+    histogram, sorted by name; the payload of a [STATS] reply.
     [requests] counts {e completed} requests, so the [STATS] request
     reporting it is not yet included. *)
 
-val request_hist : t -> Qp_obs.Hist.snapshot
-(** Snapshot of the always-on server-side latency histogram over every
-    completed request (recorded whether or not tracing is enabled). *)
-
-val quote_hist : t -> Qp_obs.Hist.snapshot
-(** Snapshot of the latency histogram over successful [PRICE]/[QUOTE]
-    replies only — its count equals the [quotes] counter. *)
-
-val metrics_text : t -> string
-(** The Prometheus text-exposition body of a [METRICS] reply: the
-    lifetime counters (including [qp_serve_shed_total],
-    [qp_serve_timeouts_total], [qp_serve_client_gone_total]),
-    standing-instance gauges (queries, items,
-    uptime), and the {!request_hist}/{!quote_hist} histograms — plus,
-    when tracing is enabled, every {!Qp_obs} counter, gauge and
-    histogram under the [qp_obs_] name prefix. The wire framing
-    ([# EOF] terminator) is added by {!Protocol.print_response}, not
-    here. *)

@@ -26,7 +26,7 @@ let magic = "QPSNAP"
    Broker.frozen record or anything reachable from it). The
    check-snapshot-version lint fails until this and its recorded type
    fingerprint move together. *)
-let format_version = 5
+let format_version = 6
 
 type config = {
   workload : string;

@@ -34,13 +34,6 @@ type config = {
     build bit-identical brokers, so snapshot staleness is exactly
     "the file's config digest differs from mine". *)
 
-val describe_config : config -> string
-(** Canonical one-line rendering of a config — the digested string. *)
-
-val config_digest : config -> string
-(** MD5 hex digest of {!describe_config}; stored in the header and
-    compared on load. *)
-
 (** Why a snapshot was refused. Every refusal is typed so the caller
     (the CLI, the soak) can report it and fall back to recompute. *)
 type load_error =

@@ -10,9 +10,6 @@
 
 module Query = Qp_relational.Query
 
-val years : int list
-(** 1993-1997. *)
-
 val workload : unit -> Query.t list
 (** All 220 queries. Independent of the generated instance — templates
     reference only fixed TPC-H domains. *)

@@ -612,7 +612,7 @@ let test_key_index_matches_values () =
              [| cell (fun () -> Value.Int (Random.State.int rand 12 - 3));
                 cell (fun () -> Value.Str (String.make 1 "abcdefg".[Random.State.int rand 7])) |]))
     in
-    (rel, CT.of_relation_cached rel)
+    (rel, CT.of_relation rel)
   in
   for round = 1 to 40 do
     let rel, t = table (Random.State.int rand 150) in
@@ -648,6 +648,42 @@ let test_key_index_matches_values () =
     done
   done
 
+(* Images are shared by every domain, so two domains may force the same
+   column's key index at once: both must come back with one published
+   index, equal to the index a serial build gives (int and string
+   columns, with NULLs). *)
+let test_key_index_shared_across_domains () =
+  let module CT = R.Col_table in
+  let rand = Random.State.make [| 2727 |] in
+  let cell mk = if Random.State.int rand 4 = 0 then Value.Null else mk () in
+  let schema =
+    Schema.make ~name:"K" ~attrs:[ ("i", Schema.T_int); ("s", Schema.T_string) ]
+  in
+  for round = 1 to 20 do
+    let rel =
+      Relation.make schema
+        (List.init (1 + Random.State.int rand 400) (fun _ ->
+             [| cell (fun () -> Value.Int (Random.State.int rand 50 - 10));
+                cell (fun () -> Value.Str (string_of_int (Random.State.int rand 30))) |]))
+    in
+    let shared = CT.of_relation rel in
+    let force () = Array.init 2 (CT.keys shared) in
+    let other = Domain.spawn force in
+    let mine = force () in
+    let theirs = Domain.join other in
+    let serial = CT.of_relation rel in
+    for c = 0 to 1 do
+      let label what = Printf.sprintf "round %d, column %d: %s" round c what in
+      Alcotest.(check bool) (label "one published index") true (mine.(c) == theirs.(c));
+      let k = CT.keys serial c in
+      Alcotest.(check (array int)) (label "ids") k.CT.ids mine.(c).CT.ids;
+      Alcotest.(check (array int)) (label "ints") k.CT.ints mine.(c).CT.ints;
+      Alcotest.(check int) (label "null_id") k.CT.null_id mine.(c).CT.null_id;
+      Alcotest.(check (array int)) (label "start") k.CT.start mine.(c).CT.start;
+      Alcotest.(check (array int)) (label "rows") k.CT.rows mine.(c).CT.rows
+    done
+  done
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "col-eval",
@@ -664,4 +700,5 @@ let suite =
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2626 |])
         prop_star_precheck_matches_oracle;
       t "key index matches the values" test_key_index_matches_values;
+      t "key index shared across domains" test_key_index_shared_across_domains;
     ] )

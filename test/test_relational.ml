@@ -101,6 +101,55 @@ let test_delta_relation () =
   Alcotest.(check string) "relation" "Users"
     (Delta.relation (Delta.Row_drop { relation = "Users"; row = 0 }))
 
+(* A database owns one columnar image per relation: applying a delta
+   rebuilds the perturbed relation's image only, sharing every other
+   image physically, and the rebuilt image is the one a fresh build of
+   the perturbed relation gives, column by column (values, dictionaries
+   and validity bits). *)
+let test_delta_shares_images () =
+  let module CT = Qp_relational.Col_table in
+  let world =
+    Qp_workloads.World.generate ~rng:(Qp_util.Rng.create 7)
+      ~config:Qp_workloads.World.tiny_config ()
+  in
+  let rand = Random.State.make [| 27 |] in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun name ->
+          let r = Database.relation base name in
+          let n = Relation.cardinality r in
+          let row = Random.State.int rand n in
+          let col = Random.State.int rand (Schema.arity (Relation.schema r)) in
+          let donor = (Relation.tuple r (Random.State.int rand n)).(col) in
+          List.iter
+            (fun d ->
+              let db' = Delta.apply base d in
+              List.iter
+                (fun other ->
+                  if other <> name then
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s untouched by a delta on %s" other name)
+                      true
+                      (Database.columns db' other == Database.columns base other))
+                (Database.names base);
+              let image = Database.columns db' name in
+              let fresh = CT.of_relation (Database.relation db' name) in
+              Alcotest.(check int) (name ^ ": rows") (CT.nrows fresh) (CT.nrows image);
+              for c = 0 to Schema.arity (Relation.schema r) - 1 do
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: column %d equals a fresh image" name c)
+                  true
+                  (CT.col image c = CT.col fresh c)
+              done)
+            [
+              Delta.Row_drop { relation = name; row };
+              Delta.Cell_change { relation = name; row; col; value = donor };
+              Delta.Cell_change { relation = name; row; col; value = Value.Null };
+            ])
+        (Database.names base))
+    [ db; world ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "relational",
@@ -117,4 +166,5 @@ let suite =
       t "delta row drop" test_delta_row_drop;
       t "delta noop detection" test_delta_noop;
       t "delta relation" test_delta_relation;
+      t "delta rebuilds only the perturbed image" test_delta_shares_images;
     ] )
