@@ -4,8 +4,8 @@
         bench-simplex bench-warmstart bench-serve docs check-docs \
         check-failwith check-float-sort check-cold-lp check-lp-oracle \
         check-clock check-obs-labels check-dead-exports \
-        check-snapshot-version check-rel-engines serve-smoke bench-gate \
-        check examples clean
+        check-snapshot-version check-lint-selftest check-rel-engines \
+        serve-smoke bench-gate check examples clean
 
 all: build
 
@@ -43,25 +43,31 @@ soak:
 docs:
 	dune build @doc
 
+# check-docs, -failwith, -float-sort, -cold-lp, -obs-labels,
+# -dead-exports and -snapshot-version are rules of one script,
+# scripts/lint.ml: one OCaml-lexer-correct scanner (nested comments;
+# string, {|quoted|} and character literals), one walker, one
+# `path:line:` reporter.
+
 # Every exported value in the lib/ interfaces must carry a doc comment.
 check-docs:
-	ocaml scripts/check_mli_docs.ml lib/lp lib/util lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/workloads
+	ocaml scripts/lint.ml mli-docs lib/lp lib/util lib/market lib/relational lib/obs lib/core lib/experiments lib/fault lib/online lib/serve lib/workloads
 
 # No stringly failures (failwith / Failure catches) in the solver and
 # algorithm layers — see docs/ROBUSTNESS.md.
 check-failwith:
-	ocaml scripts/check_no_failwith.ml lib/lp lib/core
+	ocaml scripts/lint.ml failwith lib/lp lib/core
 
 # No polymorphic compare in array or list sorts anywhere in lib/: its NaN
 # ordering is unspecified, which once skewed the float percentile and
 # valuation sorts. Use Float.compare / Int.compare instead.
 check-float-sort:
-	ocaml scripts/check_float_sort.ml lib
+	ocaml scripts/lint.ml float-sort lib
 
 # No cold Lp.solve calls inside the sweep modules: sweeps must go
 # through Lp.Batch / Simplex.resolve so the warm-start path is used.
 check-cold-lp:
-	ocaml scripts/check_cold_lp_sweeps.ml lib/core
+	ocaml scripts/lint.ml cold-lp lib/core
 
 # The reference oracles — the dense-tableau LP (test/lp_oracle) and the
 # row-at-a-time delta join (test/rel_oracle) — are for tests, benches
@@ -82,24 +88,39 @@ check-clock:
 	else echo "clock lint: only Timing and Qp_obs read the clock"; fi
 
 # Every Qp_obs label must be a lowercase dotted name under a prefix
-# registered in scripts/check_obs_labels.ml (and documented in
+# registered in scripts/lint.ml (and documented in
 # docs/OBSERVABILITY.md) — keeps the trace/metrics taxonomy closed.
 check-obs-labels:
-	ocaml scripts/check_obs_labels.ml lib bench
+	ocaml scripts/lint.ml obs-labels lib bench
 
 # Every val a lib/ interface exports must be used outside its own
 # module (another lib/ module, bin/, bench/, scripts/, test/, examples/
 # or perfbench/); an export nothing reads is dropped, not kept.
 check-dead-exports:
-	ocaml scripts/check_dead_exports.ml
+	ocaml scripts/lint.ml dead-exports
 
 # The broker snapshot marshals OCaml values; changing any
 # payload-reachable type layout without bumping format_version in
 # lib/serve/snapshot.ml would make old snapshots undefined behavior to
 # read. This lint fingerprints those type declarations and fails when
-# the layout drifts without a version bump (see the script header).
+# the layout drifts without a version bump (see the rule's comment;
+# `ocaml scripts/lint.ml snapshot-version --print` shows what to re-pin).
 check-snapshot-version:
-	ocaml scripts/check_snapshot_version.ml
+	ocaml scripts/lint.ml snapshot-version
+
+# Each directory-taking lint rule must exit 1 on its offending fixture
+# in scripts/_lint_fixtures/ (a directory dune builds nothing from and
+# the dead-exports rule never reads): a rule that passes its fixture
+# has gone blind, as the float-sort scan once did after "count(*)".
+check-lint-selftest:
+	@for rule in mli-docs failwith float-sort cold-lp obs-labels; do \
+	  ocaml scripts/lint.ml $$rule scripts/_lint_fixtures/$$rule.* > /dev/null; \
+	  status=$$?; \
+	  if [ $$status -ne 1 ]; then \
+	    echo "lint self-test: $$rule exited $$status on its fixture, not 1"; exit 1; \
+	  fi; \
+	done; \
+	echo "lint self-test: every rule flags its fixture"
 
 # Build every workload's conflict hypergraph at Tiny scale on the
 # columnar engine and on the row-at-a-time reference (qp_rel_oracle),
@@ -118,18 +139,23 @@ serve-smoke:
 # metrics — simplex crossover, warm-start pivot savings, serve
 # throughput and identity — against the committed bench/baselines/.
 # Exit 1 on a regression past the thresholds in scripts/bench_diff.ml;
-# QP_BENCH_GATE=off skips the whole gate (benchmarks included).
+# QP_BENCH_GATE=off skips the whole gate (benchmarks included). The
+# benches run in a temporary directory, so the gate leaves the
+# committed BENCH_*.json alone (bench-json and friends rewrite them).
 bench-gate:
 ifeq ($(QP_BENCH_GATE),off)
 	@echo "bench gate: skipped (QP_BENCH_GATE=off) — benchmarks not run"
 else
-	dune exec bench/main.exe -- simplex warmstart serve conflict
-	dune exec scripts/bench_diff.exe
+	dune build ./bench/main.exe ./scripts/bench_diff.exe
+	@out=$$(mktemp -d) && \
+	(cd $$out && $(CURDIR)/_build/default/bench/main.exe simplex warmstart serve conflict) && \
+	$(CURDIR)/_build/default/scripts/bench_diff.exe bench/baselines $$out; \
+	status=$$?; rm -rf $$out; exit $$status
 endif
 
 # The full pre-merge gate: build, tests, doc coverage, failure lints,
 # serving smoke, perf-regression gate.
-check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-clock check-obs-labels check-dead-exports check-snapshot-version check-rel-engines serve-smoke bench-gate
+check: build test check-docs check-failwith check-float-sort check-cold-lp check-lp-oracle check-clock check-obs-labels check-dead-exports check-snapshot-version check-lint-selftest check-rel-engines serve-smoke bench-gate
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:

@@ -41,7 +41,7 @@ let perturbed_value rng config (r : Relation.t) row col =
     match from_domain () with Some v -> v | None -> local_mutation ()
   else local_mutation ()
 
-let dedup_loop ~rng:_ db ~n ~draw =
+let dedup_loop db ~n ~draw =
   let seen = Hashtbl.create (2 * n) in
   let out = ref [] and count = ref 0 in
   let budget = ref (100 * n) in
@@ -85,7 +85,7 @@ let uniform_draw config ~rng db =
       Delta.Cell_change { relation = name; row; col; value }
 
 let generate ?(config = default_config) ~rng db ~n =
-  dedup_loop ~rng db ~n ~draw:(uniform_draw config ~rng db)
+  dedup_loop db ~n ~draw:(uniform_draw config ~rng db)
 
 (* Resolve a column reference against a query's FROM list the same way
    the evaluator does (alias or table name, unique attribute fallback),
@@ -318,7 +318,5 @@ let generate_query_aware ?(config = default_config) ?(uniform_share = 0.25)
       else if u < uniform_share +. 0.25 then weighted_cell ()
       else targeted ()
     in
-    dedup_loop ~rng db ~n ~draw
+    dedup_loop db ~n ~draw
   end
-
-let materialize db delta = Delta.apply db delta

@@ -40,7 +40,7 @@ val generate_query_aware :
   Delta.t array
 (** Like {!generate}, but biases cell perturbations toward the
     (relation, column) pairs the query workload actually reads, with a
-    [uniform_share] (default 0.3) of plain uniform draws to keep
+    [uniform_share] (default 0.25) of plain uniform draws to keep
     coverage of untouched columns.
 
     This implements the "choosing the support set" direction from the
@@ -50,7 +50,3 @@ val generate_query_aware :
     columns restores the hyperedge-size distribution the paper observes
     at full scale. The benches include an ablation comparing the two
     samplers. *)
-
-val materialize : Database.t -> Delta.t -> Database.t
-(** The actual neighboring instance (rarely needed — the pipeline works
-    on deltas). *)

@@ -15,17 +15,6 @@ let apply db = function
       let r = Database.relation db relation in
       Database.with_relation db (Relation.drop_tuple r row)
 
-let changed_tuple db = function
-  | Cell_change { relation; row; col; value } ->
-      let r = Database.relation db relation in
-      let old_tup = Relation.tuple r row in
-      let new_tup = Array.copy old_tup in
-      new_tup.(col) <- value;
-      (old_tup, Some new_tup)
-  | Row_drop { relation; row } ->
-      let r = Database.relation db relation in
-      (Relation.tuple r row, None)
-
 let is_noop db = function
   | Cell_change { relation; row; col; value } ->
       let r = Database.relation db relation in

@@ -20,11 +20,6 @@ val apply : Database.t -> t -> Database.t
     existing cell and produce a well-typed value; [Row_drop] an existing
     row. *)
 
-val changed_tuple : Database.t -> t -> Relation.tuple * Relation.tuple option
-(** [changed_tuple db d] is [(old_tuple, new_tuple)]: the tuple the
-    delta removes from [D] and the tuple it adds ([None] for
-    [Row_drop]). This is the delta evaluator's entry point. *)
-
 val is_noop : Database.t -> t -> bool
 (** A [Cell_change] writing the value already present. Support sampling
     filters these out. *)

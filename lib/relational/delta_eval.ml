@@ -434,8 +434,9 @@ let resolve core name =
       core.resolved <- (name, r) :: core.resolved;
       r
 
-(* The tuple a Cell_change adds to the resolved relation, as
-   Delta.changed_tuple: built only when a check or a join reads it. *)
+(* The tuple a Cell_change adds to the resolved relation: row [row]
+   with cell [col] set to [value], built only when a check or a join
+   reads it. *)
 let with_cell r row col value =
   let tup = Array.copy (Relation.tuple r row) in
   tup.(col) <- value;

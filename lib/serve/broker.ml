@@ -115,8 +115,8 @@ let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
    atomic key-index slots, the dataset and account Hashtbls) — no
    closures, which Marshal's default flags reject, so accidentally
    capturing one fails at save time, not on some later load. Any shape change to this record or the types it
-   reaches must bump Snapshot.format_version (enforced by
-   scripts/check_snapshot_version.ml). *)
+   reaches must bump Snapshot.format_version (enforced by the
+   snapshot-version rule of scripts/lint.ml). *)
 type frozen = {
   f_workload : string;
   f_seed : int;
@@ -209,7 +209,6 @@ let note_client_gone t =
   t.client_gone <- t.client_gone + 1;
   Qp_obs.counter "serve.client_gone" 1
 
-let lifecycle t = t.lifecycle
 let set_lifecycle t st = t.lifecycle <- st
 
 (* STATS stays an integer-only reply; percentiles ride along in

@@ -150,15 +150,13 @@ val note_client_gone : t -> unit
     in flight; bumps ["serve.client_gone"]. Called by the {!Server}
     loop — which must survive it, not tear down the accept loop. *)
 
-val lifecycle : t -> Protocol.health_state
-(** What a [HEALTH] probe reports (modulo transient overload, which
-    {!handle} layers on top). Starts at {!Protocol.Serving}: a broker
-    value exists only after precompute, so [Loading] is observable only
-    through the CLI's log line, never over a socket. *)
-
 val set_lifecycle : t -> Protocol.health_state -> unit
-(** Move the lifecycle (the {!Server} loop flips [Serving] → [Draining]
-    when it stops accepting). *)
+(** Move the lifecycle a [HEALTH] probe reports (modulo transient
+    overload, which {!handle} layers on top); the {!Server} loop flips
+    [Serving] → [Draining] when it stops accepting. It starts at
+    {!Protocol.Serving}: a broker value exists only after precompute,
+    so [Loading] is observable only through the CLI's log line, never
+    over a socket. *)
 
 val stats : t -> (string * int) list
 (** Lifetime counters — client_gone, connections, errors, quotes,

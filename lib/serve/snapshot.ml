@@ -12,8 +12,8 @@
    every check passes, because Marshal.from_* is not type-safe: feeding
    it bytes written by a different type layout is undefined behaviour,
    not a catchable error. That is why the format version lives in the
-   header (checked *before* unmarshal) and why
-   scripts/check_snapshot_version.ml pins the transitive type
+   header (checked *before* unmarshal) and why the snapshot-version
+   rule of scripts/lint.ml pins the transitive type
    fingerprint of the payload to [format_version]. *)
 
 module WI = Qp_experiments.Workload_instances

@@ -16,7 +16,7 @@ val magic : string
 val format_version : int
 (** Layout version of the marshaled payload. Bumped whenever any type
     reachable from the payload changes shape;
-    [scripts/check_snapshot_version.ml] (in [make check]) pins a
+    [ocaml scripts/lint.ml snapshot-version] (in [make check]) pins a
     fingerprint of those type declarations to this number so the bump
     cannot be forgotten. Snapshots written under any other version are
     refused with {!Version_mismatch}. *)

@@ -583,7 +583,16 @@ let prop_star_precheck_matches_oracle =
             (Delta_eval.decisions p).Delta_eval.joined > before
             && (lvl = 0 || c.dims.(lvl - 1).probe <> 3)
           then
-            let old_tup, new_tup = R.Delta.changed_tuple database d in
+            let old_tup, new_tup =
+              match d with
+              | R.Delta.Cell_change { relation; row; col; value } ->
+                  let old_tup = Relation.tuple (Database.relation database relation) row in
+                  let new_tup = Array.copy old_tup in
+                  new_tup.(col) <- value;
+                  (old_tup, Some new_tup)
+              | R.Delta.Row_drop { relation; row } ->
+                  (Relation.tuple (Database.relation database relation) row, None)
+            in
             let contributes tup = Col_eval.join_fixed joiner (lvl, tup) <> [] in
             if not (contributes old_tup || Option.fold ~none:false ~some:contributes new_tup)
             then

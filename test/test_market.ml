@@ -33,7 +33,7 @@ let test_support_applies () =
   let deltas = Support.generate ~rng db ~n:30 in
   Array.iter
     (fun d ->
-      let db' = Support.materialize db d in
+      let db' = Delta.apply db d in
       Alcotest.(check bool) "well-formed" true (Database.total_rows db' >= 8))
     deltas
 

@@ -75,19 +75,16 @@ let test_delta_cell_change () =
     (Value.equal (Relation.get (Database.relation db' "Users") 1 "age") (Value.Int 30));
   Alcotest.(check bool) "base unchanged" true
     (Value.equal (Relation.get (Database.relation db "Users") 1 "age") (Value.Int 20));
-  let old_t, new_t = Delta.changed_tuple db d in
+  let old_t = Relation.tuple (Database.relation db "Users") 1 in
+  let new_t = Relation.tuple (Database.relation db' "Users") 1 in
   Alcotest.(check bool) "old" true (Value.equal old_t.(3) (Value.Int 20));
-  (match new_t with
-  | Some t -> Alcotest.(check bool) "new" true (Value.equal t.(3) (Value.Int 30))
-  | None -> Alcotest.fail "expected new tuple")
+  Alcotest.(check bool) "new" true (Value.equal new_t.(3) (Value.Int 30))
 
 let test_delta_row_drop () =
   let d = Delta.Row_drop { relation = "Orders"; row = 0 } in
   let db' = Delta.apply db d in
   Alcotest.(check int) "one fewer" 4
-    (Relation.cardinality (Database.relation db' "Orders"));
-  let _, new_t = Delta.changed_tuple db d in
-  Alcotest.(check bool) "no new tuple" true (new_t = None)
+    (Relation.cardinality (Database.relation db' "Orders"))
 
 let test_delta_noop () =
   let noop = Delta.Cell_change { relation = "Users"; row = 0; col = 3; value = Value.Int 18 } in
