@@ -649,11 +649,10 @@ let serve_bench ~meta ctx =
   let recovery_identity_mismatches =
     let bad = ref 0 in
     for idx = 0 to n - 1 do
-      let a = SB.quote_index broker idx and b = SB.quote_index recovered idx in
       if
         not
-          (Int64.bits_of_float a.SP.price = Int64.bits_of_float b.SP.price
-          && a.SP.size = b.SP.size && a.SP.sold = b.SP.sold)
+          (SB.same_quote (SB.quote_index broker idx)
+             (SB.quote_index recovered idx))
       then incr bad
     done;
     !bad
@@ -692,12 +691,7 @@ let serve_bench ~meta ctx =
     for idx = 0 to n - 1 do
       let expect = SB.quote_index broker idx in
       match quote c idx with
-      | Some q
-        when Int64.bits_of_float q.SP.price
-             = Int64.bits_of_float expect.SP.price
-             && q.SP.size = expect.SP.size
-             && q.SP.sold = expect.SP.sold ->
-          ()
+      | Some q when SB.same_quote q expect -> ()
       | Some _ | None -> incr bad
     done;
     !bad

@@ -5,6 +5,9 @@
      inspect     — build a workload instance and print its hypergraph
      price       — run one pricing algorithm on a workload + valuations
      run         — one full benchmark cell (build + every algorithm)
+     quote       — price one SQL query against the broker serve stands up
+     serve       — the persistent pricing broker on a socket
+     probe       — send raw request lines to a running broker
      experiment  — regenerate one or more of the paper's tables/figures
      report      — aggregate a --trace file into a self/total-time table
      demo        — a small end-to-end broker session on the world dataset
@@ -147,6 +150,40 @@ let finite_draws ~seed model (inst : WI.t) =
     exit 2
   end;
   v
+
+(* The standing broker of [serve] and [quote]: the instance build under
+   the "serve.load" span, the finite-draws check, then the precompute. *)
+let serve_broker ~workload ~scale ~support ~seed ~model ~profile ~pricing =
+  let instance =
+    Qp_obs.with_span "serve.load"
+      ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
+      (fun () -> WI.build workload ~scale ?support ~seed ())
+  in
+  ignore (finite_draws ~seed model instance);
+  Qp_serve.Broker.of_instance ~profile ~model ~pricing ~seed instance
+
+(* Where [serve] listens and [probe] connects: --tcp wins over --socket;
+   [None] when neither is given. *)
+let endpoint_arg =
+  let socket_arg =
+    Arg.(value & opt (some string) None
+         & info [ "socket" ] ~docv:"PATH"
+             ~doc:
+               "Unix socket path of the broker (serve's default: \
+                qpricing-<pid>.sock in the system temp dir).")
+  in
+  let tcp_arg =
+    Arg.(value & opt (some int) None
+         & info [ "tcp" ] ~docv:"PORT"
+             ~doc:"Use 127.0.0.1:$(docv) instead of a Unix socket.")
+  in
+  let endpoint socket tcp =
+    match (tcp, socket) with
+    | Some port, _ -> Some (Qp_serve.Server.Tcp { host = "127.0.0.1"; port })
+    | None, Some path -> Some (Qp_serve.Server.Unix_socket path)
+    | None, None -> None
+  in
+  Term.(const endpoint $ socket_arg $ tcp_arg)
 
 (* --- list ------------------------------------------------------------ *)
 
@@ -357,8 +394,8 @@ let quote_cmd =
     Printf.printf "loading %s (tiny) and precomputing lpip pricing...\n%!"
       workload;
     let broker =
-      Qp_serve.Broker.create ~scale:WI.Tiny ~workload ~model:default_model
-        ~pricing:"lpip" ~seed ()
+      serve_broker ~workload ~scale:WI.Tiny ~support:None ~seed
+        ~model:default_model ~profile:Runner.Quick ~pricing:"lpip"
     in
     match Qp_serve.Broker.quote_sql broker sql with
     | Error msg ->
@@ -390,18 +427,6 @@ let serve_cmd =
              ~doc:
                "Pricing family to precompute and serve: ubp, uip, lpip, cip, \
                 layering, xos or capped.")
-  in
-  let socket_arg =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:
-               "Unix socket path to listen on (default: qpricing-<pid>.sock \
-                in the system temp dir).")
-  in
-  let tcp_arg =
-    Arg.(value & opt (some int) None
-         & info [ "tcp" ] ~docv:"PORT"
-             ~doc:"Listen on 127.0.0.1:$(docv) instead of a Unix socket.")
   in
   let max_requests_arg =
     Arg.(value & opt (some int) None
@@ -481,13 +506,7 @@ let serve_cmd =
       let idx = if total = 0 then 0 else i * 7919 mod total in
       match SS.call c (SP.Price idx) with
       | Ok (SP.Quote_reply q) ->
-          let expect = SB.quote_index broker idx in
-          if
-            Int64.bits_of_float q.SP.price
-            = Int64.bits_of_float expect.SP.price
-            && q.SP.size = expect.SP.size
-            && q.SP.sold = expect.SP.sold
-          then incr ok
+          if SB.same_quote q (SB.quote_index broker idx) then incr ok
           else if Float.is_nan q.SP.price && tolerate then incr faulted
           else incr mismatched
       | Ok (SP.Error_reply _) when tolerate -> incr faulted
@@ -497,17 +516,16 @@ let serve_cmd =
     control SP.Shutdown;
     (!ok, !faulted, !mismatched)
   in
-  let run workload scale support seed model pricing profile socket tcp
+  let run workload scale support seed model pricing profile endpoint
       max_requests smoke snapshot max_conns idle_timeout write_deadline
       high_water jobs inject trace =
     set_jobs jobs;
     set_injections inject;
     with_trace trace @@ fun () ->
     let listen =
-      match (tcp, socket) with
-      | Some port, _ -> SS.Tcp { host = "127.0.0.1"; port }
-      | None, Some path -> SS.Unix_socket path
-      | None, None ->
+      match endpoint with
+      | Some listen -> listen
+      | None ->
           SS.Unix_socket
             (Filename.concat (Filename.get_temp_dir_name ())
                (Printf.sprintf "qpricing-%d.sock" (Unix.getpid ())))
@@ -524,13 +542,7 @@ let serve_cmd =
     let build_fresh () =
       Printf.printf "loading %s and precomputing %s pricing...\n%!" workload
         pricing;
-      let instance =
-        Qp_obs.with_span "serve.load"
-          ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
-          (fun () -> WI.build workload ~scale ?support ~seed ())
-      in
-      ignore (finite_draws ~seed model instance);
-      SB.of_instance ~profile ~model ~pricing ~seed instance
+      serve_broker ~workload ~scale ~support ~seed ~model ~profile ~pricing
     in
     let broker =
       match snapshot with
@@ -602,29 +614,20 @@ let serve_cmd =
           precompute one pricing family, and answer PRICE/QUOTE requests \
           over a newline-delimited socket protocol (see docs/SERVING.md).")
     Term.(const run $ workload_arg $ scale_arg $ support_arg $ seed_arg
-          $ model_arg $ pricing_arg $ profile_arg $ socket_arg $ tcp_arg
+          $ model_arg $ pricing_arg $ profile_arg $ endpoint_arg
           $ max_requests_arg $ smoke_arg $ snapshot_arg $ max_conns_arg
           $ idle_timeout_arg $ write_deadline_arg $ high_water_arg $ jobs_arg
           $ inject_arg $ trace_arg)
 
 (* --- probe ------------------------------------------------------------- *)
 
-(* A deliberately paranoid line client for the chaos soak: it reads
-   replies byte by byte so it can tell a connection that died mid-line
-   (expected while we kill -9 the broker; reported on stderr, exit 0)
-   from a complete reply line that fails to parse (corruption; exit 3). *)
+(* The line client of the chaos soak. Server's reader tells a
+   connection that died mid-line (expected while the soak kill -9s the
+   broker; reported on stderr, exit 0) from a complete reply line that
+   fails to parse (corruption; exit 3). *)
 let probe_cmd =
   let module SP = Qp_serve.Protocol in
-  let socket_arg =
-    Arg.(value & opt (some string) None
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix socket path of a running broker.")
-  in
-  let tcp_arg =
-    Arg.(value & opt (some int) None
-         & info [ "tcp" ] ~docv:"PORT"
-             ~doc:"Connect to 127.0.0.1:$(docv) instead of a Unix socket.")
-  in
+  let module SS = Qp_serve.Server in
   let retries_arg =
     Arg.(value & opt int 100
          & info [ "retries" ] ~docv:"N"
@@ -639,70 +642,36 @@ let probe_cmd =
                "Request lines to send in order (default: read lines from \
                 stdin). Replies are echoed to stdout verbatim.")
   in
-  let run socket tcp retries requests =
+  let run endpoint retries requests =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ());
-    let addr =
-      match (tcp, socket) with
-      | Some port, _ ->
-          Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
-      | None, Some path -> Unix.ADDR_UNIX path
-      | None, None ->
+    let listen =
+      match endpoint with
+      | Some listen -> listen
+      | None ->
           Printf.eprintf "probe: need --socket PATH or --tcp PORT\n";
           exit 2
     in
-    let rec connect attempts =
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      match Unix.connect fd addr with
-      | () -> fd
-      | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _)
-        when attempts > 0 ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.02;
-          connect (attempts - 1)
-      | exception Unix.Unix_error (e, _, _) ->
-          Printf.eprintf "probe: cannot connect: %s\n" (Unix.error_message e);
-          exit 1
+    let c =
+      try SS.connect ~retries listen
+      with Unix.Unix_error (e, _, _) ->
+        Printf.eprintf "probe: cannot connect: %s\n" (Unix.error_message e);
+        exit 1
     in
-    let fd = connect retries in
-    let corrupt = ref 0 and gone = ref false in
-    (* None = clean EOF before any byte; Some (line, complete) where
-       [complete = false] means the peer vanished mid-line. *)
-    let read_line () =
-      let buf = Buffer.create 128 in
-      let byte = Bytes.create 1 in
-      let rec go () =
-        match Unix.read fd byte 0 1 with
-        | 0 ->
-            if Buffer.length buf = 0 then None
-            else Some (Buffer.contents buf, false)
-        | _ ->
-            let c = Bytes.get byte 0 in
-            if c = '\n' then Some (Buffer.contents buf, true)
-            else (Buffer.add_char buf c; go ())
-        | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-            if Buffer.length buf = 0 then None
-            else Some (Buffer.contents buf, false)
-        | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      in
-      go ()
-    in
-    let send line =
-      let payload = line ^ "\n" in
-      match Unix.write_substring fd payload 0 (String.length payload) with
-      | _ -> true
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
-          gone := true;
-          Printf.eprintf "probe: broker gone before %S was sent\n" line;
-          false
-    in
-    let note_truncated () =
-      gone := true;
-      Printf.eprintf "probe: connection died mid-reply (truncated line)\n"
-    in
-    let note_closed () =
-      gone := true;
-      Printf.eprintf "probe: broker closed the connection\n"
+    let corrupt = ref 0 in
+    (* Echo the next complete reply line; [None] once the connection
+       has died, with the note on stderr. *)
+    let reply () =
+      match SS.read_line c with
+      | SS.Line line ->
+          print_endline line;
+          Some line
+      | SS.Cut _ ->
+          Printf.eprintf "probe: connection died mid-reply (truncated line)\n";
+          None
+      | SS.Closed ->
+          Printf.eprintf "probe: broker closed the connection\n";
+          None
     in
     let check_parse line =
       match SP.parse_response line with
@@ -711,64 +680,37 @@ let probe_cmd =
           incr corrupt;
           Printf.eprintf "probe: corrupt reply %S: %s\n" line msg
     in
-    let is_err line =
-      String.length line >= 3
-      && String.uppercase_ascii (String.sub line 0 3) = "ERR"
-    in
-    let read_exposition () =
-      (* Body lines are raw Prometheus text, not protocol responses;
-         read through the terminator line (or a one-line ERR). *)
-      let rec body () =
-        match read_line () with
-        | None -> note_closed ()
-        | Some (_, false) -> note_truncated ()
-        | Some (line, true) ->
-            print_endline line;
-            if String.trim line <> SP.metrics_terminator then body ()
-      in
-      match read_line () with
-      | None -> note_closed ()
-      | Some (_, false) -> note_truncated ()
-      | Some (line, true) ->
-          print_endline line;
-          if is_err line then check_parse line
-          else if String.trim line <> SP.metrics_terminator then body ()
-    in
+    (* One request and its reply; [false] once the connection is gone. *)
     let process line =
-      let verb =
-        match String.split_on_char ' ' (String.trim line) with
-        | v :: _ -> String.uppercase_ascii v
-        | [] -> ""
-      in
-      if send line then
-        if verb = "METRICS" then read_exposition ()
-        else
-          match read_line () with
-          | None -> note_closed ()
-          | Some (_, false) -> note_truncated ()
-          | Some (reply, true) ->
-              print_endline reply;
-              check_parse reply
+      if not (SS.send_line c line) then begin
+        Printf.eprintf "probe: broker gone before %S was sent\n" line;
+        false
+      end
+      else if SP.parse_request line = Ok SP.Metrics then
+        (* Body lines are raw Prometheus text, not protocol responses;
+           read through the terminator line (or a one-line ERR). *)
+        let rec body line =
+          String.trim line = SP.metrics_terminator
+          || match reply () with Some l -> body l | None -> false
+        in
+        match reply () with
+        | Some l
+          when String.starts_with ~prefix:"ERR" (String.uppercase_ascii l) ->
+            check_parse l;
+            true
+        | Some l -> body l
+        | None -> false
+      else
+        match reply () with
+        | Some l -> check_parse l; true
+        | None -> false
     in
-    let rec feed lines =
-      match lines with
+    let rec feed = function
+      | line :: rest -> if process line then feed rest
       | [] -> ()
-      | line :: rest ->
-          if not !gone then (process line; feed rest)
     in
-    let lines =
-      match requests with
-      | [] ->
-          let rec slurp acc =
-            match input_line stdin with
-            | line -> slurp (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          slurp []
-      | rs -> rs
-    in
-    feed lines;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    feed (if requests = [] then In_channel.input_lines stdin else requests);
+    SS.close_client c;
     if !corrupt > 0 then exit 3
   in
   Cmd.v
@@ -778,7 +720,7 @@ let probe_cmd =
           A connection that dies mid-exchange is reported on stderr and \
           exits 0 (expected under chaos); a complete reply line that fails \
           to parse is corruption and exits 3.")
-    Term.(const run $ socket_arg $ tcp_arg $ retries_arg $ requests_arg)
+    Term.(const run $ endpoint_arg $ retries_arg $ requests_arg)
 
 (* --- experiment ------------------------------------------------------- *)
 

@@ -91,19 +91,6 @@ let of_instance ?(profile = Runner.Quick) ~model ~pricing ~seed
        ~cip_options:(Runner.cip_options profile) ~algorithm:pricing);
   make ~workload:instance.key ~seed ~pricing_key:pricing market
 
-let create ?scale ?support ?profile ~workload ~model ~pricing ~seed () =
-  (* Validate the pricing key before paying for the instance build. *)
-  if not (List.mem pricing Qp_core.Algorithms.keys) then
-    invalid_arg
-      (Printf.sprintf "Qp_serve.Broker: unknown pricing %S (known: %s)" pricing
-         (String.concat ", " Qp_core.Algorithms.keys));
-  let instance =
-    Qp_obs.with_span "serve.load"
-      ~args:(fun () -> [ ("workload", Qp_obs.Str workload) ])
-      (fun () -> WI.build workload ?scale ?support ~seed ())
-  in
-  of_instance ?profile ~model ~pricing ~seed instance
-
 (* --- snapshots -------------------------------------------------------- *)
 
 (* The marshaled payload: exactly the expensive immutable state — the
@@ -187,6 +174,10 @@ let quote_index t i =
     size = Array.length e.H.items;
     sold = Some (P.sells p e);
   }
+
+let same_quote (a : Protocol.quote) (b : Protocol.quote) =
+  Int64.bits_of_float a.price = Int64.bits_of_float b.price
+  && a.size = b.size && a.sold = b.sold
 
 (* The only per-request relational work is the market's conflict set
    for the parsed query. *)

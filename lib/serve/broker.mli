@@ -24,26 +24,8 @@
 
 type t
 (** A standing broker. The priced market it stands on is never mutated
-    after {!create}; only request counters mutate, and only from the
-    serving domain. *)
-
-val create :
-  ?scale:Qp_experiments.Workload_instances.scale ->
-  ?support:int ->
-  ?profile:Qp_experiments.Runner.profile ->
-  workload:string ->
-  model:Qp_workloads.Valuations.model ->
-  pricing:string ->
-  seed:int ->
-  unit ->
-  t
-(** Build the full standing state: generate the dataset, sample the
-    support, compute every conflict set (span ["serve.load"]), draw
-    valuations and solve the pricing family (span ["serve.precompute"]).
-    [profile] (default [Quick]) selects the LPIP/CIP sweep options, as
-    in {!Qp_experiments.Runner.algorithms}. Raises [Invalid_argument]
-    on a [pricing] key outside {!Qp_core.Algorithms.keys} and
-    [Not_found] on an unknown workload key. *)
+    after {!of_instance}; only request counters mutate, and only from
+    the serving domain. *)
 
 val of_instance :
   ?profile:Qp_experiments.Runner.profile ->
@@ -52,9 +34,9 @@ val of_instance :
   seed:int ->
   Qp_experiments.Workload_instances.t ->
   t
-(** {!create} over an instance that is already built, adopted without
-    recomputing its conflict sets — the bench and tests reuse
-    {!Qp_experiments.Context}'s cached instances. *)
+(** Adopt a built instance without recomputing its conflict sets, draw
+    valuations and solve the pricing family (span ["serve.precompute"];
+    [profile], default [Quick], picks the LPIP/CIP sweep options). *)
 
 val save_snapshot :
   file:string -> config:Snapshot.config -> t -> (unit, string) result
@@ -72,10 +54,10 @@ val load_snapshot :
 (** Restore a broker from a snapshot written under the same
     {!Snapshot.format_version} and an equal config digest — refusing
     anything else with a typed {!Snapshot.load_error} (the caller falls
-    back to {!create}). A restored broker serves quotes bit-identical
+    back to {!of_instance}). A restored broker serves quotes bit-identical
     to the one that saved the snapshot: the pricing function's bytes
-    are the pricing function. Orders of magnitude cheaper than
-    {!create} (no dataset build, no solve) — [bench serve] publishes
+    are the pricing function. Orders of magnitude cheaper than a fresh
+    build (no dataset build, no solve) — [bench serve] publishes
     the ratio as [recovery_ms] vs [precompute_seconds]. *)
 
 val workload : t -> string
@@ -108,6 +90,10 @@ val quote_index : t -> int -> Protocol.quote
     Pure with respect to the cached state (no counters, no fault
     sites) — the oracle the smoke check compares served replies
     against. Raises [Invalid_argument] outside [0, queries). *)
+
+val same_quote : Protocol.quote -> Protocol.quote -> bool
+(** Quote identity: the same price bits, conflict-set size and sold
+    flag, as a served or restored quote must share with {!quote_index}. *)
 
 val quote_sql : t -> string -> (Protocol.quote, string) result
 (** Parse raw SQL in the workload dialect and price it through

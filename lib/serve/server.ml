@@ -304,12 +304,18 @@ let serve ?(backlog = 16) ?max_requests ?should_stop ?idle_timeout
 
 (* --- client ----------------------------------------------------------- *)
 
+(* The client reads through its own buffer, not an in_channel:
+   [input_line] returns a last line that lost its newline as if it were
+   whole, so a reply cut short by a dying broker would parse. *)
 type client = {
   fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
+  buf : Bytes.t;
+  mutable pos : int;  (* [buf.[pos, len)]: received, not yet read *)
+  mutable len : int;
   mutable closed : bool;
 }
+
+type line = Line of string | Cut of string | Closed
 
 let connect ?(retries = 100) listen =
   let addr = sockaddr_of listen in
@@ -328,63 +334,67 @@ let connect ?(retries = 100) listen =
         raise e
   in
   let fd = go retries in
-  {
-    fd;
-    ic = Unix.in_channel_of_descr fd;
-    oc = Unix.out_channel_of_descr fd;
-    closed = false;
-  }
+  { fd; buf = Bytes.create 4096; pos = 0; len = 0; closed = false }
 
-let call c req =
-  match
-    output_string c.oc (Protocol.print_request req ^ "\n");
-    flush c.oc;
-    input_line c.ic
-  with
-  | line -> Protocol.parse_response line
-  | exception End_of_file -> Error "connection closed by server"
-  | exception Sys_error msg -> Error msg
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+let send_line c line =
+  let payload = line ^ "\n" in
+  match Unix.write_substring c.fd payload 0 (String.length payload) with
+  | _ -> true
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
 
-(* METRICS is the one multi-line response: send the verb, then read
-   whole lines until the terminator. Anything else arriving here means
-   the stream is desynchronized, so surface it as an error. *)
+let read_line c =
+  let acc = Buffer.create 128 in
+  let rec go () =
+    match Bytes.index_from_opt c.buf c.pos '\n' with
+    | Some i when i < c.len ->
+        Buffer.add_subbytes acc c.buf c.pos (i - c.pos);
+        c.pos <- i + 1;
+        Line (Buffer.contents acc)
+    | _ -> (
+        Buffer.add_subbytes acc c.buf c.pos (c.len - c.pos);
+        c.pos <- 0;
+        c.len <- 0;
+        (* A reset or broken pipe ends the connection as EOF does. *)
+        match Unix.read c.fd c.buf 0 (Bytes.length c.buf) with
+        | 0 | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
+            if Buffer.length acc = 0 then Closed else Cut (Buffer.contents acc)
+        | exception Unix.Unix_error (EINTR, _, _) -> go ()
+        | n -> c.len <- n; go ())
+  in
+  go ()
+
+(* Send [req], then feed reply lines to [on_line] until it has a result. *)
+let exchange c req on_line =
+  let rec next () =
+    match read_line c with
+    | Line l -> ( match on_line l with Some r -> r | None -> next ())
+    | Cut l -> Error (Printf.sprintf "reply cut short: %S" l)
+    | Closed -> Error "connection closed by server"
+  in
+  try
+    if send_line c (Protocol.print_request req) then next ()
+    else Error "connection closed by server"
+  with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+let call c req = exchange c req (fun l -> Some (Protocol.parse_response l))
+
+(* METRICS is the one multi-line reply, up to its terminator line — or
+   one ERR line with no terminator when refused (e.g. a fault). *)
 let scrape c =
-  match
-    output_string c.oc (Protocol.print_request Protocol.Metrics ^ "\n");
-    flush c.oc;
-    (* A refused METRICS (e.g. an injected fault) is a single ERR line
-       with no terminator — check the first line before accumulating,
-       or we would block waiting for a terminator that never comes. *)
-    let first = String.trim (input_line c.ic) in
-    if String.length first >= 3 && String.uppercase_ascii (String.sub first 0 3) = "ERR"
-    then Error first
-    else if first = Protocol.metrics_terminator then Ok ""
-    else begin
-      let b = Buffer.create 2048 in
-      Buffer.add_string b first;
-      Buffer.add_char b '\n';
-      let rec go () =
-        let line = input_line c.ic in
-        if String.trim line = Protocol.metrics_terminator then
-          Ok (Buffer.contents b)
-        else begin
-          Buffer.add_string b line;
-          Buffer.add_char b '\n';
-          go ()
-        end
-      in
-      go ()
-    end
-  with
-  | result -> result
-  | exception End_of_file -> Error "connection closed by server"
-  | exception Sys_error msg -> Error msg
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  let b = Buffer.create 2048 in
+  exchange c Protocol.Metrics (fun l ->
+      let t = String.trim l in
+      if t = Protocol.metrics_terminator then Some (Ok (Buffer.contents b))
+      else if
+        Buffer.length b = 0
+        && String.starts_with ~prefix:"ERR" (String.uppercase_ascii t)
+      then Some (Error t)
+      else (
+        Buffer.add_string b (l ^ "\n");
+        None))
 
 let close_client c =
   if not c.closed then begin
     c.closed <- true;
-    (try flush c.oc with Sys_error _ -> ());
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end

@@ -1,7 +1,7 @@
 (** The request loop behind [qpricing serve]: a single-threaded
     [Unix.select] server speaking {!Protocol} over a Unix-domain or TCP
-    stream socket, plus the small client used by the bench, the tests
-    and the [--smoke] mode.
+    stream socket, plus the small client used by the bench, the tests,
+    the [--smoke] mode and [qpricing probe].
 
     One loop handles every connection — requests are answered strictly
     in arrival order from the cached {!Broker} state, so serving is
@@ -62,22 +62,34 @@ val serve :
 type client
 (** One client connection to a running broker. *)
 
+(** A reply line as {!read_line} got it: whole (newline stripped), cut
+    short by the connection ending before its newline, or none. *)
+type line = Line of string | Cut of string | Closed
+
 val connect : ?retries:int -> listen -> client
 (** Connect, retrying refused/absent endpoints (default 100 attempts,
     20 ms apart) so a client racing a just-spawned server wins. Raises
     [Unix.Unix_error] once the retries are exhausted. *)
 
+val send_line : client -> string -> bool
+(** Write one raw request line and its newline; [false] when the broker
+    is gone (reset or broken pipe; ignore SIGPIPE, as {!serve} does).
+    Other transport errors raise [Unix.Unix_error]. *)
+
+val read_line : client -> line
+(** Block for the next reply line; EOF, a reset or a broken pipe end
+    the connection, other transport errors raise [Unix.Unix_error]. *)
+
 val call : client -> Protocol.request -> (Protocol.response, string) result
-(** Send one request line and block for the one response line.
-    [Error] carries a transport or response-parse message; protocol-
-    level failures arrive as [Ok (Error_reply _)]. Do not [call] with
-    {!Protocol.Metrics} — its reply spans many lines; use {!scrape}. *)
+(** Send one request and block for its one reply line. [Error] carries
+    a transport, cut-short or parse message; protocol-level failures are
+    [Ok (Error_reply _)]. For {!Protocol.Metrics} use {!scrape}. *)
 
 val scrape : client -> (string, string) result
 (** Send [METRICS] and read the multi-line Prometheus exposition body
     up to (excluding) the {!Protocol.metrics_terminator} line. [Error]
-    carries a transport message or the broker's one-line [ERR] reply
-    (e.g. an injected fault). Decode the body with {!Metrics.parse}. *)
+    carries a transport or cut-short message or the broker's one-line
+    [ERR] reply (e.g. an injected fault). Decode with {!Metrics.parse}. *)
 
 val close_client : client -> unit
-(** Flush and close; safe to call twice. *)
+(** Close; safe to call twice. *)

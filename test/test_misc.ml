@@ -136,6 +136,45 @@ let test_cli_non_finite_model () =
         lines)
     [ [ "price"; "-a"; "ubp" ]; [ "run" ]; [ "serve"; "--smoke"; "2" ] ]
 
+(* [qpricing probe] against a one-shot fake broker: a reply cut short
+   is a dying broker (stderr note, exit 0), a complete line that does
+   not parse is corruption (exit 3), and no endpoint at all exits 2. *)
+let test_cli_probe_exit_codes () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/qpricing.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s is not built" exe;
+  let out = Filename.temp_file "qpricing" ".out"
+  and err = Filename.temp_file "qpricing" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let probe args =
+    let code =
+      Sys.command
+        (Filename.quote_command exe ~stdout:out ~stderr:err
+           ("probe" :: args @ [ "PRICE 12" ]))
+    in
+    let read f = In_channel.with_open_text f In_channel.input_all in
+    (code, read out, read err)
+  in
+  let check name (code, stdout, stderr) (code', stdout', stderr') =
+    Alcotest.(check int) (name ^ ": exit code") code' code;
+    Alcotest.(check string) (name ^ ": stdout") stdout' stdout;
+    Alcotest.(check string) (name ^ ": stderr") stderr' stderr
+  in
+  Test_serve.with_fake_broker "OK 76.598492010125412 size=1" (fun path ->
+      check "cut reply"
+        (probe [ "--socket"; path ])
+        (0, "", "probe: connection died mid-reply (truncated line)\n"));
+  Test_serve.with_fake_broker "OK price=7\n" (fun path ->
+      let code, stdout, stderr = probe [ "--socket"; path ] in
+      Alcotest.(check int) "unparseable line: exit code" 3 code;
+      Alcotest.(check string) "unparseable line: stdout" "OK price=7\n" stdout;
+      Alcotest.(check bool) "unparseable line: stderr names it" true
+        (String.starts_with ~prefix:"probe: corrupt reply \"OK price=7\""
+           stderr));
+  check "no endpoint" (probe [])
+    (2, "", "probe: need --socket PATH or --tcp PORT\n")
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "misc",
@@ -150,4 +189,5 @@ let suite =
       t "histogram ranges tile" test_histogram_ranges;
       t "conflict sets under pure row drops" test_conflict_set_row_drop_only;
       t "cli: non-finite valuation model exits 2" test_cli_non_finite_model;
+      t "cli: probe exit codes" test_cli_probe_exit_codes;
     ] )

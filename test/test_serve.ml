@@ -1065,6 +1065,60 @@ let test_snapshot_v4_refused () =
       | Ok _ -> Alcotest.failf "a format-%d snapshot must be refused" old)
     [ 4; 5 ]
 
+(* --- client: replies a dying broker cut short ------------------------ *)
+
+(* A one-shot fake broker on a fresh Unix socket: accept one connection,
+   read its request, write [reply] verbatim, close. The accept waits at
+   most 10 s, so a client that never connects cannot hang the test. *)
+let with_fake_broker reply f =
+  let path = Filename.temp_file "qpfake" ".sock" in
+  Sys.remove path;
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 1;
+  let server =
+    Domain.spawn (fun () ->
+        match Unix.select [ sock ] [] [] 10.0 with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept sock in
+            ignore (Unix.read fd (Bytes.create 4096) 0 4096);
+            ignore (Unix.write_substring fd reply 0 (String.length reply));
+            Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join server;
+      Unix.close sock;
+      Sys.remove path)
+    (fun () -> f path)
+
+(* A quote cut after "size=1" of "size=16 sold=1" parses as a quote of
+   size 1; only the missing newline tells it apart. *)
+let test_client_cut_reply () =
+  with_fake_broker "OK 76.598492010125412 size=1" @@ fun path ->
+  let c = SS.connect (SS.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> SS.close_client c) @@ fun () ->
+  match SS.call c (SP.Price 12) with
+  | Error _ -> ()
+  | Ok r -> Alcotest.failf "cut reply taken as %s" (SP.print_response r)
+
+(* A METRICS body cut mid-line, or cut inside its terminator line, is
+   not a scrape. *)
+let test_client_cut_metrics () =
+  List.iter
+    (fun reply ->
+      with_fake_broker reply @@ fun path ->
+      let c = SS.connect (SS.Unix_socket path) in
+      Fun.protect ~finally:(fun () -> SS.close_client c) @@ fun () ->
+      match SS.scrape c with
+      | Error _ -> ()
+      | Ok body -> Alcotest.failf "cut body %S scraped as %S" reply body)
+    [
+      "qp_serve_requests_total 3\nqp_serve_quotes_to";
+      "qp_serve_requests_total 3\n" ^ SP.metrics_terminator;
+    ]
+
 let suite =
   ( "serve",
     [
@@ -1131,4 +1185,8 @@ let suite =
         test_quote_sql_equals_price;
       Alcotest.test_case "snapshot: format-4 file refused" `Quick
         test_snapshot_v4_refused;
+      Alcotest.test_case "client: cut reply is an error" `Quick
+        test_client_cut_reply;
+      Alcotest.test_case "client: cut METRICS body is an error" `Quick
+        test_client_cut_metrics;
     ] )
