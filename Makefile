@@ -136,8 +136,8 @@ serve-smoke:
 	dune exec bin/qpricing.exe -- serve skewed --scale tiny --support 100 --smoke 20
 
 # Re-run the gated benchmarks (quick profile) and compare the pinned
-# metrics — simplex crossover, warm-start pivot savings, serve
-# throughput and identity — against the committed bench/baselines/.
+# metrics — conflict-build identity, simplex crossover, warm-start
+# pivot savings, serve throughput and identity — against the committed bench/baselines/.
 # Exit 1 on a regression past the thresholds in scripts/bench_diff.ml;
 # QP_BENCH_GATE=off skips the whole gate (benchmarks included). The
 # benches run in a temporary directory, so the gate leaves the
@@ -159,11 +159,11 @@ check: build test check-docs check-failwith check-float-sort check-cold-lp check
 
 # Regenerate every table and figure of the paper (Quick profile).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/qpricing.exe -- experiment
 
 # Closer-to-paper settings: 5 runs per cell, finer LP grids. Slow.
 bench-full:
-	QP_BENCH_PROFILE=full dune exec bench/main.exe
+	dune exec bin/qpricing.exe -- experiment --profile full
 
 # Time the parallel layer (jobs=1 vs jobs=N, BENCH_parallel.json), the
 # simplex (dense oracle vs revised, BENCH_simplex.json), the
@@ -181,6 +181,11 @@ bench-conflict:
 # and write BENCH_simplex.json (records the crossover size).
 bench-simplex:
 	dune exec bench/main.exe -- simplex
+
+# Time the CIP/LPIP sweeps cold vs warm-started, check warm answers
+# against the dense oracle, and write BENCH_warmstart.json.
+bench-warmstart:
+	dune exec bench/main.exe -- warmstart
 
 # Replay the skewed workload through a standing broker at 1/2/4/8
 # clients, check served quotes against the one-shot oracle bit-for-bit,

@@ -1,28 +1,21 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   (via Qp_experiments.Registry) and finishes with bechamel
-   micro-benchmarks of the core primitives.
+(* Timing benchmarks of the pricing stack. Each writes one
+   BENCH_<name>.json in the working directory.
 
-   Usage: main.exe [--jobs N] [--trace FILE] [micro]
-          [parallel] [conflict] [simplex] [warmstart] [EXPERIMENT-IDS...]
-   With no arguments every experiment runs, in the paper's order,
-   followed by the micro-benchmarks. "micro", "parallel", "conflict",
-   "simplex" and "warmstart" are pseudo-ids that can be mixed freely
-   with experiment ids: "micro" appends the bechamel micro-benchmarks,
-   "parallel" times the worker pool at jobs=1 vs jobs=N and writes
-   BENCH_parallel.json, "conflict" times the parallel conflict-set
-   construction per workload and writes BENCH_conflict.json, "simplex"
-   times the dense tableau oracle against the revised simplex across
-   growing LP sizes and writes BENCH_simplex.json, "warmstart" times
-   the CIP/LPIP sweeps cold vs warm-started and writes
-   BENCH_warmstart.json. Unknown ids abort
-   upfront (exit 2) with the list of valid experiment and pseudo ids.
-   --jobs N sets QP_JOBS for the whole process; --trace FILE records
-   the whole run as Chrome trace-event JSONL (aggregate with 'qpricing
-   report'). Every BENCH_*.json carries a "meta" block (git commit,
-   QP_JOBS, profile, UTC timestamp) identifying the run. QP_BENCH_PROFILE=full switches
-   to the slower, closer-to-paper settings (5 runs, finer LP grids). *)
+   Usage: main.exe [--jobs N] [--trace FILE] BENCH...
+   BENCH is one or more of conflict, parallel, simplex, warmstart and
+   serve; they run in that order, whatever the order on the command
+   line. "conflict" times the conflict-set construction per workload,
+   "parallel" the worker pool at jobs=1 vs jobs=N, "simplex" the dense
+   tableau oracle against the revised simplex across growing LP sizes,
+   "warmstart" the CIP/LPIP sweeps cold vs warm-started, and "serve" a
+   standing broker under load. No bench name, or an unknown one, exits 2
+   with the list. --jobs N sets QP_JOBS for the whole process; --trace
+   FILE records the whole run as Chrome trace-event JSONL (aggregate
+   with 'qpricing report'). Every BENCH_*.json carries a "meta" block
+   (git commit, QP_JOBS, profile, UTC timestamp) identifying the run.
+   The paper's tables and figures are regenerated by 'qpricing
+   experiment', not here. *)
 
-module Registry = Qp_experiments.Registry
 module Context = Qp_experiments.Context
 module WI = Qp_experiments.Workload_instances
 module H = Qp_core.Hypergraph
@@ -33,10 +26,15 @@ module Timing = Qp_util.Timing
 (* --- run metadata for BENCH_*.json ----------------------------------- *)
 
 (* Identifies a benchmark run: without the commit and job count a stored
-   BENCH_*.json is not comparable to a fresh one. *)
+   BENCH_*.json is not comparable to a fresh one. A tree with
+   uncommitted changes reads "<commit>-dirty", so a file measured on
+   such a tree does not pass for a measurement of its parent. *)
 let git_commit () =
   try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let ic =
+      Unix.open_process_in
+        "git describe --always --dirty --abbrev=40 2>/dev/null"
+    in
     let line = try input_line ic with End_of_file -> "" in
     match (Unix.close_process_in ic, line) with
     | Unix.WEXITED 0, commit when commit <> "" -> commit
@@ -88,83 +86,28 @@ let meta_json ctx =
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
     (faults_json ())
 
-let run_experiments ctx entries =
-  let fmt = Format.std_formatter in
-  List.iter
-    (fun (e : Registry.entry) ->
-      Format.fprintf fmt "@.==================================================@.";
-      Format.fprintf fmt "== %s (%s)@." e.title e.id;
-      Format.fprintf fmt "==================================================@.";
-      let (), seconds = Timing.time (fun () -> e.run fmt ctx) in
-      Format.fprintf fmt "[%s completed in %.1fs]@." e.id seconds)
-    entries
-
-(* --- bechamel micro-benchmarks -------------------------------------- *)
-
-let microbenchmarks ctx =
-  let open Bechamel in
-  let inst = Context.instance ctx "skewed" in
-  let h =
-    V.apply ~rng:(Rng.create 1) (V.Uniform_val 100.0) inst.WI.hypergraph
-  in
-  let deltas = inst.WI.deltas in
-  let db = inst.WI.db in
-  let query = List.hd inst.WI.queries in
-  let prep = Qp_relational.Delta_eval.prepare db query in
-  let fresh_h () =
-    (* classes are cached per hypergraph; rebuild to measure cold cost *)
-    H.with_valuations inst.WI.hypergraph (H.valuations h)
-  in
-  let simplex_input =
-    ( Array.init 30 (fun i -> Float.of_int (1 + (i mod 7))),
-      Array.init 40 (fun i ->
-          ( Qp_lp.Sparse.of_dense
-              (Array.init 30 (fun j -> Float.of_int ((i + j) mod 5))),
-            50.0 )) )
-  in
-  let ubp_pricing = Qp_core.Ubp.solve h in
-  let tests =
-    [
-      Test.make ~name:"ubp-solve" (Staged.stage (fun () -> Qp_core.Ubp.solve h));
-      Test.make ~name:"uip-solve" (Staged.stage (fun () -> Qp_core.Uip.solve h));
-      Test.make ~name:"layering-solve"
-        (Staged.stage (fun () -> Qp_core.Layering.solve h));
-      Test.make ~name:"classes-compute"
-        (Staged.stage (fun () -> H.classes (fresh_h ())));
-      Test.make ~name:"conflict-differs-1-delta"
-        (Staged.stage (fun () ->
-             Qp_relational.Delta_eval.differs prep deltas.(0)));
-      Test.make ~name:"simplex-30x40"
-        (Staged.stage (fun () ->
-             let c, rows = simplex_input in
-             Qp_lp.Simplex.solve ~c ~rows ()));
-      Test.make ~name:"revenue-eval"
-        (Staged.stage (fun () -> Qp_core.Pricing.revenue ubp_pricing h));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
+let banner title =
   print_newline ();
   print_endline "==================================================";
-  print_endline "== bechamel micro-benchmarks";
-  print_endline "==================================================";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-28s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
-        results)
-    tests
+  print_endline ("== " ^ title);
+  print_endline "=================================================="
+
+(* Writes [file] as one JSON object: the [head] fields (the meta block
+   first), then [key] holding [rows], each an already-rendered object. *)
+let write_json file ~head ~key rows =
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc "{\n  %s,\n  %S: [\n    %s\n  ]\n}\n" head key
+        (String.concat ",\n    " rows));
+  Printf.printf "  wrote %s\n%!" file
+
+(* A bench that finds a wrong answer stops the run: its timings would
+   measure broken code. *)
+let bug fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "BUG: %s\n%!" msg;
+      exit 1)
+    fmt
 
 (* --- conflict-set construction benchmark ----------------------------- *)
 
@@ -179,11 +122,9 @@ let microbenchmarks ctx =
 let conflict_bench ~meta ctx =
   let module C = Qp_market.Conflict in
   let jobs_n = max 2 (Qp_util.Parallel.default_jobs ()) in
-  print_newline ();
-  print_endline "==================================================";
-  Printf.printf "== conflict-set construction: row vs columnar, jobs=1 vs %d\n"
-    jobs_n;
-  print_endline "==================================================";
+  banner
+    (Printf.sprintf "conflict-set construction: row vs columnar, jobs=1 vs %d"
+       jobs_n);
   let fingerprint h =
     Array.map
       (fun (e : H.edge) -> (e.H.name, e.H.items, e.H.valuation))
@@ -206,19 +147,15 @@ let conflict_bench ~meta ctx =
         let h_col1, s_col1 = build ~jobs:1 () in
         let h_coln, s_coln = build ~jobs:jobs_n () in
         let check_mismatches = List.length (C.disagreements h_row h_col1) in
-        if check_mismatches > 0 then begin
-          Printf.eprintf "BUG: %s row and columnar disagree on %d conflicts\n"
-            key check_mismatches;
-          exit 1
-        end;
+        if check_mismatches > 0 then
+          bug "%s row and columnar disagree on %d conflicts" key
+            check_mismatches;
         let fp = fingerprint h_row in
         let fingerprints_equal =
           fp = fingerprint h_col1 && fp = fingerprint h_coln
         in
-        if not fingerprints_equal then begin
-          Printf.eprintf "BUG: %s hypergraph differs across engines/jobs\n" key;
-          exit 1
-        end;
+        if not fingerprints_equal then
+          bug "%s hypergraph differs across engines/jobs" key;
         let speedup_columnar =
           query_mean s_row /. Float.max 1e-9 (query_mean s_col1)
         in
@@ -232,19 +169,19 @@ let conflict_bench ~meta ctx =
          fingerprints_equal))
       WI.keys
   in
-  let oc = open_out "BENCH_conflict.json" in
   let float_array a =
     String.concat ", "
       (Array.to_list (Array.map (Printf.sprintf "%.6f") a))
   in
-  Printf.fprintf oc "{\n  %s,\n  \"jobs_n\": %d,\n  \"workloads\": [" (meta ())
-    jobs_n;
-  List.iteri
-    (fun i
-         (key, (s_row : C.stats), (s_col1 : C.stats), (s_coln : C.stats),
-          check_mismatches, speedup_columnar, fingerprints_equal) ->
-      Printf.fprintf oc
-        "%s\n    { \"workload\": %S, \"queries\": %d, \"support\": %d,\n\
+  Qp_experiments.Exp_runtime.build_breakdown Format.std_formatter ctx;
+  write_json "BENCH_conflict.json"
+    ~head:(Printf.sprintf "%s,\n  \"jobs_n\": %d" (meta ()) jobs_n)
+    ~key:"workloads"
+    (List.map
+       (fun (key, (s_row : C.stats), (s_col1 : C.stats), (s_coln : C.stats),
+             check_mismatches, speedup_columnar, fingerprints_equal) ->
+      Printf.sprintf
+        "{ \"workload\": %S, \"queries\": %d, \"support\": %d,\n\
         \      \"fallback_queries\": %d, \"failed_queries\": %d,\n\
         \      \"strategies\": { %s },\n\
         \      \"row_seconds\": %.6f, \"row_query_mean\": %.6f,\n\
@@ -254,7 +191,6 @@ let conflict_bench ~meta ctx =
         \      \"fingerprints_equal\": %b, \"jobs_used\": %d,\n\
         \      \"worker_busy_seconds\": [%s],\n\
         \      \"query_seconds_mean\": %.6f, \"query_seconds_max\": %.6f }"
-        (if i = 0 then "" else ",")
         key s_coln.C.queries s_coln.C.support s_coln.C.fallback_queries
         (List.length s_coln.C.failed_queries)
         (String.concat ", "
@@ -268,11 +204,7 @@ let conflict_bench ~meta ctx =
         (float_array s_coln.C.worker_busy)
         (query_mean s_col1)
         (Array.fold_left Float.max 0.0 s_col1.C.query_seconds))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Qp_experiments.Exp_runtime.build_breakdown Format.std_formatter ctx;
-  Printf.printf "  wrote BENCH_conflict.json\n%!"
+       results)
 
 (* --- parallel-layer benchmark --------------------------------------- *)
 
@@ -320,10 +252,7 @@ let parallel_bench ~meta ctx =
       (Runner.run_cell ~jobs ~n_runs:4 ~profile ~seed:7 (V.Uniform_val 100.0)
          inst)
   in
-  print_newline ();
-  print_endline "==================================================";
-  Printf.printf "== parallel layer: jobs=1 vs jobs=%d\n" jobs_n;
-  print_endline "==================================================";
+  banner (Printf.sprintf "parallel layer: jobs=1 vs jobs=%d" jobs_n);
   let results =
     List.map
       (fun (name, f) ->
@@ -343,24 +272,21 @@ let parallel_bench ~meta ctx =
         (name, one, many))
       [ ("lpip", lpip); ("cip", cip); ("capped", capped); ("runner-cell", cell) ]
   in
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n  %s,\n  \"jobs\": %d,\n  \"pairs\": %d,\n  \"algorithms\": ["
-    (meta ()) jobs_n parallel_pairs;
-  List.iteri
-    (fun i (name, (t1, min1, max1), (tn, minn, maxn)) ->
-      Printf.fprintf oc
-        "%s\n    { \"name\": %S, \"seconds_jobs_1\": %.6f, \
-         \"min_jobs_1\": %.6f, \"max_jobs_1\": %.6f, \
-         \"seconds_jobs_n\": %.6f, \"min_jobs_n\": %.6f, \
-         \"max_jobs_n\": %.6f, \"speedup\": %.3f }"
-        (if i = 0 then "" else ",")
-        name t1 min1 max1 tn minn maxn
-        (t1 /. Float.max 1e-9 tn))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_parallel.json\n%!"
+  write_json "BENCH_parallel.json"
+    ~head:
+      (Printf.sprintf "%s,\n  \"jobs\": %d,\n  \"pairs\": %d" (meta ())
+         jobs_n parallel_pairs)
+    ~key:"algorithms"
+    (List.map
+       (fun (name, (t1, min1, max1), (tn, minn, maxn)) ->
+         Printf.sprintf
+           "{ \"name\": %S, \"seconds_jobs_1\": %.6f, \
+            \"min_jobs_1\": %.6f, \"max_jobs_1\": %.6f, \
+            \"seconds_jobs_n\": %.6f, \"min_jobs_n\": %.6f, \
+            \"max_jobs_n\": %.6f, \"speedup\": %.3f }"
+           name t1 min1 max1 tn minn maxn
+           (t1 /. Float.max 1e-9 tn))
+       results)
 
 (* --- simplex engine benchmark ----------------------------------------- *)
 
@@ -401,10 +327,7 @@ let simplex_bench ~meta () =
     | _ -> Float.nan
   in
   let sizes = [ 16; 32; 64; 128; 256; 512 ] in
-  print_newline ();
-  print_endline "==================================================";
-  print_endline "== simplex engines: dense tableau vs revised";
-  print_endline "==================================================";
+  banner "simplex engines: dense tableau vs revised";
   let results =
     List.map
       (fun n ->
@@ -432,11 +355,7 @@ let simplex_bench ~meta () =
         let tr, revised = run (Simplex.solve ~c ~rows:sparse_rows) in
         let od = objective dense and orv = objective revised in
         if Float.abs (od -. orv) > 1e-6 *. Float.max 1.0 (Float.abs od)
-        then begin
-          Printf.eprintf "BUG: engines disagree at n=%d (%.9g vs %.9g)\n" n od
-            orv;
-          exit 1
-        end;
+        then bug "engines disagree at n=%d (%.9g vs %.9g)" n od orv;
         Printf.printf
           "  n=%-4d dense %8.4fs   revised %8.4fs   ratio %5.2fx   obj %.1f\n%!"
           n td tr (td /. Float.max 1e-9 tr) od;
@@ -458,22 +377,19 @@ let simplex_bench ~meta () =
   (match crossover with
   | Some n -> Printf.printf "  crossover: revised wins from n=%d up\n" n
   | None -> Printf.printf "  crossover: not reached on these sizes\n");
-  let oc = open_out "BENCH_simplex.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"crossover_n\": %s,\n  \"sizes\": ["
-    (meta ())
-    (match crossover with Some n -> string_of_int n | None -> "null");
-  List.iteri
-    (fun i (n, td, tr) ->
-      Printf.fprintf oc
-        "%s\n    { \"n\": %d, \"seconds_dense\": %.6f, \
-         \"seconds_revised\": %.6f, \"speedup\": %.3f }"
-        (if i = 0 then "" else ",")
-        n td tr
-        (td /. Float.max 1e-9 tr))
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_simplex.json\n%!"
+  write_json "BENCH_simplex.json"
+    ~head:
+      (Printf.sprintf "%s,\n  \"crossover_n\": %s" (meta ())
+         (match crossover with Some n -> string_of_int n | None -> "null"))
+    ~key:"sizes"
+    (List.map
+       (fun (n, td, tr) ->
+         Printf.sprintf
+           "{ \"n\": %d, \"seconds_dense\": %.6f, \
+            \"seconds_revised\": %.6f, \"speedup\": %.3f }"
+           n td tr
+           (td /. Float.max 1e-9 tr))
+       results)
 
 (* --- warm-start benchmark ---------------------------------------------- *)
 
@@ -517,10 +433,7 @@ let warmstart_bench ~meta ctx =
              jobs = Some 1 }
          h)
   in
-  print_newline ();
-  print_endline "==================================================";
-  print_endline "== warm-started LP sweeps: cold vs warm";
-  print_endline "==================================================";
+  banner "warm-started LP sweeps: cold vs warm";
   let obs_was = Qp_obs.enabled () in
   let warm_was = Simplex.warm_starts () in
   let counter name =
@@ -565,26 +478,22 @@ let warmstart_bench ~meta ctx =
           mismatches;
         (results, mismatches))
   in
-  let oc = open_out "BENCH_warmstart.json" in
-  Printf.fprintf oc "{\n  %s,\n  \"check_mismatches\": %d,\n  \"families\": ["
-    (meta ()) mismatches;
-  List.iteri
-    (fun i (name, tc, pc, tw, pw, hits, misses, saved, wasted) ->
-      Printf.fprintf oc
-        "%s\n    { \"name\": %S, \"seconds_cold\": %.6f, \"pivots_cold\": %d,\n\
-        \      \"seconds_warm\": %.6f, \"pivots_warm\": %d,\n\
-        \      \"pivot_ratio\": %.3f, \"wall_speedup\": %.3f,\n\
-        \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d,\n\
-        \      \"pivots_wasted\": %d }"
-        (if i = 0 then "" else ",")
-        name tc pc tw pw
-        (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
-        (tc /. Float.max 1e-9 tw)
-        hits misses saved wasted)
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_warmstart.json\n%!"
+  write_json "BENCH_warmstart.json"
+    ~head:(Printf.sprintf "%s,\n  \"check_mismatches\": %d" (meta ()) mismatches)
+    ~key:"families"
+    (List.map
+       (fun (name, tc, pc, tw, pw, hits, misses, saved, wasted) ->
+         Printf.sprintf
+           "{ \"name\": %S, \"seconds_cold\": %.6f, \"pivots_cold\": %d,\n\
+           \      \"seconds_warm\": %.6f, \"pivots_warm\": %d,\n\
+           \      \"pivot_ratio\": %.3f, \"wall_speedup\": %.3f,\n\
+           \      \"warm_hits\": %d, \"warm_misses\": %d, \"pivots_saved\": %d,\n\
+           \      \"pivots_wasted\": %d }"
+           name tc pc tw pw
+           (Float.of_int pc /. Float.max 1.0 (Float.of_int pw))
+           (tc /. Float.max 1e-9 tw)
+           hits misses saved wasted)
+       results)
 
 (* --- serving-throughput benchmark ------------------------------------- *)
 
@@ -599,10 +508,7 @@ let serve_bench ~meta ctx =
   let module SB = Qp_serve.Broker in
   let module SS = Qp_serve.Server in
   let module SP = Qp_serve.Protocol in
-  print_newline ();
-  print_endline "==================================================";
-  print_endline "== serving throughput: qpricing serve under load";
-  print_endline "==================================================";
+  banner "serving throughput: qpricing serve under load";
   let inst = Context.instance ctx "skewed" in
   let broker, precompute =
     Timing.time (fun () ->
@@ -632,18 +538,15 @@ let serve_bench ~meta ctx =
   in
   (match saved with
   | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "BUG: snapshot save failed: %s\n" msg;
-      exit 1);
+  | Error msg -> bug "snapshot save failed: %s" msg);
   let snapshot_save_ms = save_s *. 1000.0 in
   let snapshot_bytes = (Unix.stat snap_file).Unix.st_size in
   let recovered, recovery_s =
     match Timing.time (fun () -> SB.load_snapshot ~file:snap_file snap_config) with
     | Ok b, dt -> (b, dt)
     | Error err, _ ->
-        Printf.eprintf "BUG: snapshot load failed: %s\n"
-          (Qp_serve.Snapshot.describe_load_error err);
-        exit 1
+        bug "snapshot load failed: %s"
+          (Qp_serve.Snapshot.describe_load_error err)
   in
   let recovery_ms = recovery_s *. 1000.0 in
   let recovery_identity_mismatches =
@@ -658,12 +561,9 @@ let serve_bench ~meta ctx =
     !bad
   in
   (try Sys.remove snap_file with Sys_error _ -> ());
-  if recovery_identity_mismatches > 0 then begin
-    Printf.eprintf
-      "BUG: %d recovered quotes differ from the live broker\n"
+  if recovery_identity_mismatches > 0 then
+    bug "%d recovered quotes differ from the live broker"
       recovery_identity_mismatches;
-    exit 1
-  end;
   Printf.printf
     "  snapshot: %d bytes, save %.1f ms, recovery %.1f ms (vs %.2fs \
      precompute), %d/%d quotes bit-identical after reload\n%!"
@@ -696,11 +596,8 @@ let serve_bench ~meta ctx =
     done;
     !bad
   in
-  if identity_mismatches > 0 then begin
-    Printf.eprintf "BUG: %d served quotes differ from the broker oracle\n"
-      identity_mismatches;
-    exit 1
-  end;
+  if identity_mismatches > 0 then
+    bug "%d served quotes differ from the broker oracle" identity_mismatches;
   Printf.printf "  identity: %d/%d served quotes bit-identical\n%!" n n;
   (* Client-side tallies across *every* pass (identity, warm-ups,
      timed): the METRICS cross-check below compares them against the
@@ -777,22 +674,16 @@ let serve_bench ~meta ctx =
     let c = SS.connect listen in
     Fun.protect ~finally:(fun () -> SS.close_client c) @@ fun () ->
     match SS.scrape c with
-    | Error e ->
-        Printf.eprintf "BUG: METRICS scrape failed: %s\n" e;
-        exit 1
+    | Error e -> bug "METRICS scrape failed: %s" e
     | Ok body -> (
         match SM.parse body with
-        | Error e ->
-            Printf.eprintf "BUG: METRICS body failed to parse: %s\n" e;
-            exit 1
+        | Error e -> bug "METRICS body failed to parse: %s" e
         | Ok samples -> samples)
   in
   let sample name =
     match SM.find samples name with
     | Some v -> v
-    | None ->
-        Printf.eprintf "BUG: METRICS body lacks %s\n" name;
-        exit 1
+    | None -> bug "METRICS body lacks %s" name
   in
   let requests_total = sample "qp_serve_requests_total" in
   let quotes_total = sample "qp_serve_quotes_total" in
@@ -805,15 +696,13 @@ let serve_bench ~meta ctx =
     && request_count = requests_total
     && requests_total = expect_requests
   in
-  if not consistent then begin
-    Printf.eprintf
-      "BUG: server metrics disagree with client tallies: requests_total=%.0f \
-       (client %d), quotes_total=%.0f (client %d), hist counts %.0f/%.0f\n"
+  if not consistent then
+    bug
+      "server metrics disagree with client tallies: requests_total=%.0f \
+       (client %d), quotes_total=%.0f (client %d), hist counts %.0f/%.0f"
       requests_total
       (!total_quotes + !total_errors)
       quotes_total !total_quotes request_count quote_count;
-    exit 1
-  end;
   let server_pct p =
     match SM.histogram_quantile samples "qp_serve_request_seconds" p with
     | Some s -> s *. 1000.0
@@ -830,54 +719,55 @@ let serve_bench ~meta ctx =
   SS.close_client c;
   Atomic.set finished true;
   Domain.join server;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n  %s,\n  \"workload\": %S,\n  \"pricing\": %S,\n  \"queries\": %d,\n\
-    \  \"identity_mismatches\": %d,\n  \"precompute_seconds\": %.6f,\n\
-    \  \"snapshot\": { \"bytes\": %d, \"save_ms\": %.3f, \"recovery_ms\": \
-     %.3f,\n    \"recovery_identity_mismatches\": %d },\n\
-    \  \"runs_per_level\": %d,\n\
-    \  \"metrics\": { \"requests_total\": %.0f, \"quotes_total\": %.0f,\n\
-    \    \"counts_consistent\": true,\n\
-    \    \"server_p50_ms\": %.6f, \"server_p95_ms\": %.6f, \"server_p99_ms\": \
-     %.6f },\n\
-    \  \"levels\": ["
-    (meta ()) (SB.workload broker) (SB.pricing_key broker) n
-    identity_mismatches precompute snapshot_bytes snapshot_save_ms recovery_ms
-    recovery_identity_mismatches runs_per_level requests_total quotes_total
-    sp50 sp95 sp99;
-  List.iteri
-    (fun i (clients, quotes, errors, seconds, qps, p50, p95, p99) ->
-      Printf.fprintf oc
-        "%s\n    { \"clients\": %d, \"quotes\": %d, \"errors\": %d,\n\
-        \      \"seconds\": %.6f, \"quotes_per_sec\": %.1f,\n\
-        \      \"p50_ms\": %.6f, \"p95_ms\": %.6f, \"p99_ms\": %.6f }"
-        (if i = 0 then "" else ",")
-        clients quotes errors seconds qps p50 p95 p99)
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_serve.json\n%!"
+  write_json "BENCH_serve.json"
+    ~head:
+      (Printf.sprintf
+         "%s,\n  \"workload\": %S,\n  \"pricing\": %S,\n  \"queries\": %d,\n\
+         \  \"identity_mismatches\": %d,\n  \"precompute_seconds\": %.6f,\n\
+         \  \"snapshot\": { \"bytes\": %d, \"save_ms\": %.3f, \"recovery_ms\": \
+          %.3f,\n    \"recovery_identity_mismatches\": %d },\n\
+         \  \"runs_per_level\": %d,\n\
+         \  \"metrics\": { \"requests_total\": %.0f, \"quotes_total\": %.0f,\n\
+         \    \"counts_consistent\": true,\n\
+         \    \"server_p50_ms\": %.6f, \"server_p95_ms\": %.6f, \"server_p99_ms\": \
+          %.6f }"
+         (meta ()) (SB.workload broker) (SB.pricing_key broker) n
+         identity_mismatches precompute snapshot_bytes snapshot_save_ms
+         recovery_ms recovery_identity_mismatches runs_per_level requests_total
+         quotes_total sp50 sp95 sp99)
+    ~key:"levels"
+    (List.map
+       (fun (clients, quotes, errors, seconds, qps, p50, p95, p99) ->
+         Printf.sprintf
+           "{ \"clients\": %d, \"quotes\": %d, \"errors\": %d,\n\
+           \      \"seconds\": %.6f, \"quotes_per_sec\": %.1f,\n\
+           \      \"p50_ms\": %.6f, \"p95_ms\": %.6f, \"p99_ms\": %.6f }"
+           clients quotes errors seconds qps p50 p95 p99)
+       results)
 
-let pseudo_ids =
-  [ "micro"; "parallel"; "conflict"; "simplex"; "warmstart"; "serve" ]
+let benches =
+  [ ("conflict", conflict_bench); ("parallel", parallel_bench);
+    ("simplex", fun ~meta _ -> simplex_bench ~meta ());
+    ("warmstart", warmstart_bench); ("serve", serve_bench) ]
 
 let () =
-  let rec parse jobs trace ids = function
-    | [] -> (jobs, trace, List.rev ids)
-    | "--jobs" :: n :: rest -> parse (Some n) trace ids rest
-    | arg :: rest
-      when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-        parse (Some (String.sub arg 7 (String.length arg - 7))) trace ids rest
-    | "--trace" :: file :: rest -> parse jobs (Some file) ids rest
-    | arg :: rest
-      when String.length arg > 8 && String.sub arg 0 8 = "--trace=" ->
-        parse jobs (Some (String.sub arg 8 (String.length arg - 8))) ids rest
-    | arg :: rest -> parse jobs trace (arg :: ids) rest
+  (* "--jobs=N" is "--jobs N", "--trace=FILE" is "--trace FILE" *)
+  let args =
+    List.concat_map
+      (fun a ->
+        match String.index_opt a '=' with
+        | Some i when String.starts_with ~prefix:"--" a ->
+            [ String.sub a 0 i; String.sub a (i + 1) (String.length a - i - 1) ]
+        | Some _ | None -> [ a ])
+      (List.tl (Array.to_list Sys.argv))
   in
-  let jobs, trace, ids =
-    parse None None [] (List.tl (Array.to_list Sys.argv))
+  let rec parse jobs trace names = function
+    | [] -> (jobs, trace, names)
+    | "--jobs" :: n :: rest -> parse (Some n) trace names rest
+    | "--trace" :: file :: rest -> parse jobs (Some file) names rest
+    | arg :: rest -> parse jobs trace (arg :: names) rest
   in
+  let jobs, trace, names = parse None None [] args in
   (match jobs with
   | None -> ()
   | Some n -> (
@@ -886,34 +776,20 @@ let () =
       | Some _ | None ->
           Printf.eprintf "bad --jobs value %S (want a positive integer)\n" n;
           exit 2));
-  (* "micro", "parallel" and "conflict" are pseudo-ids, usable alongside
-     real ones. Every id is validated before anything runs, so a typo
-     fails fast instead of after hours of benchmarks. *)
-  let unknown =
-    List.filter
-      (fun id -> not (List.mem id pseudo_ids) && Registry.find id = None)
-      ids
-  in
-  if unknown <> [] then begin
-    Printf.eprintf "unknown id%s %s\nvalid experiment ids: %s\npseudo ids: %s\n"
-      (if List.length unknown = 1 then "" else "s")
-      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
-      (String.concat ", " Registry.ids)
-      (String.concat ", " pseudo_ids);
+  (* Every name is checked before anything runs, so a typo fails fast
+     instead of after minutes of benchmarks. *)
+  let unknown = List.filter (fun n -> not (List.mem_assoc n benches)) names in
+  if names = [] || unknown <> [] then begin
+    if unknown <> [] then
+      Printf.eprintf "unknown bench%s %s\n"
+        (if List.length unknown = 1 then "" else "es")
+        (String.concat ", " (List.rev_map (Printf.sprintf "%S") unknown));
+    Printf.eprintf
+      "usage: main.exe [--jobs N] [--trace FILE] BENCH...\nbenches: %s\n\
+       (the paper's tables and figures: qpricing experiment)\n"
+      (String.concat ", " (List.map fst benches));
     exit 2
   end;
-  let micro = List.mem "micro" ids in
-  let par = List.mem "parallel" ids in
-  let conflict = List.mem "conflict" ids in
-  let simplex = List.mem "simplex" ids in
-  let warmstart = List.mem "warmstart" ids in
-  let serve = List.mem "serve" ids in
-  let exp_ids = List.filter (fun id -> not (List.mem id pseudo_ids)) ids in
-  let entries =
-    match exp_ids with
-    | [] -> Registry.all
-    | ids -> List.filter_map Registry.find ids
-  in
   let ctx = Context.create () in
   (* Evaluated at each BENCH_*.json write, not once upfront, so the
      injection tallies reflect everything that ran before the file. *)
@@ -933,11 +809,7 @@ let () =
           Printf.eprintf "[trace: %d spans written to %s]\n%!"
             (Qp_obs.span_count ()) path)
     (fun () ->
-      if exp_ids <> [] || ids = [] then run_experiments ctx entries;
-      if conflict then conflict_bench ~meta ctx;
-      if par then parallel_bench ~meta ctx;
-      if simplex then simplex_bench ~meta ();
-      if warmstart then warmstart_bench ~meta ctx;
-      if serve then serve_bench ~meta ctx;
-      if micro || ids = [] then microbenchmarks ctx);
+      List.iter
+        (fun (name, run) -> if List.mem name names then run ~meta ctx)
+        benches);
   Printf.printf "\nTotal bench time: %.1fs\n" (Timing.seconds_since t0)

@@ -733,6 +733,8 @@ let experiment_cmd =
     set_injections inject;
     with_trace trace @@ fun () ->
     let ctx = Context.create ~profile ~seed () in
+    (* every id is checked before any runs: a typo fails fast, not after
+       minutes of experiments *)
     let entries =
       match ids with
       | [] -> Registry.all
@@ -749,7 +751,10 @@ let experiment_cmd =
     List.iter
       (fun (e : Registry.entry) ->
         Format.printf "@.== %s (%s) ==@." e.title e.id;
-        e.run Format.std_formatter ctx)
+        let (), seconds =
+          Qp_util.Timing.time (fun () -> e.run Format.std_formatter ctx)
+        in
+        Format.printf "[%s completed in %.1fs]@." e.id seconds)
       entries
   in
   Cmd.v

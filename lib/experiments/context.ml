@@ -4,10 +4,7 @@ type t = {
   cache : (string, Workload_instances.t) Hashtbl.t;
 }
 
-let create ?profile ?(seed = 42) () =
-  let profile =
-    match profile with Some p -> p | None -> Runner.profile_of_env ()
-  in
+let create ?(profile = Runner.Quick) ?(seed = 42) () =
   { profile; seed; cache = Hashtbl.create 4 }
 
 let profile t = t.profile

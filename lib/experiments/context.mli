@@ -5,7 +5,8 @@
 type t
 
 val create : ?profile:Runner.profile -> ?seed:int -> unit -> t
-(** Profile defaults to {!Runner.profile_of_env}; seed to 42. *)
+(** Profile defaults to [Quick] (what [qpricing] uses without
+    [--profile full], and what every benchmark runs); seed to 42. *)
 
 val profile : t -> Runner.profile
 (** The session's benchmark profile, fixed at {!create}. *)

@@ -1,6 +1,6 @@
 (** Index of every reproduced table and figure, keyed by the paper's
-    numbering — the single list both [bench/main.exe] and the
-    [qpricing experiment] CLI command iterate over. *)
+    numbering — the list [qpricing experiment] runs and [qpricing list]
+    prints. *)
 
 type entry = {
   id : string;  (** e.g. ["fig5"], ["table4"], ["lemmas"] *)

@@ -8,11 +8,6 @@ module Text_table = Qp_util.Text_table
 
 type profile = Quick | Full
 
-let profile_of_env () =
-  match Sys.getenv_opt "QP_BENCH_PROFILE" with
-  | Some s when String.lowercase_ascii s = "full" -> Full
-  | Some _ | None -> Quick
-
 let runs = function Quick -> 1 | Full -> 5
 
 let lpip_options = function

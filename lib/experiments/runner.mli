@@ -4,10 +4,9 @@
     average of 5 runs, first run discarded — profile-dependent here). *)
 
 type profile = Quick | Full
-
-val profile_of_env : unit -> profile
-(** Reads [QP_BENCH_PROFILE] ("quick" default, "full" for
-    closer-to-paper settings). *)
+(** [Quick] is the default of every session and every benchmark;
+    [Full] (closer-to-paper settings, slower) is chosen with
+    [qpricing --profile full]. *)
 
 val runs : profile -> int
 (** Valuation draws averaged per cell: 1 for [Quick], 5 (the paper's

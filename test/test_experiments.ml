@@ -87,14 +87,6 @@ let test_registry_unique_ids () =
   Alcotest.(check bool) "find case-insensitive" true (Registry.find "FIG5" <> None);
   Alcotest.(check bool) "missing" true (Registry.find "fig99" = None)
 
-let test_profile_of_env () =
-  (* no env var -> quick *)
-  Unix.putenv "QP_BENCH_PROFILE" "";
-  Alcotest.(check bool) "quick default" true (Runner.profile_of_env () = Runner.Quick);
-  Unix.putenv "QP_BENCH_PROFILE" "full";
-  Alcotest.(check bool) "full" true (Runner.profile_of_env () = Runner.Full);
-  Unix.putenv "QP_BENCH_PROFILE" ""
-
 (* Integration: on a tiny end-to-end instance, every algorithm's output
    passes the arbitrage checker over the actual workload bundles. *)
 let test_end_to_end_arbitrage_free () =
@@ -136,7 +128,6 @@ let suite =
       t "runner deterministic" test_runner_deterministic;
       t "cell table renders" test_cell_table_renders;
       t "registry ids unique" test_registry_unique_ids;
-      t "profile from env" test_profile_of_env;
       t "end-to-end arbitrage-free" test_end_to_end_arbitrage_free;
       t "revenue bounded by valuations" test_revenue_never_exceeds_bound;
     ] )

@@ -175,6 +175,28 @@ let test_cli_probe_exit_codes () =
   check "no endpoint" (probe [])
     (2, "", "probe: need --socket PATH or --tcp PORT\n")
 
+(* [qpricing experiment] checks every id before it runs any: "lemmas"
+   is valid and fast, but a later unknown id must stop the command
+   before "lemmas" prints a line. *)
+let test_cli_experiment_unknown_id () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/qpricing.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s is not built" exe;
+  let out = Filename.temp_file "qpricing" ".out"
+  and err = Filename.temp_file "qpricing" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:out ~stderr:err
+         [ "experiment"; "lemmas"; "nosuch" ])
+  in
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check bool) "stderr names the id" true
+    (Astring_contains.contains (read err) "\"nosuch\"");
+  Alcotest.(check string) "no experiment output" "" (read out)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   ( "misc",
@@ -190,4 +212,6 @@ let suite =
       t "conflict sets under pure row drops" test_conflict_set_row_drop_only;
       t "cli: non-finite valuation model exits 2" test_cli_non_finite_model;
       t "cli: probe exit codes" test_cli_probe_exit_codes;
+      t "cli: experiment rejects an unknown id before running any"
+        test_cli_experiment_unknown_id;
     ] )
